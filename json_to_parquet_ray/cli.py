@@ -110,8 +110,9 @@ def main(argv: list[str] | None = None) -> int:
                           "broadcast the plan (scale mode for homogeneous "
                           "corpora) instead of per-partition trial encodes")
     enc.add_argument("--optimize", choices=("balanced", "size"),
-                     default="balanced",
-                     help="'balanced' (default) weighs codec ratio by "
+                     default=None,
+                     help="'balanced' (default; a resume keeps the "
+                          "store's recorded mode) weighs codec ratio by "
                           "measured encode cost; 'size' picks the best "
                           "sampled ratio outright and adds the zstd-19 "
                           "archival candidate (~20-25%% fewer bytes on "
@@ -149,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
     clu.add_argument("--consolidate", action="store_true",
                      help="as for encode")
     clu.add_argument("--optimize", choices=("balanced", "size"),
-                     default="balanced", help="as for encode")
+                     default=None, help="as for encode")
 
     sc = sub.add_parser(
         "scan-stats", help="explain pruning for a filter — chunks / "

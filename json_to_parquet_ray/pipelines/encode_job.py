@@ -66,8 +66,9 @@ def record_store_optimize(out_dir: str, mode: str) -> None:
     """Persist the planner mode the store was (last) encoded with, so
     later maintenance jobs — compaction re-encodes merged chunks — plan
     under the SAME frontier instead of silently reverting an archival
-    store to balanced codecs. Last writer wins: a resumed run with a
-    different mode governs subsequent maintenance."""
+    store to balanced codecs. Last writer wins: a resumed run that
+    passes a different mode governs subsequent maintenance; one that
+    passes none keeps the recorded mode (see ``encode_job``)."""
     write_atomic(_store_optimize_path(out_dir),
                  json.dumps({"optimize": mode}).encode())
 
@@ -85,6 +86,7 @@ def load_store_optimize(out_dir: str) -> str:
 
 def build_shared_plan(frags: list[FragmentRef],
                       file_schemas: dict[str, pa.Schema],
+                      frag_bytes: dict[str, int],
                       optimize: str = "balanced") -> CodecPlan | None:
     """Plan codecs ONCE for the whole store from a deterministic fragment
     sample, instead of re-running trial encodes per partition.
@@ -96,6 +98,7 @@ def build_shared_plan(frags: list[FragmentRef],
     strided sample of ``PLAN_SAMPLE_FRAGS`` fragments (first
     ``PLAN_SAMPLE_ROWS`` rows each), statted in parallel Ray tasks,
     merged, planned on the driver, then broadcast via ``ray.put``.
+    ``file_schemas`` and ``frag_bytes`` come from ``_read_footers``.
 
     Correctness is codec-agnostic (decode is bit-identical under any
     codec), so a shared plan can only change SIZE, never values; columns
@@ -126,13 +129,15 @@ def build_shared_plan(frags: list[FragmentRef],
             out.append(stats_partial_batch(t.slice(0, PLAN_SAMPLE_ROWS)))
         return pa.concat_tables(out)
 
-    parts = (ray.data.from_items(items, override_num_blocks=len(items))
+    # each sample task reads its fragment's whole row group
+    parts = (_item_dataset(items, sum(frag_bytes[f.frag_hash]
+                                      for f in picks))
              .map_batches(sample_stats, batch_size=1, batch_format="pyarrow")
              .take_all())  # bounded: one tiny pickled partial per (frag, col)
     stats = merge_partials([r["partial"] for r in parts])
     from ..schema_infer import unify
 
-    # union schema across files (footers already read by list_fragments);
+    # union schema across files (footers already read by _read_footers);
     # a cross-file type conflict widens to string here, and the per-column
     # can_encode fallback in _plan_for keeps such columns chunk-planned
     schema = unify(list(file_schemas.values()))
@@ -175,24 +180,51 @@ def _worker_encoder(out_dir, shared_ref, fsst_ref, bloom_columns,
     return enc
 
 
-def _dispatch_blocks(n_items: int) -> int:
+# Work-sized task packing. A Ray task costs ~20 ms fixed (SCALE.md); to
+# keep that under ~10% of a task's wall the task must carry >= 200 ms of
+# work. The fastest per-byte consumer of a work item is chunk decode, at
+# ~160 MB/s of chunk bytes per core (12.9 MB of CC chunks decode in
+# 62-85 ms in one process on a shared 4-vCPU VM), so 200 ms x 160 MB/s
+# ~= 32 MB. Encode (~60-80 MB/s of input bytes per core) then runs
+# >= 0.4 s per task.
+TASK_BYTES = 32 << 20
+# An item never counts as less than this much work: opening a chunk and
+# parsing its header costs ~0.8 ms even on a 50 KB chunk, which is
+# ~128 KiB at the same 160 MB/s.
+ITEM_BYTES = 128 << 10
+
+
+def _dispatch_blocks(n_items: int, work_bytes: int) -> int:
     """Block count for a work-item Dataset (one PARTITION per row).
 
     ``map_batches(..., batch_size=1)`` calls the UDF once per item
-    regardless of blocking, but Ray dispatches one TASK per block — one
-    block per item (the old shape) costs ~5-10 ms of driver scheduling
-    per partition, which is pure overhead at 10^6+ partitions (hours of
-    dispatch for minutes of encode). Capping at 8 blocks per CPU packs
-    several partitions into each task while keeping 8 waves of dynamic
-    load balancing to absorb partition-size skew. Manifest records,
-    resume claims and summaries stay strictly per-partition."""
+    regardless of blocking, but Ray dispatches one TASK per block, so
+    the block count is the task count. It is sized by work, not items:
+    ``ceil(work / TASK_BYTES)`` tasks, never fewer than the CPUs (no
+    core idles) nor more than 8 per CPU (8 waves of dynamic load
+    balancing absorb partition-size skew at scale; more tasks only add
+    dispatch), and never more than the items. ``work`` is the items'
+    byte total, floored at ``ITEM_BYTES`` per item. ``from_items``
+    splits the list into contiguous runs, so packed items keep their
+    order, and manifest records, resume claims and verdicts stay
+    strictly per-partition."""
     try:
         import ray
 
         cpus = int(ray.cluster_resources().get("CPU", 4))
     except Exception:
         cpus = 4
-    return max(1, min(n_items, max(8 * cpus, 64)))
+    work = max(work_bytes, n_items * ITEM_BYTES)
+    return max(1, min(n_items, 8 * cpus, max(cpus, -(-work // TASK_BYTES))))
+
+
+def _item_dataset(items: list[dict], work_bytes: int):
+    """``ray.data.from_items`` over a driver-built work-item list, packed
+    into ``_dispatch_blocks`` contiguous blocks."""
+    import ray
+
+    return ray.data.from_items(
+        items, override_num_blocks=_dispatch_blocks(len(items), work_bytes))
 
 
 def read_fragment(path: str, row_group: int, num_rows: int,
@@ -239,18 +271,25 @@ def read_fragment(path: str, row_group: int, num_rows: int,
 
 
 def list_fragments(paths: list[str] | str,
-                   max_rows_per_partition: int | None = None,
-                   schemas_out: dict | None = None) -> list[FragmentRef]:
+                   max_rows_per_partition: int | None = None
+                   ) -> list[FragmentRef]:
     """Deterministic fragment list: files sorted, row groups in order.
 
     A row group larger than ``max_rows_per_partition`` is split into row
     slices so CPU parallelism survives single-row-group inputs (the
-    slicing task re-reads its row group but encodes only its slice).
+    slicing task re-reads its row group but encodes only its slice)."""
+    return _read_footers(paths, max_rows_per_partition)[0]
 
-    ``schemas_out``, when given, is filled with {path: arrow schema} from
-    the SAME footer read — callers needing per-file schemas (shared-dict
-    column discovery under schema evolution) must not pay a second
-    sequential driver footer pass over 10^5 files."""
+
+def _read_footers(paths: list[str] | str,
+                  max_rows_per_partition: int | None
+                  ) -> tuple[list[FragmentRef], dict[str, pa.Schema],
+                             dict[str, int]]:
+    """``list_fragments`` plus what the same footer pass yields for free:
+    {path: arrow schema} (shared-dict column discovery under schema
+    evolution) and {frag_hash: work bytes} (the row group's uncompressed
+    size, prorated for slices) for task sizing — callers must not pay a
+    second sequential driver footer pass over 10^5 files."""
     if isinstance(paths, str):
         paths = [paths]
     files: list[str] = []
@@ -263,19 +302,25 @@ def list_fragments(paths: list[str] | str,
         else:
             files.append(p)
     frags: list[FragmentRef] = []
+    schemas: dict[str, pa.Schema] = {}
+    frag_bytes: dict[str, int] = {}
     for f in sorted(files):
         md = pq.read_metadata(f)
-        if schemas_out is not None:
-            schemas_out[f] = md.schema.to_arrow_schema()
+        schemas[f] = md.schema.to_arrow_schema()
         for rg in range(md.num_row_groups):
             n = md.row_group(rg).num_rows
+            size = md.row_group(rg).total_byte_size
             if max_rows_per_partition and n > max_rows_per_partition:
-                for start in range(0, n, max_rows_per_partition):
-                    frags.append(FragmentRef(
-                        f, rg, min(max_rows_per_partition, n - start), start))
+                slices = [FragmentRef(f, rg,
+                                      min(max_rows_per_partition, n - start),
+                                      start)
+                          for start in range(0, n, max_rows_per_partition)]
             else:
-                frags.append(FragmentRef(f, rg, n))
-    return frags
+                slices = [FragmentRef(f, rg, n)]
+            for fr in slices:
+                frags.append(fr)
+                frag_bytes[fr.frag_hash] = size * fr.num_rows // max(n, 1)
+    return frags, schemas, frag_bytes
 
 
 _ZONE_STR_TRUNC = 64  # keep manifest records small on long url/text columns
@@ -544,7 +589,7 @@ def encode_job(
     max_rows_per_partition: int | None = None,
     consolidate_manifest: bool = False,
     shared_plan: bool = False,
-    optimize: str = "balanced",
+    optimize: str | None = None,
 ) -> dict:
     """Run the full encode pipeline; returns a summary dict.
 
@@ -556,7 +601,8 @@ def encode_job(
     records codec choices per partition, so resuming with a DIFFERENT
     mode re-encodes only the missing partitions under the new mode —
     completed partitions keep their recorded codecs (bit-identical
-    decode either way).
+    decode either way). A resume that passes no mode keeps the store's
+    recorded one, so a size store stays a size store.
 
     ``shared_plan=True`` plans codecs ONCE from a deterministic fragment
     sample and broadcasts the plan to every encode task (see
@@ -585,7 +631,9 @@ def encode_job(
 
     from ..manifest import manifest_dir
 
-    if optimize not in ("balanced", "size"):
+    if optimize is None:
+        optimize = load_store_optimize(out_dir) if resume else "balanced"
+    elif optimize not in ("balanced", "size"):
         # fail before any output is touched, not inside the first worker
         raise ValueError(f"unknown optimize mode: {optimize!r}")
 
@@ -595,9 +643,8 @@ def encode_job(
     os.makedirs(manifest_dir(out_dir), exist_ok=True)
     record_store_optimize(out_dir, optimize)  # compaction plans same-mode
 
-    file_schemas: dict[str, pa.Schema] = {}
-    frags = list_fragments(input_paths, max_rows_per_partition,
-                           schemas_out=file_schemas)
+    frags, file_schemas, frag_bytes = _read_footers(
+        input_paths, max_rows_per_partition)
     total = len(frags)
     done: set[str] = set()
     if resume:
@@ -631,7 +678,7 @@ def encode_job(
     frag_paths = sorted({f.path for f in frags})
     if work and shared_dict_columns:
         # union of file schemas (already collected from the footers during
-        # list_fragments — no second driver metadata pass): schema
+        # _read_footers — no second driver metadata pass): schema
         # evolution may add a string column in later files
         str_typed: set[str] = set()
         col_files: dict[str, list[str]] = {}
@@ -714,7 +761,8 @@ def encode_job(
     plan_ref = None
     plan_obj = None
     if work and shared_plan:
-        plan_obj = build_shared_plan(frags, file_schemas, optimize=optimize)
+        plan_obj = build_shared_plan(frags, file_schemas, frag_bytes,
+                                     optimize=optimize)
         if plan_obj is not None:
             plan_ref = ray.put(plan_obj)
 
@@ -723,8 +771,8 @@ def encode_job(
     # so the stateless and actor branches can't drift
     _bc = ["auto"] if bloom_columns == "auto" else bloom_columns
     if work:
-        items = ray.data.from_items(
-            work, override_num_blocks=_dispatch_blocks(len(work)))
+        items = _item_dataset(work, sum(frag_bytes[w["partition_id"]]
+                                        for w in work))
         if shared_ref is None and fsst_ref is None and plan_ref is None:
             # stateless → plain tasks reuse the already-warm worker pool
             def encode_item(batch: pa.Table) -> pa.Table:
@@ -961,7 +1009,8 @@ def bloom_reject_count(out_dir: str, recs: list, eq: dict) -> int:
                 for p in b.column("path").to_pylist())
         return pa.table({"n": pa.array([n], pa.int64())})
 
-    return sum(r["n"] for r in ray.data.from_items(items)
+    return sum(r["n"] for r in
+               _item_dataset(items, sum(r.chunk_size for r in recs))
                .map_batches(probe, batch_format="pyarrow").take_all())
 
 
@@ -1376,7 +1425,8 @@ def decode_dataset(out_dir: str, columns: list[str] | None = None,
                             stream_eligible_unsealed)
 
     require_store(out_dir)
-    items: list[dict] | None
+    items: list[dict] | None = None
+    recs: list | None = None  # the driver-list paths' records
     overlay: tuple | None = None
     zone_stream = False
     if zone_filter and stream_eligible(out_dir, stream_index):
@@ -1384,22 +1434,19 @@ def decode_dataset(out_dir: str, columns: list[str] | None = None,
         # inside the index-scan tasks (one _zones_alive per record) —
         # the driver never holds the record list, only the tiny
         # distributed ts-column aggregate needed to validate bounds
-        items = None
         zone_stream = True
         _validate_zone_bounds_streamed(out_dir, zone_filter)
     elif zone_filter:
         all_recs = effective_records(out_dir)
         validate_zone_bounds(all_recs, zone_filter)
         recs, _ = zone_prune(out_dir, zone_filter, recs=all_recs)
-        items = [{"path": os.path.join(out_dir, rec.chunk_file)}
-                 for rec in recs]
     elif stream_eligible(out_dir, stream_index):
         # sealed index, no deltas, big enough: the work-item list never
         # materializes on the driver — chunk paths stream straight off
         # the index's row groups (at 10^7 partitions a from_items list
         # is GBs of driver heap). Index rows are stored in input order,
         # so decode order is identical to the reconciliation path's.
-        items = None
+        pass
     elif stream_eligible_overlay(out_dir, stream_index):
         # sealed index WITH newer JSON deltas (the steady state of a huge
         # evolving store): stream the index like the sealed path, dropping
@@ -1407,7 +1454,6 @@ def decode_dataset(out_dir: str, columns: list[str] | None = None,
         # merge the overlay's chosen records back by input-order sort key
         # — a distributed sort of tiny (path, key) work items, never a
         # driver from_items of the full store
-        items = None
         overlay = _overlay_scan(out_dir)
     elif stream_eligible_unsealed(out_dir, stream_index):
         # never-consolidated store big enough to stream: shard JSON
@@ -1415,7 +1461,6 @@ def decode_dataset(out_dir: str, columns: list[str] | None = None,
         # records (a compaction in flight / crashed) reconcile on the
         # driver — a fresh 10^7-partition encode decodes with no driver
         # record list at all
-        items = None
         overlay = _unsealed_scan(out_dir)
     else:
         # input order is recomputed from the recorded fragment identity
@@ -1423,6 +1468,7 @@ def decode_dataset(out_dir: str, columns: list[str] | None = None,
         # effective_records resolves merged/plain overlap after a crashed
         # compaction
         recs = effective_records(out_dir)
+    if recs is not None:
         items = [{"path": os.path.join(out_dir, rec.chunk_file)}
                  for rec in recs]
 
@@ -1619,7 +1665,7 @@ def decode_dataset(out_dir: str, columns: list[str] | None = None,
     # blocks unless preserve_order is set — see _preserve_order
     with _preserve_order():
         if items is not None:
-            paths = ray.data.from_items(items)
+            paths = _item_dataset(items, sum(r.chunk_size for r in recs))
         elif overlay is not None:
             paths = _overlay_paths()
         else:
@@ -1803,7 +1849,8 @@ def compact_job(out_dir: str, min_rows: int = 100_000,
                         "num_rows": merged.num_rows})
         return pa.Table.from_pylist(out)
 
-    results = ray.data.from_items(items).map_batches(
+    results = _item_dataset(
+        items, sum(r.chunk_size for g in groups for r in g)).map_batches(
         merge, batch_size=1, batch_format="pyarrow").take_all()
 
     # all merged chunks durable → retire the old records (JSON delta or
@@ -2050,12 +2097,13 @@ def verify_job(out_dir: str, stream_index: bool | None = None) -> dict:
         # tasks, only contested records reconcile on the driver
         use_index = True
         overlay = _unsealed_scan(out_dir)
-    items = None if use_index else [
+    recs = None if use_index else effective_records(out_dir)
+    items = None if recs is None else [
         {"partition_id": rec.partition_id,
          "chunk": os.path.join(out_dir, rec.chunk_file),
          "sources": json.dumps(rec.source_fragments),  # ≥2 if compacted
          "num_rows": rec.num_rows}
-        for rec in effective_records(out_dir)
+        for rec in recs
     ]
 
     def index_to_items(b: pa.Table) -> pa.Table:
@@ -2129,7 +2177,7 @@ def verify_job(out_dir: str, stream_index: bool | None = None) -> dict:
         src = (ray.data.read_parquet(index_path(out_dir))
                .map_batches(index_to_items, batch_format="pyarrow"))
     else:
-        src = ray.data.from_items(items)
+        src = _item_dataset(items, sum(r.chunk_size for r in recs))
     # materialize pins only the TINY verdict rows; the driver then pulls
     # failures alone (at 10^7 partitions a take_all of every verdict is
     # GBs of driver heap for a normally-empty answer)

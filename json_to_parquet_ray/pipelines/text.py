@@ -196,31 +196,39 @@ def token_stream(text_col, pattern: str = r"\s+"):
 
 # --------------------------------------------------- url canonicalization
 
-_URL_HEAD_RE = r"^(?P<head>[A-Za-z][A-Za-z0-9+.\-]*://[^/?#]*)(?P<rest>[\s\S]*)$"
-_URL_TRACK_RE = r"(?:utm_[A-Za-z0-9_]+|fbclid|gclid)=[^&#]*&?"
+# scheme, optional userinfo (kept verbatim: credentials are
+# case-sensitive), host[:port], path, query; the fragment is left unmatched
+_URL_RE = (r"^(?P<scheme>[A-Za-z][A-Za-z0-9+.\-]*://)(?P<user>[^/?#@]*@)?"
+           r"(?P<host>[^/?#]*)(?P<path>[^?#]*)(?P<query>[^#]*)")
+# a tracking parameter is a whole query key: anchored to its delimiter
+_URL_TRACK_RE = r"[?&](?:utm_[A-Za-z0-9_]+|fbclid|gclid)=[^&]*"
 
 
 def canonicalize_urls_batch(batch: pa.Table, col: str = "url",
                             out: str | None = None) -> pa.Table:
-    """Canonical URL form for dedup/grouping: lowercase scheme+authority,
+    """Canonical URL form for dedup/grouping: lowercase scheme and host,
     fragment stripped, tracking parameters (utm_*, fbclid, gclid)
-    removed, dangling ``?``/``&`` tidied. Strings without a scheme pass
-    through unchanged (relative links are not guessed at). All RE2
-    kernels; the exact patterns run verbatim in the DuckDB oracle.
-    Path/query CASE is preserved — it is significant on most servers."""
+    removed from the query, dangling ``?``/``&`` tidied. Strings without
+    a scheme pass through unchanged (relative links are not guessed at).
+    All RE2 kernels; the exact patterns run verbatim in the DuckDB
+    oracle. Userinfo and path/query CASE are preserved — they are
+    significant."""
     s = batch.column(col)
     if isinstance(s, pa.ChunkedArray):
         s = s.combine_chunks()
     s = s.cast(pa.large_string())
-    m = pc.extract_regex(s, _URL_HEAD_RE)
-    head = pc.utf8_lower(pc.struct_field(m, "head"))
-    rest = pc.struct_field(m, "rest")
-    rest = pc.replace_substring_regex(rest, r"(?s)#.*$", "")
-    rest = pc.replace_substring_regex(rest, _URL_TRACK_RE, "")
-    rest = pc.replace_substring_regex(rest, r"\?&", "?")
-    rest = pc.replace_substring_regex(rest, r"[?&]+$", "")
+    m = pc.extract_regex(s, _URL_RE)
+    query = pc.struct_field(m, "query")
+    query = pc.replace_substring_regex(query, _URL_TRACK_RE, "")
+    query = pc.replace_substring_regex(query, r"^&", "?")
+    query = pc.replace_substring_regex(query, r"\?&", "?")
+    query = pc.replace_substring_regex(query, r"[?&]+$", "")
     joined = pc.binary_join_element_wise(
-        head, rest, pa.scalar("", pa.large_string()))
+        pc.utf8_lower(pc.struct_field(m, "scheme")),
+        pc.struct_field(m, "user"),
+        pc.utf8_lower(pc.struct_field(m, "host")),
+        pc.struct_field(m, "path"), query,
+        pa.scalar("", pa.large_string()))
     canon = pc.if_else(m.is_valid(), joined, s)
     idx = batch.column_names.index(col) if out is None else None
     if idx is not None:

@@ -1104,9 +1104,11 @@ def q_decontaminate(sf_dir: str):
 def q_canonical_urls(sf_dir: str):
     """URL canonicalization over deterministically PLANTED messy urls
     (the documents table has no url column): mixed-case scheme/host,
-    tracking params interleaved with real ones, fragments on even ids —
-    so every rule (lowercase head, strip fragment/tracking, tidy ?&)
-    is exercised and the oracle value-checks the full canonical form."""
+    mixed-case userinfo, tracking params interleaved with real ones (one
+    of them merely ending in ``fbclid``), fragments on even ids — so
+    every rule (lowercase scheme and host, strip fragment/tracking, tidy
+    ?&) is exercised and the oracle value-checks the full canonical
+    form."""
     ds = _read(sf_dir, "documents", ["doc_id", "source"])
 
     def plant(b: pa.Table) -> pa.Table:
@@ -1115,10 +1117,10 @@ def q_canonical_urls(sf_dir: str):
             pc.equal(pc.bit_wise_and(b.column("doc_id"), 1), 0),
             pa.scalar("#Section-2"), pa.scalar(""))
         url = pc.binary_join_element_wise(
-            pa.array(["HTTPS://WWW.Example"] * len(b)), ids,
+            pa.array(["HTTPS://Ann:Pw@WWW.Example"] * len(b)), ids,
             ".COM/", b.column("source").cast(pa.string()),
             "/Doc-", ids, "?utm_source=Feed&id=", ids,
-            "&fbclid=AbC&ref=Home", frag, "")
+            "&fbclid=AbC&myfbclid=Kp&ref=Home", frag, "")
         return pa.table({"doc_id": b.column("doc_id"), "url": url})
 
     return (ds.map_batches(plant, batch_format="pyarrow")
@@ -2005,26 +2007,30 @@ RETIRED_ORACLE_SQL = {
     "canonical_urls": (
         "WITH planted AS ("
         "  SELECT doc_id,"
-        "    'HTTPS://WWW.Example' || CAST(doc_id AS VARCHAR) || '.COM/'"
-        "    || source || '/Doc-' || CAST(doc_id AS VARCHAR)"
+        "    'HTTPS://Ann:Pw@WWW.Example' || CAST(doc_id AS VARCHAR)"
+        "    || '.COM/' || source || '/Doc-' || CAST(doc_id AS VARCHAR)"
         "    || '?utm_source=Feed&id=' || CAST(doc_id AS VARCHAR)"
-        "    || '&fbclid=AbC&ref=Home'"
+        "    || '&fbclid=AbC&myfbclid=Kp&ref=Home'"
         "    || (CASE WHEN doc_id % 2 = 0 THEN '#Section-2' ELSE '' END)"
         "    AS u"
-        "  FROM documents)"
+        "  FROM documents),"
+        " parts AS ("
+        "  SELECT doc_id, u,"
+        "    regexp_extract(u, '^([A-Za-z][A-Za-z0-9+.\\-]*://)"
+        "([^/?#@]*@)?([^/?#]*)([^?#]*)([^#]*)',"
+        "      ['scheme', 'usr', 'host', 'path', 'query']) AS p"
+        "  FROM planted)"
         " SELECT doc_id,"
         "   CASE WHEN regexp_matches(u, '^[A-Za-z][A-Za-z0-9+.\\-]*://')"
-        "   THEN lower(regexp_extract(u,"
-        "          '^([A-Za-z][A-Za-z0-9+.\\-]*://[^/?#]*)', 1)) ||"
+        "   THEN lower(p.scheme) || p.usr || lower(p.host) || p.path ||"
         "     regexp_replace(regexp_replace(regexp_replace(regexp_replace("
-        "       regexp_extract(u,"
-        "         '^[A-Za-z][A-Za-z0-9+.\\-]*://[^/?#]*([\\s\\S]*)$', 1),"
-        "       '#.*$', '', 's'),"
-        "       '(?:utm_[A-Za-z0-9_]+|fbclid|gclid)=[^&#]*&?', '', 'g'),"
+        "       p.query,"
+        "       '[?&](?:utm_[A-Za-z0-9_]+|fbclid|gclid)=[^&]*', '', 'g'),"
+        "       '^&', '?'),"
         "       '\\?&', '?', 'g'),"
         "       '[?&]+$', '', 'g')"
         "   ELSE u END AS url"
-        " FROM planted ORDER BY doc_id"
+        " FROM parts ORDER BY doc_id"
     ),
     "stratified_sample": (
         "SELECT doc_id, lang FROM documents"

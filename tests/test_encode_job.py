@@ -451,6 +451,32 @@ def test_compact_job_keeps_store_optimize_mode(ray_session, tmp_path):
     assert verify_job(out)["failed"] == []
 
 
+def test_resume_without_optimize_keeps_store_mode(ray_session, tmp_path):
+    """Resuming a size-optimized store without passing ``optimize`` must
+    keep the recorded size mode — both for the partitions it re-encodes
+    and for later compaction — instead of flipping it to balanced."""
+    from json_to_parquet_ray.manifest import record_path
+    from json_to_parquet_ray.pipelines.encode_job import (
+        load_store_optimize, store_stats,
+    )
+
+    src = str(tmp_path / "many_rg.parquet")
+    write_cc_parquet(src, 1000, seed=17, row_group_size=250)
+    out = str(tmp_path / "enc_size")
+    encode_job(src, out, shared_dict_columns=None, optimize="size")
+    recs = load_manifest(out)
+    victim = sorted(recs)[0]
+    os.remove(os.path.join(out, recs[victim].chunk_file))
+    os.remove(record_path(out, victim))
+
+    summary = encode_job(src, out, shared_dict_columns=None)
+    assert summary["partitions_encoded"] == 1
+    assert load_store_optimize(out) == "size"
+    text_codecs = store_stats(out)["columns"]["text"]["codecs"]
+    assert set(text_codecs) == {"zstd19"}, text_codecs
+    assert verify_job(out)["failed"] == []
+
+
 def test_compaction_crash_window_no_duplicates(ray_session, tmp_path):
     """If a crash leaves BOTH a merged record and its covered plain
     records in the manifest, decode/verify must not duplicate rows
@@ -2253,20 +2279,85 @@ def test_read_fragment_cache_slices_evictions_invalidation(tmp_path):
 
 
 def test_dispatch_blocks_caps_tasks_not_partitions(ray_session):
-    """Work-item blocking: small jobs keep one item per block (finest
-    balance); large jobs cap at 8 blocks/CPU so several partitions pack
-    into each task — partition-level records are asserted by the
+    """Work-item blocking is sized by work bytes: never more blocks than
+    items, never fewer than min(items, CPUs), 8 blocks/CPU at any scale,
+    and a job of at most TASK_BYTES runs as one task per CPU — the
+    per-partition records are asserted by the packing test below and the
     300/514-partition roundtrip tests above."""
     import ray
 
-    from json_to_parquet_ray.pipelines.encode_job import _dispatch_blocks
+    from json_to_parquet_ray.pipelines.encode_job import (
+        TASK_BYTES, _dispatch_blocks,
+    )
 
     cpus = int(ray.cluster_resources().get("CPU", 4))
-    cap = max(8 * cpus, 64)
-    assert _dispatch_blocks(1) == 1
-    assert _dispatch_blocks(cap) == cap          # 1 item/block up to cap
-    assert _dispatch_blocks(cap * 16) == cap     # 16 items/task beyond
-    assert _dispatch_blocks(10**7) == cap        # bounded at any scale
+    for n in (1, 2, cpus, 10, 64, 1000, 10**5):
+        for work in (0, 1 << 10, TASK_BYTES, 50 * TASK_BYTES, 10**15):
+            k = _dispatch_blocks(n, work)
+            assert min(n, cpus) <= k <= n, (n, work, k)
+            assert k <= 8 * cpus, (n, work, k)
+    for work in (0, 10**7, 10**7 * (1 << 20)):
+        assert _dispatch_blocks(10**7, work) == 8 * cpus  # any item size
+    for n in (1, 3, cpus, 10, 64):
+        for work in (0, 1 << 20, TASK_BYTES):
+            assert _dispatch_blocks(n, work) == min(n, cpus), (n, work)
+    # in between, one task per TASK_BYTES of work
+    assert _dispatch_blocks(1000, (cpus + 2) * TASK_BYTES) == cpus + 2
+
+
+def test_packed_work_items_keep_per_partition_results(ray_session,
+                                                      tmp_path):
+    """Several partitions share one task on a 10-partition store: decode
+    (full and zone-filtered) returns the input rows in input order,
+    verify pins a corrupt chunk on exactly its own partition, and a
+    compaction over packed groups keeps decode bit-identical."""
+    import shutil
+
+    import pyarrow.compute as pc
+
+    from json_to_parquet_ray.manifest import effective_records
+    from json_to_parquet_ray.pipelines.encode_job import (
+        _dispatch_blocks, compact_job,
+    )
+
+    src = str(tmp_path / "ten.parquet")
+    write_cc_parquet(src, 1000, seed=31, row_group_size=500)
+    out = str(tmp_path / "enc_packed")
+    summary = encode_job(src, out, shared_dict_columns=None,
+                         max_rows_per_partition=100)
+    assert summary["partitions_encoded"] == 10
+    recs = effective_records(out)
+    assert _dispatch_blocks(10, sum(r.chunk_size for r in recs)) < 10
+
+    want = pq.read_table(src)
+    assert decode_dataset(out).take_all() == want.to_pylist()
+    ts = want.column("warc_ts")
+    lo, hi = pc.min(ts).as_py(), pc.max(ts).as_py()
+    lo, hi = lo + (hi - lo) / 3, lo + 2 * (hi - lo) / 3
+    hits = want.filter(pc.and_(pc.greater_equal(ts, pa.scalar(lo, ts.type)),
+                               pc.less_equal(ts, pa.scalar(hi, ts.type))))
+    assert 0 < hits.num_rows < want.num_rows
+    got = decode_dataset(out, zone_filter={
+        "warc_ts": (lo.isoformat(), hi.isoformat())}).take_all()
+    assert got == hits.to_pylist()
+
+    compacted = str(tmp_path / "enc_packed_compacted")
+    shutil.copytree(out, compacted)
+    res = compact_job(compacted, min_rows=200)  # 5 groups of 2
+    assert res["groups"] == 5 and res["chunks_after"] == 5
+    assert _dispatch_blocks(5, sum(r.chunk_size for r in recs)) < 5
+    assert decode_dataset(compacted).take_all() == want.to_pylist()
+
+    victim = recs[1]  # shares its block with its neighbours
+    with open(os.path.join(out, victim.chunk_file), "r+b") as f:
+        f.seek(-1, os.SEEK_END)
+        last = f.read(1)
+        f.seek(-1, os.SEEK_END)
+        f.write(bytes([last[0] ^ 0xFF]))  # payload bit rot
+    ver = verify_job(out)
+    assert ver["partitions"] == 10 and ver["ok"] == 9
+    assert [f["partition_id"] for f in ver["failed"]] == [
+        victim.partition_id]
 
 
 def test_worker_encoder_cache_keying(ray_session, tmp_path):
