@@ -7,6 +7,7 @@ the chunk writer; ``register`` lets downstream users add codecs.
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 
 from .alp import AlpCodec
@@ -61,7 +62,14 @@ def decode_array(payload: bytes, meta: dict) -> pa.Array:
     return get_codec(meta["codec"]).decode(payload, meta)
 
 
+def decode_rows(payload: bytes, meta: dict, rows: np.ndarray) -> pa.Array:
+    """Rows ``rows`` (sorted positions) of the chunk — equal to
+    ``decode_array(...).take(rows)``; a paged payload decodes only the
+    pages holding them."""
+    return get_codec(meta["codec"]).decode_rows(payload, meta, rows)
+
+
 __all__ = [
     "Codec", "register", "get_codec", "codec_names", "encode_array",
-    "decode_array", "FsstEncoder", "fsst_decode", "train",
+    "decode_array", "decode_rows", "FsstEncoder", "fsst_decode", "train",
 ]

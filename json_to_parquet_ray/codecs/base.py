@@ -83,6 +83,80 @@ def ipc_read(buf: bytes) -> pa.Array:
     return t.column("v").combine_chunks()
 
 
+# ------------------------------------------------------------- IPC pages
+
+# Raw bytes per page of a long string/binary column — Parquet's default
+# data-page size. A filtered read decodes only the pages holding selected
+# rows; each page is its own compression frame, so smaller pages cost
+# size and larger ones cost decode time per selected page. On one
+# 2,500-row CC html chunk under zstd3 (shared 4-vCPU VM): 1 MiB pages
+# +1.0% size, 2.1 ms to decode one row; 4 MiB +0.2%, 8.9 ms; unpaged
+# 38 ms.
+PAGE_BYTES = 1 << 20
+
+_PAGED_TYPES = (pa.types.is_string, pa.types.is_large_string,
+                pa.types.is_binary, pa.types.is_large_binary)
+
+
+def ipc_write_pages(arr: pa.Array, compression=None) -> tuple[bytes, dict]:
+    """:func:`ipc_write` plus the codec meta. A string/binary array over
+    ``PAGE_BYTES`` is written as pages of ``page_rows`` rows, one record
+    batch each, in the same stream; meta records ``page_rows`` and each
+    page message's byte offset (``page_offsets``). Any other array gets
+    today's single-batch bytes and empty meta. Old readers still decode
+    a paged payload: :func:`ipc_read` reads every batch of the stream."""
+    nbytes = arr.nbytes
+    if nbytes <= PAGE_BYTES or not any(f(arr.type) for f in _PAGED_TYPES):
+        return ipc_write(arr, compression), {}
+    n = len(arr)
+    page_rows = max(1, n * PAGE_BYTES // nbytes)
+    schema = pa.schema([pa.field("v", arr.type)])
+    sink = pa.BufferOutputStream()
+    offsets = []
+    opts = pa.ipc.IpcWriteOptions(compression=compression)
+    with pa.ipc.new_stream(sink, schema, options=opts) as w:
+        for start in range(0, n, page_rows):
+            offsets.append(sink.tell())
+            w.write_batch(pa.record_batch([arr.slice(start, page_rows)],
+                                          schema=schema))
+    buf = sink.getvalue()
+    # the writer emits the schema message with the first batch, so page
+    # 0 starts where that message ends, not at the position before it
+    head = pa.BufferReader(buf)
+    pa.ipc.read_message(head)
+    offsets[0] = head.tell()
+    return buf.to_pybytes(), {"page_rows": page_rows,
+                              "page_offsets": offsets}
+
+
+def ipc_read_page(buf: pa.Buffer, schema: pa.Schema, offset: int) -> pa.Array:
+    """Decode the one page whose record-batch message starts at
+    ``offset`` of a paged IPC payload."""
+    msg = pa.ipc.read_message(buf.slice(offset))
+    return pa.ipc.read_record_batch(msg, schema).column(0)
+
+
+def ipc_read_rows(payload: bytes, meta: dict, rows: np.ndarray) -> pa.Array:
+    """Rows ``rows`` (sorted positions) of an IPC payload. A paged payload
+    decodes only the pages holding them; a single-batch one (no
+    ``page_rows`` in meta: every store written before pages) decodes
+    whole and is taken."""
+    if "page_rows" not in meta:
+        return ipc_read(payload).take(rows)
+    buf = pa.py_buffer(payload)
+    schema = pa.ipc.read_schema(buf)
+    page_rows = meta["page_rows"]
+    offsets = meta["page_offsets"]
+    # rows are sorted: page p's rows are rows[cut[p]:cut[p + 1]]
+    cut = np.searchsorted(rows, np.arange(len(offsets) + 1) * page_rows)
+    parts = [ipc_read_page(buf, schema, offsets[p]).take(
+                 pa.array(rows[cut[p]:cut[p + 1]] - p * page_rows))
+             for p in range(len(offsets)) if cut[p] < cut[p + 1]]
+    if not parts:
+        return pa.array([], schema.field("v").type)
+    return pa.concat_arrays(parts)
+
+
 # ------------------------------------------------------- general compression
 
 
@@ -257,3 +331,10 @@ class Codec:
     @classmethod
     def decode(cls, payload: bytes, meta: dict) -> pa.Array:  # pragma: no cover
         raise NotImplementedError
+
+    @classmethod
+    def decode_rows(cls, payload: bytes, meta: dict,
+                    rows: np.ndarray) -> pa.Array:
+        """Rows ``rows`` (sorted positions) of the chunk. Codecs whose
+        payload can be read in parts override this to decode less."""
+        return cls.decode(payload, meta).take(rows)

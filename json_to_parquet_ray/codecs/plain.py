@@ -4,7 +4,9 @@
 Arrow IPC stream of the single column. ``zstd``/``lz4`` are the same
 stream with IPC buffer compression — these are the "general compression"
 candidates the auto-selector must keep available so lightweight codecs are
-only chosen when they actually win (SURVEY.md §7.5).
+only chosen when they actually win (SURVEY.md §7.5). A string/binary
+column over ``base.PAGE_BYTES`` is written as 1 MiB pages (one record
+batch each) that ``decode_rows`` can decode one at a time.
 
 ``constant`` covers degenerate chunks (all-equal or all-null — the
 near-constant ``lang`` column's best case after partitioning).
@@ -24,7 +26,9 @@ from .base import (
     compress,
     decompress,
     ipc_read,
+    ipc_read_rows,
     ipc_write,
+    ipc_write_pages,
     pack_sections,
     pack_validity,
     type_from_b64,
@@ -43,12 +47,21 @@ class PlainCodec(Codec):
         return True
 
     @classmethod
+    def _ipc_compression(cls):
+        return cls._compression
+
+    @classmethod
     def encode(cls, arr: pa.Array) -> tuple[bytes, dict]:
-        return ipc_write(arr, compression=cls._compression), {}
+        return ipc_write_pages(arr, compression=cls._ipc_compression())
 
     @classmethod
     def decode(cls, payload: bytes, meta: dict) -> pa.Array:
         return ipc_read(payload)
+
+    @classmethod
+    def decode_rows(cls, payload: bytes, meta: dict,
+                    rows: np.ndarray) -> pa.Array:
+        return ipc_read_rows(payload, meta, rows)
 
 
 class ZstdCodec(PlainCodec):
@@ -56,7 +69,7 @@ class ZstdCodec(PlainCodec):
     _compression = "zstd"
 
 
-class ZstdHiCodec(Codec):
+class ZstdHiCodec(PlainCodec):
     """IPC + zstd level 9 — slower encode, better ratio; the planner's
     cost weight decides when the extra CPU is worth it."""
 
@@ -64,17 +77,8 @@ class ZstdHiCodec(Codec):
     _level = 9
 
     @classmethod
-    def can_encode(cls, t: pa.DataType) -> bool:
-        return True
-
-    @classmethod
-    def encode(cls, arr: pa.Array) -> tuple[bytes, dict]:
-        codec = pa.Codec("zstd", compression_level=cls._level)
-        return ipc_write(arr, compression=codec), {}
-
-    @classmethod
-    def decode(cls, payload: bytes, meta: dict) -> pa.Array:
-        return ipc_read(payload)
+    def _ipc_compression(cls):
+        return pa.Codec("zstd", compression_level=cls._level)
 
 
 class Zstd3Codec(ZstdHiCodec):

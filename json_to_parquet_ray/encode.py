@@ -9,6 +9,21 @@ column: codec name, codec meta, payload offset/size and CRC32 — enough
 to decode any single column without touching the others (column pruning
 at the byte level), and enough for the manifest to verify integrity.
 
+Pages: under the IPC-framed codecs (``plain``, ``zstd*``, ``lz4``) a
+string/binary column whose raw size exceeds ``codecs.base.PAGE_BYTES``
+(1 MiB) is one Arrow IPC stream of several record batches (pages) of
+``page_rows`` rows each; codec meta records ``page_rows`` and
+``page_offsets`` (byte offset of each page message in the payload).
+Every other payload is a single batch with no page keys, byte-identical
+to chunks written before pages. Compatibility holds both ways: a reader
+without pages decodes a paged payload whole (the IPC stream reader reads
+every batch), and this reader decodes an unpaged payload whole.
+
+Late materialization: ``read_chunk_file(..., row_filter=(cols, mask_fn))``
+decodes the filter columns, evaluates the exact mask, then decodes only
+the pages holding selected rows (unpaged columns decode whole and are
+taken); when no row is selected, no other payload is read.
+
 Supersedes the reference's single parquet-mr writer (Writer.java:20-36):
 instead of one hardcoded encoder for the whole file, every column chunk
 gets the codec chosen by the planner, and decode is bit-identical.
@@ -18,11 +33,14 @@ from __future__ import annotations
 
 import base64
 import json
+import os
 import zlib
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from .codecs import decode_array, encode_array
+from .codecs import decode_array, decode_rows, encode_array
 from .plan import CodecPlan, plan_from_stats
 from .stats import compute_stats_table
 
@@ -171,7 +189,8 @@ def chunk_bloom_rejects(path: str, eq: dict) -> bool:
 def read_chunk_file(path: str, columns: list[str] | None = None,
                     verify_crc: bool = False,
                     missing_ok: bool = False,
-                    eq_prune: dict | None = None) -> pa.Table:
+                    eq_prune: dict | None = None,
+                    row_filter: tuple | None = None) -> pa.Table:
     """Decode a chunk file from disk; with ``columns`` given, only the
     header and the selected columns' byte ranges are read (seek-based) —
     column pruning at the I/O level, not just the decode level.
@@ -181,16 +200,24 @@ def read_chunk_file(path: str, columns: list[str] | None = None,
     when some value is definitely absent, the selected columns come back
     as 0-row arrays WITHOUT reading or decoding any payload — the exact
     result an equality row-filter would produce, at header+filter I/O
-    cost."""
+    cost.
+
+    ``row_filter`` (filter_columns, mask_fn) keeps only the rows where
+    ``mask_fn`` is true, with late materialization: the filter columns
+    present in the chunk decode first (absent ones are left out of the
+    table ``mask_fn`` gets), then each other column decodes only the
+    pages holding selected rows (``codecs.decode_rows``). When no row
+    is selected, no other payload is read. The result equals a full
+    decode filtered by the mask."""
     with open(path, "rb") as f:
-        if columns is None and not eq_prune:
+        if columns is None and not eq_prune and row_filter is None:
             # full decode: one sequential read beats per-column seeks
             return decode_table(f.read(), verify_crc=verify_crc)
         header, base = _read_header(f)
         schema = schema_from_b64(header["schema"])
         rejected = bool(eq_prune) and _bloom_rejects(
             f, header, base, schema, eq_prune)
-        if columns is None and not rejected:
+        if columns is None and not rejected and row_filter is None:
             # surviving full-projection decode: fall back to the single
             # sequential read, reusing the already-parsed header
             f.seek(0)
@@ -199,23 +226,55 @@ def read_chunk_file(path: str, columns: list[str] | None = None,
         by_name = {c["name"]: c for c in header["columns"]}
         want = (list(columns) if columns is not None
                 else [c["name"] for c in header["columns"]])
-        arrays, fields = [], []
-        for name in want:
-            if missing_ok and name not in by_name:
-                continue
+        absent = [name for name in want if name not in by_name]
+        if absent and not missing_ok:
+            raise KeyError(f"column(s) {absent} absent from chunk "
+                           f"{os.path.basename(path)}")
+        want = [name for name in want if name in by_name]
+
+        def decode(name: str, rows: np.ndarray | None = None) -> pa.Array:
             col = by_name[name]
-            fields.append(schema.field(name))
-            if rejected:
-                arrays.append(pa.array([], schema.field(name).type))
-                continue
             f.seek(base + col["offset"])
             payload = f.read(col["size"])
             if verify_crc and zlib.crc32(payload) != col["crc32"]:
                 raise IOError(f"CRC mismatch for column {name}")
-            arrays.append(decode_array(payload, col["meta"]))
+            if rows is None:
+                return decode_array(payload, col["meta"])
+            return decode_rows(payload, col["meta"], rows)
+
+        num_rows = header.get("num_rows", 0)
+        rows = None  # positions of the selected rows; None = every row
+        decoded: dict[str, pa.Array] = {}
+        if rejected:
+            rows = np.empty(0, np.int64)
+        elif row_filter is not None:
+            filter_columns, mask_fn = row_filter
+            decoded = {c: decode(c) for c in filter_columns if c in by_name}
+            mask = mask_fn(pa.table(decoded) if decoded
+                           else _rows_only(num_rows))
+            if isinstance(mask, pa.ChunkedArray):
+                mask = mask.combine_chunks()
+            # a null mask slot (null compared) selects nothing
+            rows = np.flatnonzero(pc.fill_null(mask, False).to_numpy(
+                zero_copy_only=False))
+            if len(rows) == num_rows:
+                rows = None
+            else:
+                decoded = {c: a.take(rows) for c, a in decoded.items()}
+        arrays = []
+        for name in want:
+            if name in decoded:
+                arrays.append(decoded[name])
+            elif rows is None:
+                arrays.append(decode(name))
+            elif len(rows) == 0:
+                arrays.append(pa.array([], schema.field(name).type))
+            else:
+                arrays.append(decode(name, rows))
         if not arrays:
-            return _rows_only(0 if rejected else header.get("num_rows", 0))
-        return pa.Table.from_arrays(arrays, schema=pa.schema(fields))
+            return _rows_only(num_rows if rows is None else len(rows))
+        return pa.Table.from_arrays(
+            arrays, schema=pa.schema([schema.field(n) for n in want]))
 
 
 def _rows_only(n: int) -> pa.Table:

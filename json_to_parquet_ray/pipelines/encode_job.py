@@ -22,6 +22,7 @@ bit-identical output under Ray task retry).
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import threading
@@ -29,6 +30,7 @@ import time
 import zlib
 from dataclasses import asdict
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
@@ -1184,7 +1186,6 @@ def _overlap_keys(items) -> set:
     block's FIRST row: starts are sorted, so if the first row clears the
     running cross-block cummax(end), every later row of the key does
     too."""
-    import numpy as np
     import pandas as pd
 
     def block_overlaps(b: pa.Table) -> pa.Table:
@@ -1400,6 +1401,86 @@ def _unsealed_scan_inner(out_dir: str):
     return scan.map_batches(clean_items, batch_format="pyarrow"), extra
 
 
+def _zone_mask(table: pa.Table, zone_filter: dict) -> pa.Array:
+    """Exact row mask of ``zone_filter`` ({col: (lo, hi)} inclusive range
+    or {col: [v1, ...]} IN-list, ANDed) over ``table``; nulls never
+    match. A filter column absent from ``table`` selects no row: under
+    schema evolution a chunk written before the column existed has it
+    all-null, and a null never satisfies a predicate."""
+    import pyarrow.compute as pc
+
+    mask = None
+    for col, bound in zone_filter.items():
+        if col not in table.column_names:
+            return pa.array(np.zeros(table.num_rows, bool))
+        c = table.column(col)
+
+        def _bound(v):
+            # bounds arrive as int/float/str from the CLI; cast to the
+            # column type before comparing. A numeric-looking bound
+            # against a temporal column (ts=2024,2025) passes the lexical
+            # zone prune but must not crash the exact row filter — cast
+            # its string form, and fail with a usable message if the type
+            # can't parse it.
+            if v is None:
+                return None
+            if pa.types.is_temporal(c.type):
+                s = str(v)
+                try:
+                    return pa.scalar(s).cast(c.type)
+                except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
+                    raise ValueError(
+                        f"zone-filter bound {v!r} is not a full literal "
+                        f"for column {col!r} of type {c.type} (use e.g. "
+                        f"2024-01-01T00:00:00)") from None
+            if isinstance(v, (int, float)):
+                return v
+            try:
+                return pa.scalar(v).cast(c.type)
+            except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
+                return v
+
+        if isinstance(bound, list):
+            # IN-list: exact membership (nulls never match). Cast per
+            # value; one the column type can't represent (2.5 against
+            # int64) simply never matches — SQL IN semantics, and the
+            # same answer the bloom path gives — instead of an uncaught
+            # lossy-cast error killing the read task.
+            vals = []
+            for v in bound:
+                if v is None:
+                    continue
+                b_v = _bound(v)
+                if isinstance(b_v, pa.Scalar):
+                    b_v = b_v.as_py()
+                try:
+                    try:
+                        conv = pa.array([b_v], type=c.type)[0]
+                    except (pa.ArrowInvalid, pa.ArrowTypeError,
+                            pa.ArrowNotImplementedError, TypeError):
+                        conv = pa.array([b_v]).cast(c.type)[0]
+                except (pa.ArrowInvalid, pa.ArrowTypeError,
+                        pa.ArrowNotImplementedError, TypeError,
+                        OverflowError):
+                    continue  # unrepresentable: never present
+                # typed construction is PERMISSIVE (2.5 → int64 silently
+                # truncates to 2); only values that survive the round
+                # trip can match
+                if conv.as_py() == b_v:
+                    vals.append(conv.as_py())
+            m = pc.is_in(c, value_set=pa.array(vals, type=c.type))
+        else:
+            lo, hi = bound
+            lo_c, hi_c = _bound(lo), _bound(hi)
+            m = pc.and_kleene(
+                pc.greater_equal(c, lo_c) if lo_c is not None
+                else pc.is_valid(c),
+                pc.less_equal(c, hi_c) if hi_c is not None
+                else pc.is_valid(c))
+        mask = m if mask is None else pc.and_kleene(mask, m)
+    return pc.fill_null(mask, False)
+
+
 def decode_dataset(out_dir: str, columns: list[str] | None = None,
                    zone_filter: dict | None = None,
                    schema: pa.Schema | None = None,
@@ -1474,20 +1555,6 @@ def decode_dataset(out_dir: str, columns: list[str] | None = None,
 
     from ..encode import read_chunk_file
 
-    # the exact row filter needs the filtered columns even when the
-    # caller's projection omits them — read them too, filter, THEN project
-    # (skipping the filter for unprojected columns returned whole chunks)
-    read_cols = columns
-    filter_only_cols: list[str] = []
-    if columns is not None and zone_filter:
-        filter_only_cols = [c for c in zone_filter if c not in columns]
-        if filter_only_cols:
-            read_cols = list(columns) + filter_only_cols
-    # tolerate absent columns only where absence is legitimate: filter
-    # columns an old chunk may lack, or read-time schema evolution — a
-    # plain typo'd projection should still fail loudly
-    missing_ok = bool(filter_only_cols) or (schema is not None)
-
     # equality (lo == hi) and IN-list predicates additionally consult
     # the chunks' Bloom filters inside the read tasks: a chunk whose
     # filter rejects every candidate value skips its body at
@@ -1500,117 +1567,24 @@ def decode_dataset(out_dir: str, columns: list[str] | None = None,
         lo, hi = bound
         return [lo] if lo is not None and lo == hi else None
 
-    eq_prune = None
+    eq_prune = row_filter = None
     if zone_filter:
         eq_prune = {c: vs for c, b in zone_filter.items()
                     if (vs := _eq_values(b)) is not None} or None
+        # the exact row filter runs inside the chunk reader: filter
+        # columns decode first (even when the projection omits them),
+        # then only the pages holding selected rows
+        row_filter = (list(zone_filter),
+                      functools.partial(_zone_mask, zone_filter=zone_filter))
 
     def decode_item(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         tables = []
         for path in batch.column("path").to_pylist():
-            t = read_chunk_file(path, columns=read_cols,
-                                missing_ok=missing_ok, eq_prune=eq_prune)
-            # missing_ok covers filter-only columns an old chunk may
-            # legitimately lack; without read-time schema evolution the
-            # CALLER's projection must still resolve — fail loudly on a
-            # typo'd column instead of silently dropping it
-            if missing_ok and schema is None and columns is not None:
-                absent = [c for c in columns if c not in t.column_names]
-                if absent:
-                    raise KeyError(
-                        f"projected column(s) {absent} absent from chunk "
-                        f"{os.path.basename(path)}; pass schema= for "
-                        f"read-time schema evolution")
-            if zone_filter:
-                mask = None
-                for col, bound in zone_filter.items():
-                    if col not in t.column_names:
-                        # schema evolution: a chunk written before this
-                        # column existed has it all-null for every row,
-                        # and a null never satisfies a range predicate
-                        # (fill_null(mask, False) below) — exclude the
-                        # chunk's rows, matching the explicit-null case
-                        t = t.slice(0, 0)
-                        mask = None
-                        break
-                    c = t.column(col)
-
-                    def _bound(v):
-                        # bounds arrive as int/float/str from the CLI; cast
-                        # to the column type before comparing. A
-                        # numeric-looking bound against a temporal column
-                        # (ts=2024,2025) passes the lexical zone prune but
-                        # must not crash the exact row filter — cast its
-                        # string form, and fail with a usable message if
-                        # the type can't parse it.
-                        if v is None:
-                            return None
-                        if pa.types.is_temporal(c.type):
-                            s = str(v)
-                            try:
-                                return pa.scalar(s).cast(c.type)
-                            except (pa.ArrowInvalid,
-                                    pa.ArrowNotImplementedError):
-                                raise ValueError(
-                                    f"zone-filter bound {v!r} is not a "
-                                    f"full literal for column {col!r} of "
-                                    f"type {c.type} (use e.g. "
-                                    f"2024-01-01T00:00:00)") from None
-                        if isinstance(v, (int, float)):
-                            return v
-                        try:
-                            return pa.scalar(v).cast(c.type)
-                        except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
-                            return v
-
-                    if isinstance(bound, list):
-                        # IN-list: exact membership (nulls never match).
-                        # Cast per value; one the column type can't
-                        # represent (2.5 against int64) simply never
-                        # matches — SQL IN semantics, and the same answer
-                        # the bloom path gives — instead of an uncaught
-                        # lossy-cast error killing the read task.
-                        vals = []
-                        for v in bound:
-                            if v is None:
-                                continue
-                            b_v = _bound(v)
-                            if isinstance(b_v, pa.Scalar):
-                                b_v = b_v.as_py()
-                            try:
-                                try:
-                                    conv = pa.array([b_v], type=c.type)[0]
-                                except (pa.ArrowInvalid, pa.ArrowTypeError,
-                                        pa.ArrowNotImplementedError,
-                                        TypeError):
-                                    conv = pa.array([b_v]).cast(c.type)[0]
-                            except (pa.ArrowInvalid, pa.ArrowTypeError,
-                                    pa.ArrowNotImplementedError, TypeError,
-                                    OverflowError):
-                                continue  # unrepresentable: never present
-                            # typed construction is PERMISSIVE (2.5 →
-                            # int64 silently truncates to 2); only values
-                            # that survive the round trip can match
-                            if conv.as_py() == b_v:
-                                vals.append(conv.as_py())
-                        vset = pa.array(vals, type=c.type)
-                        m = pc.is_in(c, value_set=vset)
-                    else:
-                        lo, hi = bound
-                        lo_c, hi_c = _bound(lo), _bound(hi)
-                        m = pc.and_kleene(
-                            pc.greater_equal(c, lo_c) if lo_c is not None
-                            else pc.is_valid(c),
-                            pc.less_equal(c, hi_c) if hi_c is not None
-                            else pc.is_valid(c))
-                    mask = m if mask is None else pc.and_kleene(mask, m)
-                if mask is not None:
-                    t = t.filter(pc.fill_null(mask, False))
-                if columns is not None:  # drop the filter-only columns
-                    t = t.select([c for c in columns
-                                  if c in t.column_names])
+            # missing_ok only under read-time schema evolution: without
+            # it a typo'd projected column fails loudly
+            t = read_chunk_file(path, columns=columns,
+                                missing_ok=schema is not None,
+                                eq_prune=eq_prune, row_filter=row_filter)
             if schema is not None:
                 from ..schema_infer import align_table
 

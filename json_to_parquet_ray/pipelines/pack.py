@@ -11,7 +11,9 @@ concatenated token stream into ``budget``-token bins:
 ``tokens_before`` is a GLOBAL exclusive prefix sum — the interesting
 distributed part. Shape:
 
-1. one vectorized pass computes (key, n_tokens, order_hash);
+1. one ``map_batches`` pass computes (key, n_tokens, order_hash): token
+   counts are vectorized, but the md5 order hash runs per row in
+   Python (``_order_hash``) for DuckDB parity;
 2. one ``Dataset.sort`` on (order_hash, key) — the only shuffle;
 3. per-block summaries (first row's sort key + token sum — two ints per
    block) come to the driver, which computes per-block offsets: driver

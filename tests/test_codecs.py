@@ -350,3 +350,135 @@ def test_fsst_shared_trial_encoder_byte_identical():
         own, m1 = FsstCodec.encode(arr, quick=True, **kwargs)
         shared, m2 = FsstCodec.encode(arr, quick=True, encoder=enc, **kwargs)
         assert own == shared and m1 == m2
+
+
+# ------------------------------------------------------------- IPC pages
+
+_IPC_CODECS = ["plain", "zstd", "zstd3", "lz4"]
+_PAGED_TYPES = [pa.string(), pa.large_string(), pa.binary(), pa.large_binary()]
+
+
+@st.composite
+def _paged_case(draw):
+    """(array, page_bytes, expected page_rows or None, codec, rows): a
+    string/binary array with nulls and empty values, optionally sliced
+    at a nonzero offset and holding one value larger than the page, and
+    a page size that is either drawn or chosen so that the length is an
+    exact multiple of page_rows."""
+    typ = draw(st.sampled_from(_PAGED_TYPES))
+    page_bytes = draw(st.integers(16, 256))
+    vals = draw(st.lists(st.one_of(st.none(), st.just(b""),
+                                   st.binary(max_size=40)),
+                         min_size=2, max_size=80))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(vals) - 1))
+        vals[at] = b"x" * draw(st.integers(page_bytes + 1, 3 * page_bytes))
+    skip = draw(st.integers(0, 3))
+    vals = [b"pad"] * skip + vals
+    if pa.types.is_string(typ) or pa.types.is_large_string(typ):
+        vals = [None if v is None else v.decode("latin-1") for v in vals]
+    arr = pa.array(vals, typ).slice(skip)
+    n = len(arr)
+    page_rows = None
+    if draw(st.booleans()):
+        # page_rows = n * page_bytes // nbytes lands exactly on a divisor
+        # k < n of the length (nbytes >= 4n, so the ceil never reaches k+1)
+        page_rows = draw(st.sampled_from(
+            [k for k in range(1, n) if n % k == 0]))
+        page_bytes = -(-page_rows * arr.nbytes // n)
+    rows = sorted(draw(st.sets(st.integers(0, n - 1))))
+    return arr, page_bytes, page_rows, draw(st.sampled_from(_IPC_CODECS)), rows
+
+
+@given(_paged_case())
+@settings(max_examples=120, deadline=None)
+def test_prop_paged_ipc_roundtrip_and_row_subsets(case):
+    """A paged payload decodes whole to the input, through the codec and
+    through the old single-stream reader, and any sorted row subset
+    decodes to ``take`` of the full decode."""
+    from unittest import mock
+
+    from json_to_parquet_ray.codecs import base, decode_rows
+
+    arr, page_bytes, page_rows, codec, rows = case
+    with mock.patch.object(base, "PAGE_BYTES", page_bytes):
+        payload, meta = encode_array(arr, codec)
+    assert ("page_rows" in meta) == (arr.nbytes > page_bytes)
+    if page_rows is not None:
+        assert meta["page_rows"] == page_rows
+        assert len(meta["page_offsets"]) == len(arr) // page_rows
+    full = decode_array(payload, meta)
+    assert full.type == arr.type and full.equals(arr)
+    assert base.ipc_read(payload).equals(arr)
+    idx = np.array(rows, np.int64)
+    got = decode_rows(payload, meta, idx)
+    assert got.type == arr.type
+    assert got.equals(full.take(pa.array(idx)))
+
+
+def _big_text(n_rows: int = 1200) -> pa.Array:
+    return make_cc_table(n_rows, seed=7).column("text").combine_chunks()
+
+
+def test_paged_payload_reads_through_single_stream_reader():
+    """At the real page size, a long text column is written as several
+    pages, and ``ipc_read`` (the reader of stores written before pages)
+    decodes it to the same array — one value over a page included."""
+    from json_to_parquet_ray.codecs import base
+
+    text = _big_text()
+    huge = pa.array(["y" * (base.PAGE_BYTES + 17)], pa.string())
+    for arr in (text, pa.concat_arrays([text.slice(0, 500), huge,
+                                        text.slice(500)])):
+        assert arr.nbytes > base.PAGE_BYTES
+        for codec in _IPC_CODECS:
+            payload, meta = encode_array(arr, codec)
+            assert len(meta["page_offsets"]) > 1
+            assert base.ipc_read(payload).equals(arr)
+            assert decode_array(payload, meta).equals(arr)
+
+
+def test_single_batch_payload_decodes_on_full_and_filtered_paths():
+    """Today's single-batch payload (meta without page keys) of a column
+    over PAGE_BYTES decodes identically whole and by row subset."""
+    from json_to_parquet_ray.codecs import base, decode_rows
+
+    text = _big_text()
+    rows = np.array([0, 7, 400, 401, len(text) - 1], np.int64)
+    for codec, compression in [("plain", None), ("zstd", "zstd"),
+                               ("lz4", "lz4")]:
+        payload = base.ipc_write(text, compression)
+        meta = {"codec": codec}
+        assert decode_array(payload, meta).equals(text)
+        assert decode_rows(payload, meta, rows).equals(
+            text.take(pa.array(rows)))
+        assert decode_rows(payload, meta, rows[:0]).equals(text.slice(0, 0))
+
+
+def test_unpaged_columns_keep_single_batch_bytes():
+    """Non-string columns of any size and string columns of at most
+    PAGE_BYTES are encoded exactly as before pages existed: one
+    ``ipc_write`` batch with the codec's compression, and no page meta."""
+    from json_to_parquet_ray.codecs import base
+
+    n = 200_000
+    rng = np.random.default_rng(3)
+    cases = [
+        pa.array(rng.integers(0, 1 << 40, n), pa.int64()),     # 1.6 MB
+        pa.array(rng.random(n)),                                # 1.6 MB
+        pa.array([[f"w{i}"] * 3 for i in range(60_000)]),       # nested
+        _big_text(120),                                         # < 1 MiB
+        pa.array(["z" * (base.PAGE_BYTES - 4)]),                # at bound
+    ]
+    assert cases[-1].nbytes == base.PAGE_BYTES
+    # each codec's compression argument to ipc_write before pages existed
+    compressions = {"plain": None, "zstd": "zstd", "lz4": "lz4",
+                    **{f"zstd{lv}": pa.Codec("zstd", compression_level=lv)
+                       for lv in (3, 6, 9)}}
+    for arr in cases:
+        assert pa.types.is_list(arr.type) or not (
+            pa.types.is_string(arr.type) and arr.nbytes > base.PAGE_BYTES)
+        for codec, compression in compressions.items():
+            payload, meta = encode_array(arr, codec)
+            assert meta == {"codec": codec}
+            assert payload == base.ipc_write(arr, compression), codec

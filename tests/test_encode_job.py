@@ -10,7 +10,11 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from json_to_parquet_ray.encode import decode_table, encode_table
+from json_to_parquet_ray.encode import (
+    decode_table,
+    encode_table,
+    read_chunk_header,
+)
 from json_to_parquet_ray.fixtures import make_cc_table, stress_tables, write_cc_parquet
 from json_to_parquet_ray.manifest import completed_partitions, load_manifest
 from json_to_parquet_ray.pipelines.encode_job import (
@@ -2406,3 +2410,181 @@ def test_shared_dict_actor_and_task_paths_identical(ray_session, cc_parquet,
     tb = pa.concat_tables(decode_dataset(b).iter_batches(
         batch_format="pyarrow", batch_size=8192))
     assert ta.equals(tb)
+
+
+@pytest.fixture(scope="module")
+def paged_cc_store(ray_session, tmp_path_factory):
+    """Two 2,500-row CC chunks with a url Bloom filter; html and text are
+    over PAGE_BYTES per chunk, so they are written as pages."""
+    tmp = tmp_path_factory.mktemp("paged")
+    src = write_cc_parquet(str(tmp / "cc.parquet"), 5000, seed=61,
+                           row_group_size=2500)
+    out = str(tmp / "enc")
+    encode_job(src, out, shared_dict_columns=None, bloom_columns=["url"])
+    return src, out
+
+
+def _ds_table(ds, schema: pa.Schema) -> pa.Table:
+    batches = list(ds.iter_batches(batch_size=None, batch_format="pyarrow"))
+    batches = [b for b in batches if b.num_rows]
+    if not batches:
+        return schema.empty_table()
+    return pa.concat_tables(batches).combine_chunks()
+
+
+def test_filtered_decode_equals_decode_then_filter_on_paged_store(
+        paged_cc_store):
+    """decode_dataset(zone_filter=...) on a multi-page store equals the
+    full decode filtered by pyarrow — range, IN-list hit and miss, a
+    range inside the zone with no matching row, a projection without the
+    filter column, and a filter column missing from every chunk under
+    schema=."""
+    import datetime as dt
+
+    import pyarrow.compute as pc
+
+    src, out = paged_cc_store
+    headers = [read_chunk_header(open(p, "rb").read())[0]
+               for p in sorted(glob.glob(os.path.join(out, "**", "*.rde"),
+                                         recursive=True))]
+    for h in headers:
+        paged = {c["name"] for c in h["columns"]
+                 if "page_rows" in c["meta"]}
+        assert paged == {"html", "text"}, paged
+    full = _ds_table(decode_dataset(out), pq.read_schema(src))
+    assert full.equals(pq.read_table(src))
+    ts, url = full.column("warc_ts"), full.column("url")
+    us = dt.timedelta(microseconds=1)
+
+    def iso(v):
+        return v.isoformat()
+
+    def in_range(t, col, lo, hi):
+        c = t.column(col)
+        return pc.and_(pc.greater_equal(c, pa.scalar(lo, c.type)),
+                       pc.less_equal(c, pa.scalar(hi, c.type)))
+
+    t0, t1 = ts[2300].as_py(), ts[2800].as_py()
+    gap_lo, gap_hi = ts[1000].as_py() + us, ts[1001].as_py() - us
+    hits = [url[17].as_py(), url[4321].as_py()]
+    miss = "https://no.such.host/absent"
+    target = pq.read_schema(src).append(pa.field("new_col", pa.int64()))
+    cases = [
+        ({"warc_ts": (iso(t0), iso(t1))}, None, None,
+         in_range(full, "warc_ts", t0, t1)),
+        ({"url": hits + [miss]}, None, None,
+         pc.is_in(url, value_set=pa.array(hits + [miss]))),
+        ({"url": [miss]}, None, None,
+         pc.is_in(url, value_set=pa.array([miss]))),
+        ({"warc_ts": (iso(gap_lo), iso(gap_hi))}, None, None,
+         in_range(full, "warc_ts", gap_lo, gap_hi)),
+        ({"warc_ts": (iso(t0), iso(t1))}, ["html", "lang"], None,
+         in_range(full, "warc_ts", t0, t1)),
+        ({"new_col": (0, 10)}, None, target,
+         pa.array([False] * full.num_rows)),
+    ]
+    for zf, cols, schema, mask in cases:
+        want = full.filter(mask)
+        if schema is not None:
+            want = want.append_column(
+                "new_col", pa.nulls(want.num_rows, pa.int64()))
+        if cols is not None:
+            want = want.select(cols)
+        got = _ds_table(decode_dataset(out, columns=cols, zone_filter=zf,
+                                       schema=schema), want.schema)
+        assert got.equals(want), (zf, cols, got.num_rows, want.num_rows)
+    assert full.filter(cases[0][3]).num_rows == 501
+    assert full.filter(cases[1][3]).num_rows == 2
+
+
+def test_filtered_read_decodes_only_selected_pages(paged_cc_store,
+                                                   monkeypatch):
+    """Late materialization by count: a url hit decodes exactly one page
+    each of html and text, and a chunk where no row is selected decodes
+    no page and no payload but the filter column's."""
+    import datetime as dt
+    import functools
+
+    from json_to_parquet_ray import encode
+    from json_to_parquet_ray.codecs import base
+    from json_to_parquet_ray.pipelines.encode_job import _zone_mask
+
+    src, out = paged_cc_store
+    chunks = sorted(glob.glob(os.path.join(out, "**", "*.rde"),
+                              recursive=True))
+    sizes = {}
+    for p in chunks:
+        for c in read_chunk_header(open(p, "rb").read())[0]["columns"]:
+            sizes[c["size"]] = c["name"]
+    pages, whole, parts = [], [], []
+    read_page = base.ipc_read_page
+    decode_array, decode_rows = encode.decode_array, encode.decode_rows
+
+    def counting_page(buf, schema, offset):
+        pages.append(sizes[buf.size])
+        return read_page(buf, schema, offset)
+
+    def counting_whole(payload, meta):
+        whole.append(sizes[len(payload)])
+        return decode_array(payload, meta)
+
+    def counting_rows(payload, meta, rows):
+        parts.append(sizes[len(payload)])
+        return decode_rows(payload, meta, rows)
+
+    monkeypatch.setattr(base, "ipc_read_page", counting_page)
+    monkeypatch.setattr(encode, "decode_array", counting_whole)
+    monkeypatch.setattr(encode, "decode_rows", counting_rows)
+
+    def read(path, zf):
+        for seen in (pages, whole, parts):
+            seen.clear()
+        return encode.read_chunk_file(
+            path, eq_prune={c: b for c, b in zf.items()
+                            if isinstance(b, list)} or None,
+            row_filter=(list(zf), functools.partial(_zone_mask,
+                                                    zone_filter=zf)))
+
+    src_t = pq.read_table(src)
+    key = src_t.column("url")[123].as_py()
+    hits = 0
+    for p in chunks:
+        if read(p, {"url": [key]}).num_rows:
+            hits += 1
+            assert sorted(pages) == ["html", "text"] and whole == ["url"]
+            assert sorted(parts) == ["html", "lang", "text", "warc_ts"]
+        else:  # a Bloom reject reads no payload at all
+            assert pages == parts == [] and whole in ([], ["url"])
+    assert hits == 1
+    ts = src_t.column("warc_ts")
+    us = dt.timedelta(microseconds=1)
+    gap = {"warc_ts": ((ts[100].as_py() + us).isoformat(),
+                       (ts[101].as_py() - us).isoformat())}
+    for p in chunks:
+        assert read(p, gap).num_rows == 0
+        assert pages == parts == [] and whole == ["warc_ts"]
+
+
+def test_single_batch_chunk_filtered_read_matches_full(tmp_path):
+    """A chunk written before pages existed (every column one batch, no
+    page keys in meta) reads the same through the filtered path as a
+    full decode filtered afterwards."""
+    import functools
+    from unittest import mock
+
+    from json_to_parquet_ray.codecs import base
+    from json_to_parquet_ray.encode import read_chunk_file
+    from json_to_parquet_ray.pipelines.encode_job import _zone_mask
+
+    t = make_cc_table(2500, seed=5)
+    with mock.patch.object(base, "PAGE_BYTES", 1 << 40):
+        blob, header = encode_table(t)
+    assert not any("page_rows" in c["meta"] for c in header["columns"])
+    p = str(tmp_path / "old.rde")
+    with open(p, "wb") as f:
+        f.write(blob)
+    zf = {"url": t.column("url").to_pylist()[40:45]}
+    got = read_chunk_file(p, columns=["text", "url"], row_filter=(
+        ["url"], functools.partial(_zone_mask, zone_filter=zf)))
+    want = t.filter(_zone_mask(t, zf)).select(["text", "url"])
+    assert got.num_rows >= 5 and got.equals(want)
