@@ -166,9 +166,8 @@ def write_index_file(path: str, json_rows: list[str],
     'json' string column, committed through write_atomic (fsync before
     rename — the index may be the SOLE copy of every record, so an
     unsynced write_table + replace could leave a torn file after power
-    loss). Small row groups let ray.data.read_parquet split ONE index
-    file into many read fragments — a sealed-index decode streams its
-    work items off these row groups (256 records ≈ one task's list)."""
+    loss). Small row groups are the read unit of the streamed record
+    scan (``encode_job._record_scan``): 256 records each."""
     import io
 
     import pyarrow as pa
@@ -211,7 +210,10 @@ def _has_delta_records(out_dir: str) -> bool:
     """True iff any per-partition JSON record exists alongside the index
     (deltas overlay — and therefore unseal — the indexed set). Scans
     both the sharded layout and the flat legacy layout load_manifest
-    reads (``shard_dirs or [mdir]``); early-exits on the first hit."""
+    reads (``shard_dirs or [mdir]``); early-exits on the first hit. The
+    streamed record scan uses it to choose its sealed-index shortcut
+    (no deltas: index rows stream as work items with no classification
+    and no order sort)."""
     mdir = manifest_dir(out_dir)
     if not os.path.isdir(mdir):
         return False
@@ -230,68 +232,39 @@ def _has_delta_records(out_dir: str) -> bool:
 STREAM_INDEX_MIN_ROWS = 4096
 
 
-def stream_eligible(out_dir: str, force: bool | None = None) -> bool:
-    """True iff readers (decode_dataset, verify_job) may stream their
-    work items off the sealed index: sealed, no JSON deltas, and —
-    unless ``force`` is True — at least STREAM_INDEX_MIN_ROWS records.
-    Below that the index collapses to one 256-record row group (one
-    read block = one task) and streaming would SERIALIZE the work,
-    while a driver item list is still cheap. One shared gate so decode
-    and verify can never drift on what counts as streamable."""
-    if force is False:
-        return False
-    if not (_index_sealed(out_dir) and not _has_delta_records(out_dir)):
-        return False
-    import pyarrow.parquet as pq
+def stream_records(out_dir: str, force: bool | None = None) -> bool:
+    """The ONE gate between the two work-item sources of decode_dataset
+    and verify_job: the driver list (``effective_records``) or the
+    distributed record scan (``encode_job._record_scan``). True iff the
+    index row count plus the estimated shard-record count reaches
+    STREAM_INDEX_MIN_ROWS; ``force`` True streams any non-empty store,
+    False never streams. Below the threshold the scan's fixed Ray cost
+    (classification passes, order sort) outweighs a driver list that
+    is still cheap.
 
-    n = pq.read_metadata(index_path(out_dir)).num_rows
-    return n > 0 and (force is True or n >= STREAM_INDEX_MIN_ROWS)
-
-
-def stream_eligible_overlay(out_dir: str, force: bool | None = None) -> bool:
-    """True iff readers may stream work items off a SEALED index that JSON
-    delta records have overlaid (appends / compactions landed after
-    consolidation — the steady state of a huge evolving store). The bulk
-    of the store streams off the index's row groups exactly like the
-    sealed fast path; only the (small) delta set plus the index records
-    it interacts with are reconciled on the driver (the classified scan
-    in ``encode_job._overlay_scan`` + ``overlay_reconcile`` here).
-    Same ``force`` semantics as ``stream_eligible``; the two gates are
-    mutually exclusive (deltas present vs absent). An index written
-    UNSEALED (consolidate found unresolved overlap) stays on the full
-    reconciliation path — re-running ``consolidate`` is the remedy."""
-    if force is False:
-        return False
-    if not (_index_sealed(out_dir) and _has_delta_records(out_dir)):
-        return False
-    import pyarrow.parquet as pq
-
-    n = pq.read_metadata(index_path(out_dir)).num_rows
-    return n > 0 and (force is True or n >= STREAM_INDEX_MIN_ROWS)
-
-
-def stream_eligible_unsealed(out_dir: str, force: bool | None = None) -> bool:
-    """True iff readers may stream work items off a NEVER-consolidated
-    store (sharded per-partition JSON records, no index) — the shape a
-    fresh 10^7-partition encode leaves behind, where ``load_manifest``
-    would open every record file on the driver. Only the sharded layout
-    qualifies (the flat legacy layout has no parallel read unit); a store
-    with an index — sealed or not — takes the index-based paths instead.
-    Same ``force`` semantics as ``stream_eligible``. The record-count
-    threshold is ESTIMATED from shard-dir file counts (dirent listings,
-    no file opens): exact when few shards exist, sampled at scale — a
-    threshold gate needs no precision."""
+    A store with flat-layout records (``part-*.json`` directly under
+    ``_manifest``) never streams: that layout has no parallel read unit.
+    An index that cannot be read does not stream either, so the driver
+    path raises its loud error. The shard-record count is ESTIMATED
+    from dirent listings (no file opens): exact up to 64 shard dirs,
+    sampled past that — a threshold gate needs no precision."""
     if force is False:
         return False
     mdir = manifest_dir(out_dir)
-    if os.path.exists(index_path(out_dir)) or not os.path.isdir(mdir):
+    if not os.path.isdir(mdir):
         return False
-    shards = [os.path.join(mdir, d) for d in os.listdir(mdir)
-              if d.startswith("shard-")]
-    if not shards:
+    names = os.listdir(mdir)
+    if any(n.startswith("part-") and n.endswith(".json") for n in names):
         return False
-    if force is True:
-        return True
+    n = 0
+    if os.path.exists(index_path(out_dir)):
+        import pyarrow.parquet as pq
+
+        try:
+            n = pq.read_metadata(index_path(out_dir)).num_rows
+        except (OSError, ValueError):  # ArrowIOError / ArrowInvalid
+            return False
+    shards = [os.path.join(mdir, d) for d in names if d.startswith("shard-")]
 
     def _count(sd: str) -> int:
         try:
@@ -302,53 +275,36 @@ def stream_eligible_unsealed(out_dir: str, force: bool | None = None) -> bool:
             return 0
 
     if len(shards) <= 64:
-        est = sum(_count(sd) for sd in shards)
+        n += sum(_count(sd) for sd in shards)
     else:
         sample = shards[::max(1, len(shards) // 64)][:64]
-        est = sum(_count(sd) for sd in sample) * len(shards) // len(sample)
-    return est >= STREAM_INDEX_MIN_ROWS
+        n += sum(_count(sd) for sd in sample) * len(shards) // len(sample)
+    return n > 0 and (force is True or n >= STREAM_INDEX_MIN_ROWS)
 
 
-def delta_keysets(out_dir: str) -> tuple[dict, set, set]:
-    """The JSON delta records plus the two key sets an index record is
-    classified against: ``delta_ids`` (partition_id collisions — delta
-    wins, per ``load_manifest``) and ``delta_keys`` (shared
-    ``(path, row_group)`` fragment keys — interval claims). An index
-    record matching NEITHER is "clean": it can never be rejected by the
-    reconciliation (a sealed index reconciles to itself — consolidate's
-    seal condition), so readers may stream it without consulting the
-    driver."""
-    deltas = load_delta_records(out_dir)
-    delta_ids = set(deltas)
-    delta_keys = {(f["path"], f["row_group"])
-                  for r in deltas.values() for f in r.source_fragments}
-    return deltas, delta_ids, delta_keys
+def overlay_reconcile(out_dir: str,
+                      contested: list[PartitionRecord]) -> list:
+    """Driver half of the streamed record scan: the exact
+    ``effective_records`` reconciliation over the CONTESTED records the
+    distributed scan found, returning the chosen records to union with
+    the streamed clean survivors. The scan reads each contested record
+    from its JSON file when one exists (a delta wins on a partition_id
+    collision, as in ``load_manifest``), else from the index.
 
-
-def overlay_reconcile(out_dir: str, deltas: dict,
-                      inter_raw: list[str]) -> list:
-    """Driver half of the streamed read of a sealed-index-plus-deltas
-    store: the exact ``effective_records`` reconciliation over the JSON
-    deltas plus the (small) interacting index records the distributed
-    scan pulled back, returning the chosen ``extra_records`` to union
-    with the streamed clean survivors.
-
-    Exactness: the global two-pass outcome over index ∪ deltas equals
-    ``effective_records(deltas ∪ interacting) ∪ (clean index records)``
-    — see ``delta_keysets`` for why clean records are always chosen. One
-    deliberate divergence from the non-streamed slow path: clean index
-    records are not ``is_complete``-checked (that would be one driver
-    ``stat()`` per record — 10^7 of them); a chunk damaged after sealing
-    fails loudly at decode (CRC/size), the same policy the sealed fast
-    path documents. Pathology: a delta set touching most of the index
-    degrades the interacting set to the full store — at that shape run
-    ``consolidate`` and take the sealed path."""
-    inter: dict[str, PartitionRecord] = {}
-    for raw in inter_raw:
-        rec = PartitionRecord(**json.loads(raw))
-        inter[rec.partition_id] = rec
-    merged = {**inter, **deltas}  # delta wins on partition_id collision
-    return effective_records(out_dir, manifest=merged)
+    Exactness: a record is contested iff some ``(path, row_group)`` key
+    it claims has a merged claimant or two claims with overlapping row
+    intervals (sealed-index rows join that check only on keys a JSON
+    record also claims — a sealed index reconciles to itself, which is
+    consolidate's seal condition). Reconciliation only ever rejects a
+    record through such a key, so the global two-pass outcome equals
+    ``effective_records(contested) ∪ clean``. One deliberate divergence
+    from the driver list: clean records are not ``is_complete``-checked
+    (that would be one driver ``stat()`` per record — 10^7 of them); a
+    chunk damaged after it was written fails loudly at decode (CRC/size).
+    Pathology: a compaction touching most of the store degrades the
+    contested set to the full store — at that shape run ``consolidate``."""
+    return effective_records(
+        out_dir, manifest={r.partition_id: r for r in contested})
 
 
 def load_delta_records(out_dir: str) -> dict[str, PartitionRecord]:

@@ -422,8 +422,8 @@ def _zone_hits(z: dict, lo, hi) -> bool:
 
 def _zones_alive(columns: list, zone_filter: dict) -> bool:
     """One record's zone-map survival check — shared by the driver-side
-    ``zone_prune`` and the streamed zone decode (same logic runs inside
-    index-scan tasks there)."""
+    ``zone_prune`` and the record scan (same logic runs inside its
+    tasks there)."""
     zones = {c["name"]: c for c in columns}
     for col, bound in zone_filter.items():
         z = zones.get(col)
@@ -770,31 +770,24 @@ def encode_job(
 
     summary_rows = []
     # EncodePartition takes the sentinel as a list; normalize ONCE here
-    # so the stateless and actor branches can't drift
+    # so the task and actor branches can't drift
     _bc = ["auto"] if bloom_columns == "auto" else bloom_columns
     if work:
         items = _item_dataset(work, sum(frag_bytes[w["partition_id"]]
                                         for w in work))
-        if shared_ref is None and fsst_ref is None and plan_ref is None:
-            # stateless → plain tasks reuse the already-warm worker pool
-            def encode_item(batch: pa.Table) -> pa.Table:
-                return EncodePartition(out_dir, bloom_columns=_bc,
-                                       optimize=optimize)(batch)
-
-            results = items.map_batches(encode_item, batch_size=1,
-                                        batch_format="pyarrow")
-        elif (concurrency is None and
-              len(work) < 4 * int(ray.cluster_resources().get("CPU", 4))):
-            # stateful shared refs on a SMALL job: actor spawn (~2-4 s of
-            # fresh python workers importing the package) rivals the
-            # encode itself, so run tasks + a per-WORKER-process encoder
-            # cache instead. Ray task workers are long-lived, so
-            # construction (ray.get of the broadcast dicts/tables/plan,
-            # encoder build) still happens once per worker — the
-            # actor-pool amortization — on the already-warm task pool.
-            # Interleaved A/B at 16 partitions: median 6.7 s (tasks) vs
-            # 8.3 s (16-actor pool); at 1008 partitions the two tie, so
-            # big jobs keep the bounded pool below.
+        cpus = int(ray.cluster_resources().get("CPU", 4))
+        stateless = shared_ref is None and fsst_ref is None and plan_ref is None
+        if concurrency is None and (stateless or len(work) < 4 * cpus):
+            # plain tasks + a per-WORKER-process encoder cache: Ray task
+            # workers are long-lived, so construction (ray.get of any
+            # broadcast dicts/tables/plan, encoder build) happens once per
+            # worker — the actor-pool amortization — on the already-warm
+            # task pool. With shared state on a SMALL job, actor spawn
+            # (~2-4 s of fresh python workers importing the package)
+            # would rival the encode itself: interleaved A/B at 16
+            # partitions, median 6.7 s (tasks) vs 8.3 s (16-actor pool);
+            # at 1008 partitions the two tie, so big stateful jobs keep
+            # the bounded pool below.
             def encode_item(batch: pa.Table) -> pa.Table:
                 return _worker_encoder(out_dir, shared_ref, fsst_ref,
                                        _bc, plan_ref, optimize)(batch)
@@ -802,7 +795,6 @@ def encode_job(
             results = items.map_batches(encode_item, batch_size=1,
                                         batch_format="pyarrow")
         else:
-            cpus = int(ray.cluster_resources().get("CPU", 4))
             # actor pool for real partition counts (spawn amortizes) or
             # an explicit pool size (callers cap per-node memory when the
             # broadcast state is large); half the CPUs keeps every core
@@ -884,100 +876,10 @@ def validate_zone_bounds(recs: list, zone_filter: dict) -> None:
         zone_filter)
 
 
-def _validate_zone_bounds_streamed(out_dir: str,
-                                   zone_filter: dict) -> None:
-    """``validate_zone_bounds`` + bound-comparability for the streamed
-    zone decode, fast and ON THE DRIVER (an in-task raise surfaces as an
-    opaque mid-stream RayTaskError — the exact UX
-    ``validate_zone_bounds`` exists to prevent):
-
-    1. sample one zone per filtered column from the index's FIRST and
-       LAST row groups (two footer-guided row-group reads, O(1) driver
-       I/O at any store size — last covers columns added late by schema
-       evolution);
-    2. dry-run the zone check against the samples so an incomparable
-       bound (``{'n': ('a','z')}`` on an int column) raises the same
-       clean ValueError the driver-side prune raises;
-    3. only a filter column absent from BOTH sampled row groups falls
-       back to a distributed early-exit scan for one record carrying it
-       (``limit(1)`` — the streaming executor stops at the first hit);
-       a column no record carries validates vacuously, matching the
-       driver path's conservative pass."""
-    import ray
-
-    from ..manifest import index_path
-
-    def _informative(c: dict) -> bool:
-        # only entries that CARRY zone info can represent the column: an
-        # all-null slice's entry has neither 'ts' nor 'min' and must not
-        # shadow real zones (a zone-less sample would silently disable
-        # the ts literal check — empty result masquerading as success)
-        return bool(c.get("ts")) or "min" in c
-
-    def _collect(t: pa.Table, want: set) -> dict:
-        found: dict[str, dict] = {}
-        for raw in t.column("json").to_pylist():
-            for c in json.loads(raw)["columns"]:
-                n = c["name"]
-                if n in want and _informative(c):
-                    # prefer a ts-flagged sample — the flag is what the
-                    # literal validation keys on
-                    if n not in found or (c.get("ts")
-                                          and not found[n].get("ts")):
-                        found[n] = c
-        return found
-
-    want = set(zone_filter)
-    pf = pq.ParquetFile(index_path(out_dir))
-    sample_sets = [_collect(pf.read_row_group(0), want)]
-    if pf.num_row_groups > 1:
-        sample_sets.append(
-            _collect(pf.read_row_group(pf.num_row_groups - 1), want))
-
-    missing = want - {n for s in sample_sets for n in s}
-    if missing:  # rare: zones only in mid-store records
-        # one early-exit scan PER still-missing column (missing is the
-        # schema-evolution tail of the user's zone_filter — a handful at
-        # most). A single scan with a shared row cap could starve a rare
-        # column behind a common one (256 samples of the common column
-        # arrive before the rare column's first batch), silently
-        # skipping its validation; per-column limit(1) is exact and the
-        # streaming executor stops each scan at its first hit.
-        fb: dict[str, dict] = {}
-        for col in sorted(missing):
-            def has_col(b: pa.Table, col=col) -> pa.Table:
-                found = _collect(b, {col})
-                return pa.Table.from_pylist(
-                    [{"zone": json.dumps(c)} for c in found.values()],
-                    schema=pa.schema([("zone", pa.string())]))
-
-            hits = (ray.data.read_parquet(index_path(out_dir))
-                    .map_batches(has_col, batch_format="pyarrow")
-                    .limit(1).take_all())
-            for r in hits:
-                c = json.loads(r["zone"])
-                fb[c["name"]] = c
-        sample_sets.append(fb)
-    # a column with NO informative zone anywhere validates vacuously —
-    # exact: the in-task prune skips zone-less columns, so neither a
-    # lexical ts compare nor a type error can occur for it
-
-    validate_zone_bounds_cols(
-        {n for s in sample_sets for n, z in s.items() if z.get("ts")},
-        zone_filter)
-    # comparability dry-run per sample set (first/last row group may
-    # type a zone differently under schema evolution): same code path
-    # as the in-task prune, so the same bad bound raises HERE with the
-    # clean driver message. A type flip confined to mid-store chunks is
-    # inherent to sampling and still surfaces via the in-task backstop.
-    for s in sample_sets:
-        _zones_alive(list(s.values()), zone_filter)
-
-
 def validate_zone_bounds_cols(ts_cols: set, zone_filter: dict) -> None:
     """Core of ``validate_zone_bounds`` over a pre-computed timestamp
-    column-name set (the streamed zone decode discovers it with a tiny
-    distributed aggregate instead of a driver record list)."""
+    column-name set (the record scan collects it inside its tasks
+    instead of from a driver record list)."""
     for col, bound in zone_filter.items():
         if col not in ts_cols:
             continue
@@ -1054,112 +956,51 @@ def _preserve_order():
     return cm()
 
 
-# work-item schemas of the streamed index read, shared by decode (keyed:
-# input-order sort restored from fragment identity) and verify — ONE
-# definition each so the streamed and overlay-extra sides can never drift
-# into a union schema mismatch
-_KEYED_SCHEMA = pa.schema([("path", pa.string()),
-                           ("sk_path", pa.string()),
-                           ("sk_rg", pa.int64()),
-                           ("sk_rs", pa.int64())])
-_VERIFY_ITEM_SCHEMA = pa.schema([
-    ("partition_id", pa.string()), ("chunk", pa.string()),
-    ("sources", pa.string()), ("num_rows", pa.int64())])
-_OVERLAY_SCAN_SCHEMA = pa.schema([
-    ("partition_id", pa.string()), ("path", pa.string()),
-    ("sources", pa.string()), ("num_rows", pa.int64()),
-    ("sk_path", pa.string()), ("sk_rg", pa.int64()), ("sk_rs", pa.int64()),
-    ("interacting", pa.bool_()), ("json", pa.string())])
-
-
-def _overlay_scan(out_dir: str):
-    """ONE distributed scan of a sealed index overlaid by JSON deltas,
-    shared by decode and verify. (Previously ``overlay_plan`` read and
-    json-parsed the full index once to find interacting records and the
-    consumer's streamed pass read + parsed it all over again — double
-    index I/O and parse CPU on the 10^7-record stores this path exists
-    for.) Every index record is classified clean/interacting LOCALLY
-    against the delta key sets — interacting iff it shares a
-    partition_id or a ``(path, row_group)`` fragment key with a delta,
-    which is exactly the old skip set — and the scan emits the parsed
-    work-item fields per record plus the raw json of interacting records
-    only. The materialized scan (~100 B/record, object store) then
-    serves both the driver reconciliation (filter interacting →
-    take_all, bounded by the interacting set) and the streamed clean
-    work items (filter NOT interacting) without re-reading the index.
-
-    Returns ``(clean_items, extra_records)``: a Dataset of
-    ``_OVERLAY_SCAN_SCHEMA`` work items minus the classification columns
-    for every non-superseded index record, and the driver
-    reconciliation's chosen ``PartitionRecord``s to union back.
-
-    Datasets snapshot the DataContext at CREATION (see decode_dataset's
-    preserve_order note), so the scan — and with it the returned
-    clean_items, whatever the caller's window — is built order-preserving
-    here: decode's bit-identical row-order contract must survive the
-    streaming executor even though this helper also serves the
-    order-insensitive verify."""
-    with _preserve_order():
-        return _overlay_scan_inner(out_dir)
-
-
-def _overlay_scan_inner(out_dir: str):
-    import ray
-
-    from ..manifest import delta_keysets, index_path, overlay_reconcile
-
-    deltas, delta_ids, delta_keys = delta_keysets(out_dir)
-
-    def classify(b: pa.Table) -> pa.Table:
-        rows = []
-        for raw in b.column("json").to_pylist():
-            rec = json.loads(raw)
-            frag = rec["fragment"]
-            frags = frag["merged"] if "merged" in frag else [frag]
-            inter = rec["partition_id"] in delta_ids or any(
-                (f["path"], f["row_group"]) in delta_keys for f in frags)
-            f0 = frags[0]
-            rows.append({
-                "partition_id": rec["partition_id"],
-                "path": os.path.join(out_dir, rec["chunk_file"]),
-                "sources": json.dumps(frags),
-                "num_rows": int(rec["num_rows"]),
-                # input-order sort key recomputed from fragment identity,
-                # same rule as PartitionRecord.sort_key (first fragment)
-                "sk_path": f0["path"], "sk_rg": int(f0["row_group"]),
-                "sk_rs": int(f0.get("row_start", 0)),
-                "interacting": inter, "json": raw if inter else None})
-        return pa.Table.from_pylist(rows, schema=_OVERLAY_SCAN_SCHEMA)
-
-    scan = (ray.data.read_parquet(index_path(out_dir))
-            .map_batches(classify, batch_format="pyarrow")
-            .materialize())
-
-    def inter_json(b: pa.Table) -> pa.Table:
-        return b.filter(b.column("interacting").combine_chunks()
-                        ).select(["json"])
-
-    inter_raw = [r["json"] for r in
-                 scan.map_batches(inter_json,
-                                  batch_format="pyarrow").take_all()]
-    extra = overlay_reconcile(out_dir, deltas, inter_raw)
-
-    def clean_items(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return (b.filter(pc.invert(b.column("interacting")
-                                   .combine_chunks()))
-                .drop_columns(["interacting", "json"]))
-
-    return scan.map_batches(clean_items, batch_format="pyarrow"), extra
-
-
-_UNSEALED_SCAN_SCHEMA = pa.schema([
-    ("fkey", pa.string()), ("first", pa.bool_()), ("merged", pa.int8()),
-    ("f_rs", pa.int64()), ("f_end", pa.int64()),
+# decode/verify work items, one per partition, from either source (the
+# driver list or the record scan); sk_* is the input-order sort key
+# (PartitionRecord.sort_key)
+_ITEM_SCHEMA = pa.schema([
     ("partition_id", pa.string()), ("path", pa.string()),
     ("sources", pa.string()), ("num_rows", pa.int64()),
     ("sk_path", pa.string()), ("sk_rg", pa.int64()), ("sk_rs", pa.int64())])
+# record-scan rows, one per (record, source fragment) claim on the
+# ``fkey`` = (path, row_group) key. ``src`` is the index row group the
+# record came from, -1 for a JSON record. Item columns after
+# partition_id, and the in-task zone check (survival, ts-flagged filter
+# columns, comparability error), are set on a record's first row only.
+_SCAN_SCHEMA = pa.schema([
+    ("fkey", pa.string()), ("first", pa.bool_()), ("merged", pa.bool_()),
+    ("f_rs", pa.int64()), ("f_end", pa.int64()), ("src", pa.int64()),
+    *_ITEM_SCHEMA, ("alive", pa.bool_()), ("zts", pa.string()),
+    ("zerr", pa.string())])
+
+
+def _work_item(out_dir: str, rec: PartitionRecord) -> dict:
+    sk_path, sk_rg, sk_rs = rec.sort_key
+    return {"partition_id": rec.partition_id,
+            "path": os.path.join(out_dir, rec.chunk_file),
+            "sources": json.dumps(rec.source_fragments),
+            "num_rows": int(rec.num_rows),
+            "sk_path": sk_path, "sk_rg": int(sk_rg), "sk_rs": int(sk_rs)}
+
+
+def _pull(ds, cols: list[str], where) -> set[tuple]:
+    """Distinct ``cols`` tuples over the rows ``where(batch)`` selects —
+    deduplicated in-task, so only those values leave the cluster."""
+    def distinct(b: pa.Table) -> pa.Table:
+        return b.filter(where(b)).select(cols).group_by(cols).aggregate([])
+
+    return {tuple(r[c] for c in cols) for r in
+            ds.map_batches(distinct, batch_format="pyarrow").take_all()}
+
+
+@functools.lru_cache(maxsize=1)
+def _index_metadata(path: str, mtime_ns: int, size: int):
+    """The last-read index footer, kept per worker process and keyed by
+    index version. Footers cost ~2.5 KB per 256-record row group (the
+    json column's min/max statistics), so at 10^7 records each is
+    ~100 MB, while each scan task reads only a few row groups."""
+    return pq.read_metadata(path)
 
 
 _B_SCHEMA = pa.schema([
@@ -1230,175 +1071,228 @@ def _overlap_keys(items) -> set:
     return out
 
 
-def _unsealed_scan(out_dir: str):
-    """Streamed work items for a NEVER-consolidated store (sharded
-    per-partition JSON records, no index) — same ``(clean_items,
-    extra_records)`` contract as ``_overlay_scan``. The driver holds only
-    the shard-dir list (≤4096 paths); record files are opened and parsed
-    inside read tasks, one row per (record, source fragment).
+def _record_scan(out_dir: str, zone_filter: dict | None = None):
+    """The streamed work-item source of decode_dataset and verify_job: a
+    Dataset of ``_ITEM_SCHEMA`` rows in input order, built from a
+    distributed read of every record — index row groups and
+    ``shard-*`` JSON records as ONE record source. The driver holds the
+    source list (index row group numbers, ≤4096 shard dirs) and the
+    contested records, never the full record list. Decode builds it
+    under preserve_order.
 
-    Exactness vs ``effective_records``: overlap resolution only ever
-    rejects a record whose claimed ROW INTERVAL overlaps another claim on
-    the same ``(path, row_group)`` key, so a record is CONTESTED iff some
-    key it claims has a merged claimant (compaction in flight / crashed)
-    or two claims with overlapping intervals. Everything else streams:
-    a clean record is plain, conflicts with nothing, and ``is_complete``
-    is only checked for merged records — the global two-pass algorithm
-    always chooses it. Interval-DISJOINT multi-claimant keys (a store
-    encoded with ``max_rows_per_partition`` slices every row group) stay
-    clean. Overlaps are found with no per-group Python: a distributed
-    sort by (fkey, f_rs), a vectorized adjacent check per block
-    (``start[i] < segment-cummax(end)[i-1]``), and 2 summary rows per
-    block stitched on the driver (a key continuing into the next block
-    can only overlap through the block's FIRST row, since starts are
-    sorted). Contested records re-read from their shard files on the
-    driver (``record_path`` is derivable from the partition id), so the
-    scan never pins raw JSON. Torn records are skipped in-task (same
-    re-encode policy as ``load_delta_records``). Pathology: a store
-    mid-way through a huge compaction degrades the contested set toward
-    the full store — run ``consolidate`` and take the sealed path.
+    Classification (exact vs ``effective_records``; see
+    ``overlay_reconcile``): a record is CONTESTED iff some
+    ``(path, row_group)`` key it claims has a merged claimant or two
+    claims with overlapping row intervals (``_overlap_keys``, a
+    distributed sort). Interval-disjoint claims — a store encoded with
+    ``max_rows_per_partition`` — stay clean. Rows of a SEALED index never
+    conflict with each other, so they enter the check only on keys a
+    JSON record also claims. Contested records alone are read back
+    (from their JSON file if one exists — a delta wins on a
+    partition_id collision — else from the index row groups that hold
+    them) and reconciled on the driver; the clean rest streams, and one
+    distributed sort by ``sk_*`` restores input order.
 
-    Like ``_overlay_scan``, built under preserve_order=True (Datasets
-    snapshot the DataContext at creation): decode needs the returned
-    clean_items order-preserving. (The overlap detector itself no longer
-    cares — its block stitching is order-independent by construction.)"""
-    with _preserve_order():
-        return _unsealed_scan_inner(out_dir)
+    A sealed index with no JSON records skips all of that: its rows are
+    the effective set, already in input order.
 
-
-def _unsealed_scan_inner(out_dir: str):
+    ``zone_filter`` prunes inside the scan tasks, after classification
+    (a pruned record still claims its intervals). The tasks also return
+    the ts-flagged filter columns they saw and any bound-comparability
+    error; the driver raises the same ``ValueError`` as the driver-list
+    path before any decode starts. Torn JSON records are skipped (the
+    ``load_delta_records`` policy); an unreadable shard dir or index
+    fails the task loudly."""
+    import pyarrow.compute as pc
     import ray
 
-    from ..manifest import (PartitionRecord, manifest_dir,
-                            overlay_reconcile, record_path)
+    from ..manifest import (_has_delta_records, _index_sealed, index_path,
+                            manifest_dir, overlay_reconcile, record_path)
 
-    mdir = manifest_dir(out_dir)
-    shards = sorted(os.path.join(mdir, d) for d in os.listdir(mdir)
-                    if d.startswith("shard-"))
-
-    def read_shard(b: pa.Table) -> pa.Table:
-        rows = []
-        for sd in b.column("shard").to_pylist():
+    ipath = index_path(out_dir)
+    n_rg = (pq.read_metadata(ipath).num_row_groups
+            if os.path.exists(ipath) else 0)
+    sealed = n_rg > 0 and _index_sealed(out_dir)
+    # no JSON records over a sealed index: index rows ARE the items
+    shortcut = sealed and not _has_delta_records(out_dir)
+    sources = [{"rg": rg, "shard": ""} for rg in range(n_rg)]
+    if not shortcut:
+        def nonempty(sd: str) -> bool:
+            # consolidate leaves its shard dirs behind, emptied; one
+            # dirent read per dir keeps them out of the task list
             try:
-                names = sorted(os.listdir(sd))
+                with os.scandir(sd) as it:
+                    return next(it, None) is not None
             except FileNotFoundError:
-                # vanished shard dir (concurrent gc of an emptied shard)
-                # — the driver path's isdir() guard skips exactly this.
-                # Any OTHER OSError (permissions, I/O) propagates and
-                # fails the read task loudly: swallowing it here would
-                # silently drop every partition in the shard from decode
-                # and let verify pass vacuously over the survivors.
+                return False  # removed by a concurrent gc
+
+        mdir = manifest_dir(out_dir)
+        sources += [{"rg": -1, "shard": sd}
+                    for sd in (os.path.join(mdir, d)
+                               for d in sorted(os.listdir(mdir))
+                               if d.startswith("shard-"))
+                    if nonempty(sd)]
+
+    def zone_facts(columns: list) -> tuple:
+        if not zone_filter:
+            return True, None, None
+        ts = "\x00".join(sorted(c["name"] for c in columns
+                                if c.get("ts") and c["name"] in zone_filter))
+        try:
+            return _zones_alive(columns, zone_filter), ts or None, None
+        except ValueError as e:
+            return True, ts or None, str(e)
+
+    def records(rg: int, shard: str):
+        if rg >= 0:
+            st = os.stat(ipath)
+            pf = pq.ParquetFile(ipath, metadata=_index_metadata(
+                ipath, st.st_mtime_ns, st.st_size))
+            for raw in pf.read_row_group(rg, columns=["json"]).column(
+                    "json").to_pylist():
+                yield PartitionRecord(**json.loads(raw))
+            return
+        try:
+            names = sorted(os.listdir(shard))
+        except FileNotFoundError:
+            # vanished shard dir (concurrent gc of an emptied shard) —
+            # load_delta_records' isdir() guard skips exactly this. Any
+            # OTHER OSError propagates: swallowing it would silently drop
+            # every partition in the shard and let verify pass vacuously.
+            return
+        for name in names:
+            if not (name.startswith("part-") and name.endswith(".json")):
                 continue
-            for name in names:
-                if not (name.startswith("part-")
-                        and name.endswith(".json")):
-                    continue
-                # open/read errors propagate (driver parity:
-                # load_delta_records catches only decode/Type errors —
-                # an unreadable-but-present record is NOT "torn")
-                with open(os.path.join(sd, name)) as f:
-                    raw = f.read()
-                try:
-                    rec = PartitionRecord(**json.loads(raw))
-                except (json.JSONDecodeError, TypeError):
-                    continue  # torn record → partition re-encodes
-                frags = rec.source_fragments
-                merged = 1 if "merged" in rec.fragment else 0
-                f0 = frags[0]
-                base = {
-                    "merged": merged,
-                    "partition_id": rec.partition_id,
-                    "path": os.path.join(out_dir, rec.chunk_file),
-                    "sources": json.dumps(frags),
-                    "num_rows": int(rec.num_rows),
-                    "sk_path": f0["path"], "sk_rg": int(f0["row_group"]),
-                    "sk_rs": int(f0.get("row_start", 0))}
-                for i, fr in enumerate(frags):
+            # open/read errors propagate: an unreadable-but-present
+            # record is not "torn"
+            with open(os.path.join(shard, name)) as f:
+                raw = f.read()
+            try:
+                rec = PartitionRecord(**json.loads(raw))
+            except (json.JSONDecodeError, TypeError):
+                continue  # torn record → partition re-encodes
+            yield rec
+
+    def read_records(b: pa.Table) -> pa.Table:
+        rows, carried = [], set()
+        for rg, shard in zip(b.column("rg").to_pylist(),
+                             b.column("shard").to_pylist()):
+            for rec in records(rg, shard):
+                alive, zts, zerr = zone_facts(rec.columns)
+                if shortcut and not alive:
+                    # nothing to classify: drop pruned records, keeping
+                    # one carrier row per distinct zone fact
+                    if (zts, zerr) in carried or not (zts or zerr):
+                        continue
+                    carried.add((zts, zerr))
+                merged = "merged" in rec.fragment
+                for i, fr in enumerate(rec.source_fragments):
                     rs = int(fr.get("row_start", 0))
-                    # a legacy fragment without num_rows claims its whole
-                    # row group — same default as effective_records
                     rows.append({
                         "fkey": f"{fr['path']}\x00{fr['row_group']}",
-                        "first": i == 0,
-                        "f_rs": rs,
+                        "first": i == 0, "merged": merged, "f_rs": rs,
+                        # a legacy fragment without num_rows claims its
+                        # whole row group — same default as
+                        # effective_records
                         "f_end": rs + int(fr.get("num_rows", 1 << 62)),
-                        **base})
-        return pa.Table.from_pylist(rows, schema=_UNSEALED_SCAN_SCHEMA)
+                        "src": rg, "partition_id": rec.partition_id,
+                        **({**_work_item(out_dir, rec), "alive": alive,
+                            "zts": zts, "zerr": zerr} if i == 0 else {})})
+                    if shortcut:
+                        break  # only the item row is needed
+        return pa.Table.from_pylist(rows, schema=_SCAN_SCHEMA)
 
-    scan = (ray.data.from_items([{"shard": sd} for sd in shards])
-            .map_batches(read_shard, batch_format="pyarrow",
-                         batch_size=16)
-            .materialize())
+    scan = _item_dataset(sources, 0).map_batches(
+        read_records, batch_format="pyarrow", batch_size=16)
+    if not (shortcut and not zone_filter):
+        scan = scan.materialize()
 
-    # contested keys, part 1: any key a merged record claims — pulled
-    # set bounded by in-flight/crashed compactions
-    def merged_keys(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return b.filter(pc.greater(b.column("merged").combine_chunks(),
-                                   0)).select(["fkey"])
-
-    contested_keys = {r["fkey"] for r in
-                      scan.map_batches(merged_keys,
-                                       batch_format="pyarrow").take_all()}
-
-    # part 2: keys whose plain claims genuinely overlap
-    contested_keys |= _overlap_keys(scan)
-
+    contested: set = set()
     extra: list = []
-    contested_pids: set = set()
-    if contested_keys:
-        key_arr = pa.array(sorted(contested_keys))  # built ONCE, not
-        # per batch — ships with the closure
+    if not shortcut:
+        json_keys = None
+        if sealed:
+            json_keys = pa.array(sorted(k for k, in _pull(
+                scan, ["fkey"], lambda b: pc.less(b.column("src"), 0))),
+                pa.string())
 
-        def pids_of_contested(b: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
+        def claims(b: pa.Table) -> pa.Table:
+            if json_keys is not None:
+                b = b.filter(pc.or_(
+                    pc.less(b.column("src"), 0),
+                    pc.is_in(b.column("fkey"), value_set=json_keys)))
+            return b.select(["fkey", "f_rs", "f_end", "merged",
+                             "partition_id", "src"])
 
-            mask = pc.is_in(b.column("fkey").combine_chunks(),
-                            value_set=key_arr)
-            return b.filter(mask).select(["partition_id"])
+        ds = scan.map_batches(claims, batch_format="pyarrow")
+        keys = {k for k, in _pull(ds, ["fkey"],
+                                  lambda b: b.column("merged"))}
+        keys |= _overlap_keys(ds)
+        if keys:
+            key_arr = pa.array(sorted(keys), pa.string())
+            hits = _pull(ds, ["partition_id", "src"],
+                         lambda b: pc.is_in(b.column("fkey"),
+                                            value_set=key_arr))
+            contested = {pid for pid, _ in hits}
+            in_json = {pid for pid, src in hits if src < 0}
+            recs = []
+            for pid in sorted(in_json):
+                try:
+                    with open(record_path(out_dir, pid)) as f:
+                        recs.append(PartitionRecord(**json.load(f)))
+                except OSError as ex:
+                    # parsed in the scan moments ago: a vanished file
+                    # means a concurrent consolidate/compact/gc mutated
+                    # the store — dropping it would lose rows
+                    raise RuntimeError(
+                        f"manifest record for contested partition {pid!r} "
+                        f"disappeared during the streamed read ({ex}); the "
+                        "store was mutated concurrently — re-run the read "
+                        "(or consolidate first)") from ex
+            rgs = sorted({src for pid, src in hits
+                          if src >= 0 and pid not in in_json})
+            if rgs:
+                for raw in pq.ParquetFile(ipath).read_row_groups(
+                        rgs, columns=["json"]).column("json").to_pylist():
+                    rec = PartitionRecord(**json.loads(raw))
+                    if (rec.partition_id in contested
+                            and rec.partition_id not in in_json):
+                        recs.append(rec)
+            extra = overlay_reconcile(out_dir, recs)
 
-        contested_pids = {r["partition_id"] for r in
-                          scan.map_batches(pids_of_contested,
-                                           batch_format="pyarrow")
-                          .take_all()}
+    pid_arr = pa.array(sorted(contested), pa.string())
 
-        # contested record JSON re-read directly (record_path is a pure
-        # function of the partition id) — bounded by true conflicts
-        inter_raw = []
-        for pid in sorted(contested_pids):
-            try:
-                with open(record_path(out_dir, pid)) as f:
-                    inter_raw.append(f.read())
-            except OSError as ex:
-                # the record parsed fine inside the scan seconds ago — a
-                # vanished file means a concurrent consolidate/compact/gc
-                # mutated the store mid-read; silently dropping it would
-                # lose rows from decode and vacuously pass verify
-                raise RuntimeError(
-                    f"manifest record for contested partition {pid!r} "
-                    f"disappeared during the streamed read ({ex}); the "
-                    "store was mutated concurrently — re-run the read "
-                    "(or consolidate first)") from ex
-        # no deltas here — the whole store IS the json layout; the exact
-        # reconciliation runs over the contested records alone
-        extra = overlay_reconcile(out_dir, {}, inter_raw)
+    def effective(b: pa.Table):
+        return pc.and_(b.column("first"), pc.invert(pc.is_in(
+            b.column("partition_id"), value_set=pid_arr)))
 
-    pid_arr = (pa.array(sorted(contested_pids))
-               if contested_pids else None)
+    if zone_filter:
+        facts = _pull(scan, ["zts", "zerr"], effective)
+        kept = []
+        for rec in extra:
+            alive, zts, zerr = zone_facts(rec.columns)
+            facts.add((zts, zerr))
+            if alive:
+                kept.append(rec)
+        extra = kept
+        validate_zone_bounds_cols(
+            {c for ts, _ in facts if ts for c in ts.split("\x00")},
+            zone_filter)
+        errs = sorted(e for _, e in facts if e)
+        if errs:
+            raise ValueError(errs[0])
 
     def clean_items(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
+        return b.filter(pc.and_(effective(b), b.column("alive"))).select(
+            _ITEM_SCHEMA.names)
 
-        mask = b.column("first").combine_chunks()
-        if pid_arr is not None:
-            mask = pc.and_(mask, pc.invert(pc.is_in(
-                b.column("partition_id").combine_chunks(),
-                value_set=pid_arr)))
-        return b.filter(mask).drop_columns(
-            ["fkey", "first", "merged", "f_rs", "f_end"])
-
-    return scan.map_batches(clean_items, batch_format="pyarrow"), extra
+    items = scan.map_batches(clean_items, batch_format="pyarrow")
+    if shortcut:
+        return items
+    if extra:
+        items = items.union(ray.data.from_arrow(pa.Table.from_pylist(
+            [_work_item(out_dir, r) for r in extra], schema=_ITEM_SCHEMA)))
+    return items.sort(["sk_path", "sk_rg", "sk_rs"])
 
 
 def _zone_mask(table: pa.Table, zone_filter: dict) -> pa.Array:
@@ -1481,6 +1375,40 @@ def _zone_mask(table: pa.Table, zone_filter: dict) -> pa.Array:
     return pc.fill_null(mask, False)
 
 
+def _work_items(out_dir: str, zone_filter: dict | None,
+                stream_index: bool | None, columns: list[str]):
+    """The work items of decode_dataset and verify_job, projected to the
+    ``_ITEM_SCHEMA`` ``columns`` the caller reads (None for an empty
+    driver list), from one of exactly two sources: the driver list built
+    from ``effective_records`` for small stores, or the distributed
+    ``_record_scan`` for large ones. The one gate
+    ``manifest.stream_records`` chooses; ``stream_index`` forces either
+    source. Both prune by ``zone_filter`` and raise the same clean
+    ``ValueError`` for a bad bound before any chunk is read.
+
+    The callers map one item per batch, and Ray slices every column of
+    a batch: unread columns cost ~0.4 ms per item (1 CPU), and on the
+    driver list a projection operator costs more than the items do."""
+    from ..manifest import stream_records
+
+    require_store(out_dir)
+    if stream_records(out_dir, stream_index):
+        return _record_scan(out_dir, zone_filter).select_columns(columns)
+    # input order is recomputed from the recorded fragment identity
+    # (path, row_group, row_start) — stable under appends, unlike ids;
+    # effective_records resolves merged/plain overlap after a crashed
+    # compaction
+    recs = effective_records(out_dir)
+    if zone_filter:
+        validate_zone_bounds(recs, zone_filter)
+        recs, _ = zone_prune(out_dir, zone_filter, recs=recs)
+    if not recs:
+        return None
+    return _item_dataset(
+        [{c: v for c, v in _work_item(out_dir, r).items() if c in columns}
+         for r in recs], sum(r.chunk_size for r in recs))
+
+
 def decode_dataset(out_dir: str, columns: list[str] | None = None,
                    zone_filter: dict | None = None,
                    schema: pa.Schema | None = None,
@@ -1498,61 +1426,12 @@ def decode_dataset(out_dir: str, columns: list[str] | None = None,
     ``schema`` enables read-time schema evolution: decoded batches are
     aligned to the target (missing columns null-filled, types cast,
     column order normalized) — old chunks stay readable after the logical
-    schema gains columns or widens types."""
-    import ray
+    schema gains columns or widens types.
 
-    from ..manifest import (index_path, stream_eligible,
-                            stream_eligible_overlay,
-                            stream_eligible_unsealed)
-
-    require_store(out_dir)
-    items: list[dict] | None = None
-    recs: list | None = None  # the driver-list paths' records
-    overlay: tuple | None = None
-    zone_stream = False
-    if zone_filter and stream_eligible(out_dir, stream_index):
-        # zone-pruned read of a sealed store: the prune itself runs
-        # inside the index-scan tasks (one _zones_alive per record) —
-        # the driver never holds the record list, only the tiny
-        # distributed ts-column aggregate needed to validate bounds
-        zone_stream = True
-        _validate_zone_bounds_streamed(out_dir, zone_filter)
-    elif zone_filter:
-        all_recs = effective_records(out_dir)
-        validate_zone_bounds(all_recs, zone_filter)
-        recs, _ = zone_prune(out_dir, zone_filter, recs=all_recs)
-    elif stream_eligible(out_dir, stream_index):
-        # sealed index, no deltas, big enough: the work-item list never
-        # materializes on the driver — chunk paths stream straight off
-        # the index's row groups (at 10^7 partitions a from_items list
-        # is GBs of driver heap). Index rows are stored in input order,
-        # so decode order is identical to the reconciliation path's.
-        pass
-    elif stream_eligible_overlay(out_dir, stream_index):
-        # sealed index WITH newer JSON deltas (the steady state of a huge
-        # evolving store): stream the index like the sealed path, dropping
-        # rows the small driver-reconciled delta overlay supersedes, then
-        # merge the overlay's chosen records back by input-order sort key
-        # — a distributed sort of tiny (path, key) work items, never a
-        # driver from_items of the full store
-        overlay = _overlay_scan(out_dir)
-    elif stream_eligible_unsealed(out_dir, stream_index):
-        # never-consolidated store big enough to stream: shard JSON
-        # records are read and classified inside tasks; only contested
-        # records (a compaction in flight / crashed) reconcile on the
-        # driver — a fresh 10^7-partition encode decodes with no driver
-        # record list at all
-        overlay = _unsealed_scan(out_dir)
-    else:
-        # input order is recomputed from the recorded fragment identity
-        # (path, row_group, row_start) — stable under appends, unlike ids;
-        # effective_records resolves merged/plain overlap after a crashed
-        # compaction
-        recs = effective_records(out_dir)
-    if recs is not None:
-        items = [{"path": os.path.join(out_dir, rec.chunk_file)}
-                 for rec in recs]
-
+    Work items come from the driver list on small stores and from the
+    distributed record scan on large ones (``_work_items``); zone-filtered
+    reads prune in the scan tasks on every store shape. ``stream_index``
+    forces the scan (True) or the driver list (False)."""
     from ..encode import read_chunk_file
 
     # equality (lo == hi) and IN-list predicates additionally consult
@@ -1592,60 +1471,17 @@ def decode_dataset(out_dir: str, columns: list[str] | None = None,
             tables.append(t)
         return pa.concat_tables(tables)
 
-    if items is not None and not items:
-        import pandas as pd
-
-        return ray.data.from_pandas(pd.DataFrame())
-
-    def index_to_paths(b: pa.Table) -> pa.Table:
-        paths = []
-        for r in b.column("json").to_pylist():
-            rec = json.loads(r)
-            if zone_stream and not _zones_alive(rec["columns"],
-                                                zone_filter):
-                continue  # zone-pruned inside the scan task
-            paths.append(os.path.join(out_dir, rec["chunk_file"]))
-        return pa.table({"path": pa.array(paths, pa.string())})
-
-    def _keyed(r) -> dict:
-        # input-order sort key taken from the record itself — ONE rule
-        # (PartitionRecord.sort_key), not a fourth hand-rolled copy that
-        # could drift from the scan paths' keys
-        sk_path, sk_rg, sk_rs = r.sort_key
-        return {"path": os.path.join(out_dir, r.chunk_file),
-                "sk_path": sk_path, "sk_rg": int(sk_rg),
-                "sk_rs": int(sk_rs)}
-
-    def _overlay_paths():
-        clean, extra = overlay
-
-        def keyed_only(b: pa.Table) -> pa.Table:
-            return b.select(["path", "sk_path", "sk_rg", "sk_rs"])
-
-        ds = clean.map_batches(keyed_only, batch_format="pyarrow")
-        if extra:
-            ex = pa.Table.from_pylist(
-                [_keyed(r) for r in extra], schema=_KEYED_SCHEMA)
-            ds = ds.union(ray.data.from_arrow(ex))
-        # global input order restored by a distributed sort of the tiny
-        # work items (path + key ≈ 100 B/partition) — the rows themselves
-        # never leave the downstream streaming decode
-        return (ds.sort(["sk_path", "sk_rg", "sk_rs"])
-                .map_batches(lambda b: b.select(["path"]),
-                             batch_format="pyarrow"))
-
     # decode is the ordering-sensitive pipeline (bit-identical round-trip
     # preserves input row order); Ray's streaming executor reorders output
     # blocks unless preserve_order is set — see _preserve_order
     with _preserve_order():
-        if items is not None:
-            paths = _item_dataset(items, sum(r.chunk_size for r in recs))
-        elif overlay is not None:
-            paths = _overlay_paths()
-        else:
-            paths = (ray.data.read_parquet(index_path(out_dir))
-                     .map_batches(index_to_paths, batch_format="pyarrow"))
-        return paths.map_batches(
+        items = _work_items(out_dir, zone_filter, stream_index, ["path"])
+        if items is None:
+            import pandas as pd
+            import ray
+
+            return ray.data.from_pandas(pd.DataFrame())
+        return items.map_batches(
             decode_item, batch_size=1, batch_format="pyarrow"
         )
 
@@ -2045,53 +1881,12 @@ def verify_job(out_dir: str, stream_index: bool | None = None) -> dict:
     """Distributed bit-identical verification: decode every chunk and compare
     against its recorded input fragment. Returns {partitions, ok, failed:[...]}.
 
-    On a sealed consolidated store past STREAM_INDEX_MIN_ROWS (or with
-    ``stream_index=True``), work items stream off the index's row groups
-    (no driver-built list). Only FAILURES ever reach the driver either
+    Work items come from the same two sources as decode_dataset
+    (``_work_items``): the driver list on small stores, the distributed
+    record scan past STREAM_INDEX_MIN_ROWS records (or with
+    ``stream_index=True``). Only FAILURES ever reach the driver either
     way — totals aggregate distributed.
     """
-    import ray
-
-    from ..manifest import (index_path, stream_eligible,
-                            stream_eligible_overlay,
-                            stream_eligible_unsealed)
-
-    require_store(out_dir)
-    use_index = stream_eligible(out_dir, stream_index)
-    overlay: tuple | None = None
-    if not use_index and stream_eligible_overlay(out_dir, stream_index):
-        # sealed index + JSON deltas: ONE shared index scan streams the
-        # clean rows and hands the driver-reconciled overlay's chosen
-        # records back as extra items (verification is order-insensitive,
-        # so no merge-sort is needed here)
-        use_index = True
-        overlay = _overlay_scan(out_dir)
-    elif not use_index and stream_eligible_unsealed(out_dir, stream_index):
-        # never-consolidated store: shard JSON records stream off read
-        # tasks, only contested records reconcile on the driver
-        use_index = True
-        overlay = _unsealed_scan(out_dir)
-    recs = None if use_index else effective_records(out_dir)
-    items = None if recs is None else [
-        {"partition_id": rec.partition_id,
-         "chunk": os.path.join(out_dir, rec.chunk_file),
-         "sources": json.dumps(rec.source_fragments),  # ≥2 if compacted
-         "num_rows": rec.num_rows}
-        for rec in recs
-    ]
-
-    def index_to_items(b: pa.Table) -> pa.Table:
-        rows = []
-        for raw in b.column("json").to_pylist():
-            rec = json.loads(raw)
-            frag = rec["fragment"]
-            rows.append({
-                "partition_id": rec["partition_id"],
-                "chunk": os.path.join(out_dir, rec["chunk_file"]),
-                "sources": json.dumps(frag["merged"] if "merged" in frag
-                                      else [frag]),
-                "num_rows": rec["num_rows"]})
-        return pa.Table.from_pylist(rows, schema=_VERIFY_ITEM_SCHEMA)
 
     def check(batch: pa.Table) -> pa.Table:
         out = []
@@ -2099,7 +1894,7 @@ def verify_job(out_dir: str, stream_index: bool | None = None) -> dict:
             # a corrupt/unreadable chunk is a *verification failure*, not a
             # job crash — report it in `failed` with the reason
             try:
-                with open(item["chunk"], "rb") as f:
+                with open(item["path"], "rb") as f:
                     blob = f.read()
                 decoded = decode_table(blob, verify_crc=True)
                 # bloom sections get the same bit-rot check as payloads
@@ -2129,34 +1924,15 @@ def verify_job(out_dir: str, stream_index: bool | None = None) -> dict:
                         "err": err})
         return pa.Table.from_pylist(out)
 
-    if items is not None and not items:
+    items = _work_items(out_dir, None, stream_index,
+                        ["partition_id", "path", "sources", "num_rows"])
+    if items is None:
         return {"partitions": 0, "ok": 0, "failed": []}
-    if overlay is not None:
-        clean, extra = overlay
-
-        def overlay_items(b: pa.Table) -> pa.Table:
-            return (b.select(["partition_id", "path", "sources",
-                              "num_rows"])
-                    .rename_columns([f.name for f in _VERIFY_ITEM_SCHEMA]))
-
-        src = clean.map_batches(overlay_items, batch_format="pyarrow")
-        if extra:
-            src = src.union(ray.data.from_arrow(pa.Table.from_pylist(
-                [{"partition_id": r.partition_id,
-                  "chunk": os.path.join(out_dir, r.chunk_file),
-                  "sources": json.dumps(r.source_fragments),
-                  "num_rows": r.num_rows} for r in extra],
-                schema=_VERIFY_ITEM_SCHEMA)))
-    elif items is None:
-        src = (ray.data.read_parquet(index_path(out_dir))
-               .map_batches(index_to_items, batch_format="pyarrow"))
-    else:
-        src = _item_dataset(items, sum(r.chunk_size for r in recs))
     # materialize pins only the TINY verdict rows; the driver then pulls
     # failures alone (at 10^7 partitions a take_all of every verdict is
     # GBs of driver heap for a normally-empty answer)
-    res = src.map_batches(check, batch_size=1,
-                          batch_format="pyarrow").materialize()
+    res = items.map_batches(check, batch_size=1,
+                            batch_format="pyarrow").materialize()
     total = res.count()
 
     def only_failures(b: pa.Table) -> pa.Table:
