@@ -209,7 +209,8 @@ def _dispatch_blocks(n_items: int, work_bytes: int) -> int:
     byte total, floored at ``ITEM_BYTES`` per item. ``from_items``
     splits the list into contiguous runs, so packed items keep their
     order, and manifest records, resume claims and verdicts stay
-    strictly per-partition."""
+    strictly per-partition. A driver-list read sized as one block runs
+    as one plain Ray task with no streaming executor (``_map_items``)."""
     try:
         import ray
 
@@ -227,6 +228,40 @@ def _item_dataset(items: list[dict], work_bytes: int):
 
     return ray.data.from_items(
         items, override_num_blocks=_dispatch_blocks(len(items), work_bytes))
+
+
+def _run_items(fn, items: pa.Table):
+    """Body of ``_map_items``'s one task: ``fn`` once per item, in item
+    order. Returns (True, the outputs concatenated) when they share one
+    schema, else (False, None): a Dataset keeps per-item blocks of
+    different schemas apart, one table cannot."""
+    outs = [fn(items.slice(i, 1)) for i in range(items.num_rows)]
+    if any(not t.schema.equals(outs[0].schema) for t in outs[1:]):
+        return False, None
+    return True, pa.concat_tables(outs)
+
+
+def _map_items(items: list[dict], work_bytes: int, fn):
+    """Map the per-batch UDF ``fn`` over a driver-built work-item list,
+    one item per call, keeping item order.
+
+    Work that ``_dispatch_blocks`` sizes as one block runs as ONE plain
+    Ray task, with no streaming executor (its start-up was ~85% of a
+    2-chunk point lookup), and the ObjectRef of the single output table
+    comes back once that task has finished; the task's errors raise
+    here. Otherwise, and when the outputs' schemas differ (per-chunk
+    decode under schema evolution without a target schema), returns the
+    lazy ``map_batches`` Dataset over ``_item_dataset`` blocks."""
+    import ray
+    from ray.data._internal.remote_fn import cached_remote_fn
+
+    if _dispatch_blocks(len(items), work_bytes) == 1:
+        same, ref = cached_remote_fn(_run_items, num_returns=2).remote(
+            fn, pa.Table.from_pylist(items))
+        if ray.get(same):
+            return ref
+    return _item_dataset(items, work_bytes).map_batches(
+        fn, batch_size=1, batch_format="pyarrow")
 
 
 def read_fragment(path: str, row_group: int, num_rows: int,
@@ -897,9 +932,9 @@ def validate_zone_bounds_cols(ts_cols: set, zone_filter: dict) -> None:
 
 def bloom_reject_count(out_dir: str, recs: list, eq: dict) -> int:
     """Distributed count of chunks whose Bloom sections reject ``eq``
-    ({col: value | [values]}) — header+filter bytes only, one probe task
-    batch per item block. The shared observability probe for the CLI
-    scan-stats command and the bloom_pruned_lookup query."""
+    ({col: value | [values]}) — header+filter bytes only, mapped over
+    the chunks by ``_map_items``. The shared observability probe for the
+    CLI scan-stats command and the bloom_pruned_lookup query."""
     import ray
 
     from ..encode import chunk_bloom_rejects
@@ -913,9 +948,10 @@ def bloom_reject_count(out_dir: str, recs: list, eq: dict) -> int:
                 for p in b.column("path").to_pylist())
         return pa.table({"n": pa.array([n], pa.int64())})
 
-    return sum(r["n"] for r in
-               _item_dataset(items, sum(r.chunk_size for r in recs))
-               .map_batches(probe, batch_format="pyarrow").take_all())
+    out = _map_items(items, sum(r.chunk_size for r in recs), probe)
+    if isinstance(out, ray.ObjectRef):
+        return sum(ray.get(out).column("n").to_pylist())
+    return sum(r["n"] for r in out.take_all())
 
 
 def require_store(out_dir: str) -> None:
@@ -973,6 +1009,10 @@ _SCAN_SCHEMA = pa.schema([
     ("f_rs", pa.int64()), ("f_end", pa.int64()), ("src", pa.int64()),
     *_ITEM_SCHEMA, ("alive", pa.bool_()), ("zts", pa.string()),
     ("zerr", pa.string())])
+# verify_job verdicts, one per partition: one schema whether or not an
+# item failed, so one task's verdicts concatenate into one table
+_VERDICT_SCHEMA = pa.schema([
+    ("partition_id", pa.string()), ("ok", pa.bool_()), ("err", pa.string())])
 
 
 def _work_item(out_dir: str, rec: PartitionRecord) -> dict:
@@ -1376,24 +1416,30 @@ def _zone_mask(table: pa.Table, zone_filter: dict) -> pa.Array:
 
 
 def _work_items(out_dir: str, zone_filter: dict | None,
-                stream_index: bool | None, columns: list[str]):
-    """The work items of decode_dataset and verify_job, projected to the
-    ``_ITEM_SCHEMA`` ``columns`` the caller reads (None for an empty
-    driver list), from one of exactly two sources: the driver list built
-    from ``effective_records`` for small stores, or the distributed
+                stream_index: bool | None, columns: list[str], fn):
+    """The per-batch UDF ``fn`` mapped, one item per call, over the work
+    items of decode_dataset and verify_job, projected to the
+    ``_ITEM_SCHEMA`` ``columns`` the caller reads. The items come from
+    one of exactly two sources: the driver list built from
+    ``effective_records`` for small stores, or the distributed
     ``_record_scan`` for large ones. The one gate
     ``manifest.stream_records`` chooses; ``stream_index`` forces either
     source. Both prune by ``zone_filter`` and raise the same clean
     ``ValueError`` for a bad bound before any chunk is read.
 
-    The callers map one item per batch, and Ray slices every column of
-    a batch: unread columns cost ~0.4 ms per item (1 CPU), and on the
-    driver list a projection operator costs more than the items do."""
+    Returns None for an empty driver list, the ObjectRef of ``fn``'s one
+    output table when ``_map_items`` runs the driver list as one task,
+    else a lazy Dataset.
+
+    Ray slices every column of a batch: unread columns cost ~0.4 ms per
+    item (1 CPU), and on the driver list a projection operator costs
+    more than the items do."""
     from ..manifest import stream_records
 
     require_store(out_dir)
     if stream_records(out_dir, stream_index):
-        return _record_scan(out_dir, zone_filter).select_columns(columns)
+        return _record_scan(out_dir, zone_filter).select_columns(
+            columns).map_batches(fn, batch_size=1, batch_format="pyarrow")
     # input order is recomputed from the recorded fragment identity
     # (path, row_group, row_start) — stable under appends, unlike ids;
     # effective_records resolves merged/plain overlap after a crashed
@@ -1404,9 +1450,9 @@ def _work_items(out_dir: str, zone_filter: dict | None,
         recs, _ = zone_prune(out_dir, zone_filter, recs=recs)
     if not recs:
         return None
-    return _item_dataset(
+    return _map_items(
         [{c: v for c, v in _work_item(out_dir, r).items() if c in columns}
-         for r in recs], sum(r.chunk_size for r in recs))
+         for r in recs], sum(r.chunk_size for r in recs), fn)
 
 
 def decode_dataset(out_dir: str, columns: list[str] | None = None,
@@ -1431,7 +1477,14 @@ def decode_dataset(out_dir: str, columns: list[str] | None = None,
     Work items come from the driver list on small stores and from the
     distributed record scan on large ones (``_work_items``); zone-filtered
     reads prune in the scan tasks on every store shape. ``stream_index``
-    forces the scan (True) or the driver list (False)."""
+    forces the scan (True) or the driver list (False).
+
+    A small read runs at call time: when the driver list's surviving
+    chunks fit one task (``_dispatch_blocks``), one plain Ray task decodes
+    them all before this returns, and the result is a materialized
+    one-block Dataset (``from_arrow_refs``) in item order. Its errors,
+    such as a typo'd projected column, raise from this call. Larger reads
+    stay lazy and raise when consumed."""
     from ..encode import read_chunk_file
 
     # equality (lo == hi) and IN-list predicates additionally consult
@@ -1474,16 +1527,18 @@ def decode_dataset(out_dir: str, columns: list[str] | None = None,
     # decode is the ordering-sensitive pipeline (bit-identical round-trip
     # preserves input row order); Ray's streaming executor reorders output
     # blocks unless preserve_order is set — see _preserve_order
+    import ray
+
     with _preserve_order():
-        items = _work_items(out_dir, zone_filter, stream_index, ["path"])
-        if items is None:
+        out = _work_items(out_dir, zone_filter, stream_index, ["path"],
+                          decode_item)
+        if out is None:
             import pandas as pd
-            import ray
 
             return ray.data.from_pandas(pd.DataFrame())
-        return items.map_batches(
-            decode_item, batch_size=1, batch_format="pyarrow"
-        )
+        if isinstance(out, ray.ObjectRef):
+            return ray.data.from_arrow_refs(out)
+        return out
 
 
 def cluster_job(input_paths: list[str] | str, out_dir: str,
@@ -1885,7 +1940,9 @@ def verify_job(out_dir: str, stream_index: bool | None = None) -> dict:
     (``_work_items``): the driver list on small stores, the distributed
     record scan past STREAM_INDEX_MIN_ROWS records (or with
     ``stream_index=True``). Only FAILURES ever reach the driver either
-    way — totals aggregate distributed.
+    way — totals aggregate distributed. A driver list that fits one task
+    (``_map_items``) returns its verdicts as one small table, with no
+    materialize and no second pass.
     """
 
     def check(batch: pa.Table) -> pa.Table:
@@ -1922,25 +1979,31 @@ def verify_job(out_dir: str, stream_index: bool | None = None) -> dict:
                 ok, err = False, f"{type(e).__name__}: {e}"
             out.append({"partition_id": item["partition_id"], "ok": ok,
                         "err": err})
-        return pa.Table.from_pylist(out)
+        return pa.Table.from_pylist(out, schema=_VERDICT_SCHEMA)
 
-    items = _work_items(out_dir, None, stream_index,
-                        ["partition_id", "path", "sources", "num_rows"])
-    if items is None:
-        return {"partitions": 0, "ok": 0, "failed": []}
-    # materialize pins only the TINY verdict rows; the driver then pulls
-    # failures alone (at 10^7 partitions a take_all of every verdict is
-    # GBs of driver heap for a normally-empty answer)
-    res = items.map_batches(check, batch_size=1,
-                            batch_format="pyarrow").materialize()
-    total = res.count()
+    import ray
 
     def only_failures(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
         return b.filter(pc.invert(b.column("ok").combine_chunks()))
 
+    res = _work_items(out_dir, None, stream_index,
+                      ["partition_id", "path", "sources", "num_rows"], check)
+    if res is None:
+        return {"partitions": 0, "ok": 0, "failed": []}
+    if isinstance(res, ray.ObjectRef):
+        # one task checked every item: its verdicts are one small table
+        verdicts = ray.get(res)
+        total, bad = verdicts.num_rows, only_failures(verdicts).to_pylist()
+    else:
+        # materialize pins only the TINY verdict rows; the driver then
+        # pulls failures alone (at 10^7 partitions a take_all of every
+        # verdict is GBs of driver heap for a normally-empty answer)
+        res = res.materialize()
+        total = res.count()
+        bad = res.map_batches(only_failures,
+                              batch_format="pyarrow").take_all()
     failed = [{"partition_id": r["partition_id"], "err": r["err"]}
-              for r in res.map_batches(only_failures,
-                                       batch_format="pyarrow").take_all()]
+              for r in bad]
     return {"partitions": total, "ok": total - len(failed), "failed": failed}

@@ -2541,6 +2541,148 @@ def test_packed_work_items_keep_per_partition_results(ray_session,
         victim.partition_id]
 
 
+def _spy_from_items(monkeypatch) -> list:
+    """Record every ``ray.data.from_items`` call (the Dataset path)."""
+    import ray
+
+    calls, real = [], ray.data.from_items
+
+    def spy(*a, **k):
+        calls.append(1)
+        return real(*a, **k)
+
+    monkeypatch.setattr(ray.data, "from_items", spy)
+    return calls
+
+
+def test_one_task_reads_match_block_reads(ray_session, tmp_path,
+                                          monkeypatch):
+    """A driver-list read sized as one block runs as one plain task and
+    gives the rows, in order, of the map_batches Dataset over two blocks:
+    full and projected decode, a warc_ts range, a url IN-list hit, a miss
+    every Bloom filter rejects, schema= alignment, the Bloom reject count,
+    and verify verdicts on a store with a clobbered magic and a flipped
+    Bloom byte. At one block no from_items Dataset is built."""
+    import pyarrow.compute as pc
+
+    from json_to_parquet_ray.manifest import effective_records
+    from json_to_parquet_ray.pipelines import encode_job as ej
+
+    src = str(tmp_path / "cc.parquet")
+    write_cc_parquet(src, 1200, seed=71, row_group_size=300)
+    out = str(tmp_path / "enc")
+    encode_job(src, out, shared_dict_columns=None, bloom_columns=["url"])
+    evo_src = str(tmp_path / "evo.parquet")
+    pq.write_table(pa.table({"id": pa.array(range(100), pa.int32()),
+                             "text": [f"t{i}" for i in range(100)]}),
+                   evo_src, row_group_size=25)
+    evo = str(tmp_path / "enc_evo")
+    encode_job(evo_src, evo, shared_dict_columns=None)
+    target = pa.schema([("id", pa.int64()), ("text", pa.string()),
+                        ("score", pa.float64())])
+
+    want = pq.read_table(src)
+    recs = effective_records(out)
+    assert len(recs) == 4
+    ts, url = want.column("warc_ts"), want.column("url")
+    lo, hi = ts[200].as_py(), ts[700].as_py()
+    in_range = want.filter(pc.and_(
+        pc.greater_equal(ts, pa.scalar(lo, ts.type)),
+        pc.less_equal(ts, pa.scalar(hi, ts.type))))
+    assert 0 < in_range.num_rows < want.num_rows
+    hits = [url[17].as_py(), url[1000].as_py()]
+    miss = "https://no.such.host/absent"
+    # the miss survives the zone prune, so the Bloom filters reject it
+    assert ej.zone_prune(out, {"url": [miss]}, recs=recs)[0]
+
+    reads = {
+        "full": lambda: decode_dataset(out).take_all(),
+        "projected": lambda: decode_dataset(
+            out, columns=["url", "lang"]).take_all(),
+        "range": lambda: decode_dataset(out, zone_filter={
+            "warc_ts": (lo.isoformat(), hi.isoformat())}).take_all(),
+        "hit": lambda: decode_dataset(
+            out, zone_filter={"url": hits + [miss]}).take_all(),
+        "miss": lambda: decode_dataset(
+            out, zone_filter={"url": [miss]}).take_all(),
+        "schema": lambda: decode_dataset(evo, schema=target).take_all(),
+        "bloom": lambda: ej.bloom_reject_count(out, recs, {"url": [miss]}),
+    }
+    calls = _spy_from_items(monkeypatch)
+    got = {}
+    for blocks in (1, 2):
+        monkeypatch.setattr(ej, "_dispatch_blocks", lambda n, w, b=blocks: b)
+        calls.clear()
+        got[blocks] = {k: f() for k, f in reads.items()}
+        assert len(calls) == (0 if blocks == 1 else len(reads)), blocks
+    assert got[1] == got[2]
+    assert got[1]["full"] == want.to_pylist()
+    assert got[1]["projected"] == want.select(["url", "lang"]).to_pylist()
+    assert got[1]["range"] == in_range.to_pylist()
+    assert [r["url"] for r in got[1]["hit"]] == hits
+    assert got[1]["miss"] == []
+    assert got[1]["schema"] == [{"id": i, "text": f"t{i}", "score": None}
+                                for i in range(100)]
+    assert got[1]["bloom"] == len(recs)
+
+    with open(os.path.join(out, recs[1].chunk_file), "r+b") as f:
+        f.write(b"XXXX")  # clobber the RDE1 magic
+    path = os.path.join(out, recs[2].chunk_file)
+    with open(path, "rb") as f:
+        blob = bytearray(f.read())
+    hdr, base = read_chunk_header(bytes(blob))
+    c = next(c for c in hdr["columns"] if "bloom_offset" in c)
+    blob[base + c["bloom_offset"]] ^= 0xFF
+    with open(path, "wb") as f:
+        f.write(bytes(blob))
+    vers = {}
+    for blocks in (1, 2):
+        monkeypatch.setattr(ej, "_dispatch_blocks", lambda n, w, b=blocks: b)
+        calls.clear()
+        ver = verify_job(out)
+        assert len(calls) == blocks - 1
+        vers[blocks] = (ver["partitions"], ver["ok"], sorted(
+            (f["partition_id"], f["err"]) for f in ver["failed"]))
+    assert vers[1] == vers[2]
+    total, ok, failed = vers[1]
+    assert (total, ok) == (4, 2)
+    assert [pid for pid, _ in failed] == sorted(
+        [recs[1].partition_id, recs[2].partition_id])
+    errs = dict(failed)
+    assert "RDE1" in errs[recs[1].partition_id]
+    assert "bloom CRC" in errs[recs[2].partition_id]
+
+
+def test_one_task_decode_keeps_heterogeneous_chunk_schemas(
+        ray_session, tmp_path, monkeypatch):
+    """Chunks that decode to different schemas (an appended encode adds a
+    column and widens int32 to int64), read without schema= under the
+    one-block rule: one table cannot hold both, so the read falls back to
+    the map_batches Dataset, does not raise, and returns the record
+    scan's rows."""
+    from json_to_parquet_ray.pipelines import encode_job as ej
+
+    indir = tmp_path / "in"
+    indir.mkdir()
+    pq.write_table(pa.table({"id": pa.array(range(50), pa.int32()),
+                             "text": [f"a{i}" for i in range(50)]}),
+                   str(indir / "a.parquet"), row_group_size=25)
+    out = str(tmp_path / "enc_het")
+    encode_job(str(indir), out, shared_dict_columns=None)
+    pq.write_table(pa.table({"id": pa.array(range(50, 100), pa.int64()),
+                             "text": [f"b{i}" for i in range(50)],
+                             "score": [i / 4 for i in range(50)]}),
+                   str(indir / "b.parquet"), row_group_size=25)
+    encode_job(str(indir / "b.parquet"), out, shared_dict_columns=None)
+
+    calls = _spy_from_items(monkeypatch)
+    monkeypatch.setattr(ej, "_dispatch_blocks", lambda n, w: 1)
+    got = decode_dataset(out).take_all()
+    assert len(calls) == 1
+    assert got == decode_dataset(out, stream_index=True).take_all()
+    assert [r["id"] for r in got] == list(range(100))
+
+
 def test_worker_encoder_cache_keying(ray_session, tmp_path):
     """Per-worker encoder cache: same refs → one cached instance; any
     changed ref (a new job) → a fresh encoder; bounded size."""
