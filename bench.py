@@ -109,15 +109,16 @@ def main() -> None:
     # path's fixed cost (actor spawn + distinct build) washes out — the
     # per-partition MARGINAL cost is what scales to 10^12 docs. Encode
     # the same table sliced into ~1k partitions both ways and derive
-    # marginal ms/partition against the 16-partition runs above.
+    # marginal ms/partition against the 16-partition runs above. At ~1k
+    # partitions both encodes plan from the fragment sample
+    # (encode_job.build_shared_plan); the 16-partition runs plan per chunk.
     if os.environ.get("GRAFT_BENCH_ONLY") != "encode":  # skip in scaling runs
         from json_to_parquet_ray.manifest import load_manifest
 
         am: dict[str, float] = {}
         udf_ms: dict[str, float] = {}
         for label, kw in (("stateless", {}),
-                          ("shared", {"shared_dict_columns": ["lang"]}),
-                          ("shared_plan", {"shared_plan": True})):
+                          ("shared", {"shared_dict_columns": ["lang"]})):
             d = os.path.join(CC_BASE, f"enc_amort_{label}_{NUM_CPUS}")
             shutil.rmtree(d, ignore_errors=True)
             s, summ = timed(lambda kw=kw, d=d: encode_job(
@@ -139,7 +140,6 @@ def main() -> None:
             parts_1k - parts_16, 1) * 1000
         queries["encode_cc_1k_parts"] = round(am["stateless"], 3)
         queries["encode_cc_shared_dict_1k_parts"] = round(am["shared"], 3)
-        queries["encode_cc_shared_plan_1k_parts"] = round(am["shared_plan"], 3)
         extra["amortization"] = {
             "partitions": int(parts_1k),
             "marginal_ms_per_part_stateless": round(marg_stateless, 2),
@@ -150,9 +150,6 @@ def main() -> None:
                 round(marg_shared / marg_stateless, 3)
                 if marg_stateless > 0 else None),
             "udf_ms_per_part": udf_ms,
-            "udf_ratio_shared_plan_vs_stateless": (
-                round(udf_ms["shared_plan"] / udf_ms["stateless"], 3)
-                if udf_ms.get("stateless") else None),
         }
 
     sec, _ = timed(lambda: decode_dataset(out_dir).count())

@@ -105,10 +105,6 @@ def main(argv: list[str] | None = None) -> int:
     enc.add_argument("--consolidate", action="store_true",
                      help="fold the manifest into one parquet index "
                           "after the job completes (see `consolidate`)")
-    enc.add_argument("--shared-plan", action="store_true",
-                     help="plan codecs once from a fragment sample and "
-                          "broadcast the plan (scale mode for homogeneous "
-                          "corpora) instead of per-partition trial encodes")
     enc.add_argument("--optimize", choices=("balanced", "size"),
                      default=None,
                      help="'balanced' (default; a resume keeps the "
@@ -266,7 +262,6 @@ def main(argv: list[str] | None = None) -> int:
                                  bloom_columns=blooms,
                                  max_rows_per_partition=args.max_rows_per_partition,
                                  consolidate_manifest=args.consolidate,
-                                 shared_plan=args.shared_plan,
                                  optimize=args.optimize)
             print(json.dumps(summary))
         elif args.cmd == "cluster":

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import base64
 import json
+import logging
 import os
 import zlib
 
@@ -41,7 +42,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .codecs import decode_array, decode_rows, encode_array
-from .plan import CodecPlan, plan_from_stats
+from .plan import CodecPlan, ColumnPlan, plan_from_stats
 from .stats import compute_stats_table
 
 MAGIC = b"RDE1"
@@ -60,7 +61,8 @@ def encode_table(table: pa.Table, plan: CodecPlan | None = None,
     """Encode all columns of ``table`` → (chunk file bytes, header dict).
 
     When ``plan`` is None the per-chunk planner runs on this chunk's own
-    statistics — per-column-chunk codec selection (BASELINE.json).
+    statistics — per-column-chunk codec selection (BASELINE.json); so is
+    a column whose planned codec fails here (``_encode_column``).
 
     ``bloom_columns`` appends a split-block Bloom filter section per
     listed column (codecs.bloom) after the payloads, recorded in the
@@ -78,18 +80,15 @@ def encode_table(table: pa.Table, plan: CodecPlan | None = None,
     offset = 0
     for name in table.column_names:
         arr = table.column(name).combine_chunks()
-        cp = plan.codec_for(name)
         try:
-            payload, meta = encode_array(arr, cp.codec, **cp.kwargs)
+            payload, meta = _encode_column(table, name, arr,
+                                           plan.codec_for(name))
         except Exception as ex:
-            # fallback keeps the job alive and bit-identical, but a
-            # SYSTEMATIC failure (bad plan kwargs, uint64 > 2^63 under an
-            # int codec) must not silently degrade every column to plain
-            import logging
-
+            # last resort keeps the job alive and bit-identical, but a
+            # SYSTEMATIC failure must not silently degrade columns to plain
             logging.getLogger(__name__).warning(
-                "codec %r failed on column %r (%s: %s) — falling back to "
-                "plain", cp.codec, name, type(ex).__name__, ex)
+                "re-planning failed on column %r (%s: %s) — falling back "
+                "to plain", name, type(ex).__name__, ex)
             payload, meta = encode_array(arr, "plain")
         columns.append({
             "name": name,
@@ -124,6 +123,23 @@ def encode_table(table: pa.Table, plan: CodecPlan | None = None,
     hbuf = json.dumps(header, sort_keys=True).encode()
     blob = MAGIC + len(hbuf).to_bytes(8, "little") + hbuf + b"".join(payloads)
     return blob, header
+
+
+def _encode_column(table: pa.Table, name: str, arr: pa.Array,
+                   cp: ColumnPlan) -> tuple[bytes, dict]:
+    """Encode one column under ``cp``. A plan made on other rows can fail
+    here (uint64 >= 2^63 under ``forbp``/``delta``/``rle``, a value missing
+    from a shared dictionary), so the column is then planned again, in
+    balanced mode, from this chunk's own statistics."""
+    try:
+        return encode_array(arr, cp.codec, **cp.kwargs)
+    except Exception as ex:
+        logging.getLogger(__name__).warning(
+            "codec %r failed on column %r (%s: %s) — re-planning from the "
+            "chunk's statistics", cp.codec, name, type(ex).__name__, ex)
+    sub = table.select([name])
+    cp = plan_from_stats(compute_stats_table(sub), sub.schema).codec_for(name)
+    return encode_array(arr, cp.codec, **cp.kwargs)
 
 
 def read_chunk_header(blob: bytes) -> tuple[dict, int]:

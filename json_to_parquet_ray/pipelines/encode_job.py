@@ -41,6 +41,7 @@ from ..manifest import (
     completed_partitions,
     effective_records,
     load_manifest,
+    shard_of,
     write_atomic,
     write_record,
 )
@@ -50,7 +51,7 @@ from ..stats import compute_stats, compute_stats_table
 
 SHARED_DICT_MAX_CARD = 1024
 
-# store-level shared plan: sample size knobs. O(1) in the store size —
+# store-level sampled plan (build_shared_plan): O(1) in the store size —
 # the sample is a fixed number of fragments regardless of input scale.
 PLAN_SAMPLE_FRAGS = 16
 PLAN_SAMPLE_ROWS = 4096
@@ -87,66 +88,59 @@ def load_store_optimize(out_dir: str) -> str:
 
 
 def build_shared_plan(frags: list[FragmentRef],
-                      file_schemas: dict[str, pa.Schema],
                       frag_bytes: dict[str, int],
-                      optimize: str = "balanced") -> CodecPlan | None:
-    """Plan codecs ONCE for the whole store from a deterministic fragment
-    sample, instead of re-running trial encodes per partition.
+                      optimize: str = "balanced") -> CodecPlan:
+    """Plan codecs once for the whole store from a deterministic fragment
+    sample; ``EncodePartition`` plans per chunk only the columns left out.
 
     Motivation (round-5 profile): ``plan_from_stats`` costs ~40-55 ms per
     partition *even on tiny partitions* — FSST trial training plus Arrow
     IPC writer setup dominate — which at 10^6+ partitions is pure
-    redundant work when the corpus is homogeneous. The shared plan is a
-    strided sample of ``PLAN_SAMPLE_FRAGS`` fragments (first
-    ``PLAN_SAMPLE_ROWS`` rows each), statted in parallel Ray tasks,
-    merged, planned on the driver, then broadcast via ``ray.put``.
-    ``file_schemas`` and ``frag_bytes`` come from ``_read_footers``.
-
-    Correctness is codec-agnostic (decode is bit-identical under any
-    codec), so a shared plan can only change SIZE, never values; columns
-    the plan does not cover — or whose chunk type the planned codec
-    cannot encode (schema evolution / type drift) — fall back to
-    per-chunk planning inside ``EncodePartition._plan_for``. The
-    ``constant`` codec is chunk-local evidence by definition (a column
-    constant in the sample need not be constant everywhere), so constant
-    entries are dropped here and re-detected per chunk.
+    redundant work when the corpus is homogeneous. Each of
+    ``PLAN_SAMPLE_FRAGS`` evenly spaced fragments (``frags`` holds more)
+    is planned by the per-chunk planner on its first ``PLAN_SAMPLE_ROWS``
+    rows (not on merged stats, whose interleaved sample hides a monotone
+    column's order from the trial encodes). A column is kept only when every sampled fragment picked
+    the same codec and kwargs, so a column whose regime drifts across
+    the input stays per-chunk adaptive, and never as ``constant``: that
+    is chunk-local evidence by definition. A plan can change size, never
+    decoded values. ``frag_bytes`` comes from ``_read_footers``.
     """
-    import ray
-
-    from ..stats import merge_partials, stats_partial_batch
-
-    if not frags:
-        return None
-    stride = max(1, len(frags) // PLAN_SAMPLE_FRAGS)
-    picks = frags[::stride][:PLAN_SAMPLE_FRAGS]
+    # evenly spaced even below 2 x PLAN_SAMPLE_FRAGS fragments, where an
+    # integer stride of 1 would sample only the head of the input
+    picks = [frags[i * len(frags) // PLAN_SAMPLE_FRAGS]
+             for i in range(PLAN_SAMPLE_FRAGS)]
     items = [{"path": f.path, "row_group": f.row_group,
               "num_rows": f.num_rows, "row_start": f.row_start}
              for f in picks]
 
-    def sample_stats(batch: pa.Table) -> pa.Table:
+    def sample_plan(batch: pa.Table) -> pa.Table:
         out = []
         for item in batch.to_pylist():
             t = read_fragment(item["path"], item["row_group"],
-                              item["num_rows"], item["row_start"])
-            out.append(stats_partial_batch(t.slice(0, PLAN_SAMPLE_ROWS)))
-        return pa.concat_tables(out)
+                              item["num_rows"], item["row_start"]
+                              ).slice(0, PLAN_SAMPLE_ROWS)
+            plan = plan_from_stats(compute_stats_table(t), t.schema,
+                                   optimize=optimize)
+            out.append({"plan": plan.dumps()})
+        return pa.Table.from_pylist(out)
 
     # each sample task reads its fragment's whole row group
-    parts = (_item_dataset(items, sum(frag_bytes[f.frag_hash]
-                                      for f in picks))
-             .map_batches(sample_stats, batch_size=1, batch_format="pyarrow")
-             .take_all())  # bounded: one tiny pickled partial per (frag, col)
-    stats = merge_partials([r["partial"] for r in parts])
-    from ..schema_infer import unify
+    rows = (_item_dataset(items, sum(frag_bytes[f.frag_hash]
+                                     for f in picks))
+            .map_batches(sample_plan, batch_size=1, batch_format="pyarrow")
+            .take_all())  # bounded: one small JSON plan per sampled fragment
+    # sorted: the kept ColumnPlans (est_ratio) must not depend on task order
+    first, *rest = [CodecPlan.loads(p) for p in sorted(r["plan"] for r in rows)]
 
-    # union schema across files (footers already read by _read_footers);
-    # a cross-file type conflict widens to string here, and the per-column
-    # can_encode fallback in _plan_for keeps such columns chunk-planned
-    schema = unify(list(file_schemas.values()))
-    plan = plan_from_stats(stats, schema, optimize=optimize)
-    plan.columns = {c: p for c, p in plan.columns.items()
-                    if p.codec != "constant"}
-    return plan
+    def agreed(c: str, cp: ColumnPlan) -> bool:
+        return cp.codec != "constant" and all(
+            c in p.columns
+            and (p.columns[c].codec, p.columns[c].kwargs)
+            == (cp.codec, cp.kwargs) for p in rest)
+
+    return CodecPlan({c: cp for c, cp in first.columns.items()
+                      if agreed(c, cp)})
 
 
 _RG_CACHE: dict[tuple, pa.Table] = {}
@@ -318,6 +312,21 @@ def list_fragments(paths: list[str] | str,
     return _read_footers(paths, max_rows_per_partition)[0]
 
 
+def _input_files(paths: list[str] | str) -> list[str]:
+    """The input's parquet files, sorted: a directory contributes its
+    ``*.parquet`` entries, any other path itself."""
+    if isinstance(paths, str):
+        paths = [paths]
+    files: list[str] = []
+    for p in paths:
+        if os.path.isdir(p):
+            files.extend(os.path.join(p, f) for f in os.listdir(p)
+                         if f.endswith(".parquet"))
+        else:
+            files.append(p)
+    return sorted(files)
+
+
 def _read_footers(paths: list[str] | str,
                   max_rows_per_partition: int | None
                   ) -> tuple[list[FragmentRef], dict[str, pa.Schema],
@@ -327,21 +336,10 @@ def _read_footers(paths: list[str] | str,
     evolution) and {frag_hash: work bytes} (the row group's uncompressed
     size, prorated for slices) for task sizing — callers must not pay a
     second sequential driver footer pass over 10^5 files."""
-    if isinstance(paths, str):
-        paths = [paths]
-    files: list[str] = []
-    for p in paths:
-        if os.path.isdir(p):
-            files.extend(
-                os.path.join(p, f) for f in sorted(os.listdir(p))
-                if f.endswith(".parquet")
-            )
-        else:
-            files.append(p)
     frags: list[FragmentRef] = []
     schemas: dict[str, pa.Schema] = {}
     frag_bytes: dict[str, int] = {}
-    for f in sorted(files):
+    for f in _input_files(paths):
         md = pq.read_metadata(f)
         schemas[f] = md.schema.to_arrow_schema()
         for rg in range(md.num_row_groups):
@@ -478,6 +476,33 @@ def _zones_alive(columns: list, zone_filter: dict) -> bool:
     return True
 
 
+def _commit_chunk(out_dir: str, pid: str, fragment: dict, table: pa.Table,
+                  blob: bytes, header: dict, t0: float) -> PartitionRecord:
+    """Commit one encoded chunk: write its file atomically, then its
+    manifest record (header columns plus ``table``'s zone maps; wall
+    time since ``t0``). The record is written last — its presence is
+    the partition's commit."""
+    chunk_file = os.path.join(shard_of(pid), f"part-{pid}.rde")
+    write_atomic(os.path.join(out_dir, chunk_file), blob)
+    zone = _zone_maps(table)
+    rec = PartitionRecord(
+        partition_id=pid,
+        fragment=fragment,
+        num_rows=table.num_rows,
+        chunk_file=chunk_file,
+        chunk_size=len(blob),
+        columns=[
+            {"name": c["name"], "codec": c["codec"], "size": c["size"],
+             "offset": c["offset"], "crc32": c["crc32"],
+             **zone.get(c["name"], {})}
+            for c in header["columns"]
+        ],
+        wall_time_s=time.time() - t0,
+    )
+    write_record(out_dir, rec)
+    return rec
+
+
 class EncodePartition:
     """Stateful stage: encodes one partition (row group) per work item.
 
@@ -493,6 +518,11 @@ class EncodePartition:
     small jobs as plain tasks with a per-worker-process instance cache
     (``_worker_encoder``) — same setup-once amortization, no actor-spawn
     fixed cost; see the dispatch branch in ``encode_job``.
+
+    ``shared_plan_ref`` is the job's sampled plan (``build_shared_plan``),
+    fetched once per actor. A column it covers takes the plan's codec
+    when that codec can encode the chunk's type; every other column, and
+    every column without a ref, is planned from the chunk's own stats.
     """
 
     def __init__(self, out_dir: str, shared_dicts_ref=None,
@@ -508,12 +538,9 @@ class EncodePartition:
         self.shared_dicts: dict[str, pa.Array] = (
             ray.get(shared_dicts_ref) if shared_dicts_ref is not None else {}
         )
-        # store-level codec plan (build_shared_plan), fetched once per
-        # actor — per-partition planning then runs only for columns the
-        # plan can't cover
-        self.shared_plan: CodecPlan | None = (
-            ray.get(shared_plan_ref) if shared_plan_ref is not None else None
-        )
+        self.shared_plan: CodecPlan = (
+            ray.get(shared_plan_ref) if shared_plan_ref is not None
+            else CodecPlan({}))
         # column → compiled FsstEncoder, built once per actor from the
         # broadcast symbol tables
         self.shared_fsst: dict[str, object] = {}
@@ -522,10 +549,6 @@ class EncodePartition:
             self.shared_fsst = {c: FsstEncoder(t) for c, t in tables.items()}
 
     def _plan_for(self, table: pa.Table) -> CodecPlan:
-        if self.shared_plan is None:
-            stats = compute_stats_table(table)
-            return plan_from_stats(stats, table.schema,
-                                   optimize=self.optimize)
         from ..codecs import get_codec
 
         cols: dict[str, ColumnPlan] = {}
@@ -535,17 +558,15 @@ class EncodePartition:
             # fresh copy per partition: _encode_with_shared mutates the
             # ColumnPlan in place (dict/fsst overrides), and the shared
             # plan object is actor-lifetime state
-            if (cp is not None and cp.codec != "constant"
-                    and get_codec(cp.codec).can_encode(field.type)):
+            if cp is not None and get_codec(cp.codec).can_encode(field.type):
                 cols[field.name] = ColumnPlan(
                     cp.column, cp.codec, dict(cp.kwargs),
                     cp.est_ratio, cp.candidates)
             else:
                 rest.append(field.name)
         if rest:
-            sub_schema = pa.schema([table.schema.field(n) for n in rest])
-            stats = compute_stats_table(table.select(rest))
-            cols.update(plan_from_stats(stats, sub_schema,
+            sub = table.select(rest)
+            cols.update(plan_from_stats(compute_stats_table(sub), sub.schema,
                                         optimize=self.optimize).columns)
         return CodecPlan(cols)
 
@@ -566,26 +587,8 @@ class EncodePartition:
         plan = self._plan_for(table)
         # shared dictionaries override the per-chunk choice where available
         blob, header = self._encode_with_shared(table, plan)
-        from ..manifest import shard_of
-
-        chunk_file = os.path.join(shard_of(pid), f"part-{pid}.rde")
-        write_atomic(os.path.join(self.out_dir, chunk_file), blob)
-        zone = _zone_maps(table)
-        rec = PartitionRecord(
-            partition_id=pid,
-            fragment=asdict(frag),
-            num_rows=table.num_rows,
-            chunk_file=chunk_file,
-            chunk_size=len(blob),
-            columns=[
-                {"name": c["name"], "codec": c["codec"], "size": c["size"],
-                 "offset": c["offset"], "crc32": c["crc32"],
-                 **zone.get(c["name"], {})}
-                for c in header["columns"]
-            ],
-            wall_time_s=time.time() - t0,
-        )
-        write_record(self.out_dir, rec)
+        rec = _commit_chunk(self.out_dir, pid, asdict(frag), table, blob,
+                            header, t0)
         return {
             "partition_id": pid,
             "num_rows": table.num_rows,
@@ -625,7 +628,6 @@ def encode_job(
     concurrency: int | tuple | None = None,
     max_rows_per_partition: int | None = None,
     consolidate_manifest: bool = False,
-    shared_plan: bool = False,
     optimize: str | None = None,
 ) -> dict:
     """Run the full encode pipeline; returns a summary dict.
@@ -641,13 +643,12 @@ def encode_job(
     decode either way). A resume that passes no mode keeps the store's
     recorded one, so a size store stays a size store.
 
-    ``shared_plan=True`` plans codecs ONCE from a deterministic fragment
-    sample and broadcasts the plan to every encode task (see
-    ``build_shared_plan``) — the scale mode for homogeneous corpora,
-    removing the ~40-55 ms per-partition planning fixed cost. Columns the
-    shared plan can't cover (schema evolution, type drift, sampled-
-    constant) still plan per chunk, so output stays bit-identical on
-    decode either way.
+    Codecs are chosen per column chunk from the chunk's own statistics,
+    except that an input of more than ``PLAN_SAMPLE_FRAGS`` fragments
+    (resumed ones count too, so a resume plans alike) first fixes the
+    columns its sampled fragments agree on (``build_shared_plan``,
+    listed in ``summary["shared_plan"]``). Below that the sample would
+    read every fragment, so per-chunk planning costs no more.
 
     ``bloom_columns`` (list, or "auto" = every string/integer column)
     writes per-chunk split-block Bloom filters so later equality scans
@@ -797,11 +798,9 @@ def encode_job(
 
     plan_ref = None
     plan_obj = None
-    if work and shared_plan:
-        plan_obj = build_shared_plan(frags, file_schemas, frag_bytes,
-                                     optimize=optimize)
-        if plan_obj is not None:
-            plan_ref = ray.put(plan_obj)
+    if work and total > PLAN_SAMPLE_FRAGS:
+        plan_obj = build_shared_plan(frags, frag_bytes, optimize=optimize)
+        plan_ref = ray.put(plan_obj)
 
     summary_rows = []
     # EncodePartition takes the sentinel as a list; normalize ONCE here
@@ -811,7 +810,8 @@ def encode_job(
         items = _item_dataset(work, sum(frag_bytes[w["partition_id"]]
                                         for w in work))
         cpus = int(ray.cluster_resources().get("CPU", 4))
-        stateless = shared_ref is None and fsst_ref is None and plan_ref is None
+        # a plan ref alone needs no actors: _worker_encoder fetches it once
+        stateless = shared_ref is None and fsst_ref is None
         if concurrency is None and (stateless or len(work) < 4 * cpus):
             # plain tasks + a per-WORKER-process encoder cache: Ray task
             # workers are long-lived, so construction (ray.get of any
@@ -873,8 +873,8 @@ def encode_job(
         "shared_fsst_columns": sorted(shared_fsst_columns or []),
         "bloom_columns": ("auto" if bloom_columns == "auto"
                           else sorted(bloom_columns or [])),
-        # the broadcast plan's codec per column, for observability
-        # (None when per-chunk planning ran) — kwargs/dictionaries are
+        # the sampled plan's codec per column, for observability (None
+        # when every column planned per chunk) — kwargs/dictionaries are
         # deliberately not serialized into the job summary
         "shared_plan": ({c: p.codec for c, p in plan_obj.columns.items()}
                         if plan_obj is not None else None),
@@ -1568,19 +1568,12 @@ def cluster_job(input_paths: list[str] | str, out_dir: str,
     import ray
 
     paths = [input_paths] if isinstance(input_paths, str) else list(input_paths)
-    files: list[str] = []
-    for p in paths:
-        if os.path.isdir(p):
-            files.extend(os.path.join(p, f) for f in sorted(os.listdir(p))
-                         if f.endswith(".parquet"))
-        else:
-            files.append(p)
     # fingerprint includes mtime_ns: a same-size in-place rewrite of an
     # input must invalidate the staged sort, not silently reuse stale data
     fp = hashlib.sha1(json.dumps(
         {"by": list(by),
-         "inputs": sorted((f, os.path.getsize(f), os.stat(f).st_mtime_ns)
-                          for f in files)},
+         "inputs": [(f, os.path.getsize(f), os.stat(f).st_mtime_ns)
+                    for f in _input_files(paths)]},
         sort_keys=True).encode()).hexdigest()
 
     staged = staging_dir or (out_dir.rstrip("/") + "_staged")
@@ -1663,8 +1656,6 @@ def compact_job(out_dir: str, min_rows: int = 100_000,
         for r in g])} for g in groups]
 
     def merge(batch: pa.Table) -> pa.Table:
-        from ..manifest import shard_of
-
         out = []
         for gjson in batch.column("group").to_pylist():
             members = json.loads(gjson)
@@ -1693,23 +1684,8 @@ def compact_job(out_dir: str, min_rows: int = 100_000,
                 f"{s['path']}#rg{s['row_group']}"
                 f"[{s.get('row_start', 0)}+{s['num_rows']}]" for s in sources)
             pid = hashlib.sha1(sid.encode()).hexdigest()[:16]
-            chunk_file = os.path.join(shard_of(pid), f"part-{pid}.rde")
-            write_atomic(os.path.join(out_dir, chunk_file), blob)
-            zones = _zone_maps(merged)  # once — not once per column
-            rec = PartitionRecord(
-                partition_id=pid,
-                fragment={"merged": sources},
-                num_rows=merged.num_rows,
-                chunk_file=chunk_file,
-                chunk_size=len(blob),
-                columns=[{"name": c["name"], "codec": c["codec"],
-                          "size": c["size"], "offset": c["offset"],
-                          "crc32": c["crc32"],
-                          **zones.get(c["name"], {})}
-                         for c in header["columns"]],
-                wall_time_s=time.time() - t0,
-            )
-            write_record(out_dir, rec)
+            _commit_chunk(out_dir, pid, {"merged": sources}, merged, blob,
+                          header, t0)
             out.append({"partition_id": pid, "merged_n": len(members),
                         "num_rows": merged.num_rows})
         return pa.Table.from_pylist(out)

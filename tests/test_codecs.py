@@ -303,6 +303,22 @@ def test_constant_plan_on_nonconstant_falls_back():
     assert header["columns"][0]["meta"]["codec"] != "constant"
 
 
+def test_failing_planned_codec_replans_column():
+    """uint64 values >= 2^63 make forbp/delta/rle raise at encode time; the
+    column is planned again from the chunk's own statistics instead of
+    being stored uncompressed."""
+    from json_to_parquet_ray.encode import decode_table, encode_table
+    from json_to_parquet_ray.plan import CodecPlan, ColumnPlan
+
+    t = pa.table({"v": pa.array([2**63 + i % 50 for i in range(4000)],
+                                pa.uint64())})
+    for codec in ("forbp", "delta", "rle"):
+        blob, header = encode_table(t, CodecPlan({"v": ColumnPlan("v", codec)}))
+        assert decode_table(blob).equals(t)
+        assert header["columns"][0]["codec"] not in ("plain", codec)
+        assert header["columns"][0]["size"] < t.column("v").nbytes // 4
+
+
 def test_dict_shared_dictionary_with_null_rejected():
     import pytest
 

@@ -60,6 +60,7 @@ def test_encode_job_roundtrip(ray_session, cc_parquet, tmp_path):
     out = str(tmp_path / "enc")
     summary = encode_job(cc_parquet, out, shared_dict_columns=None)
     assert summary["partitions_encoded"] == 4
+    assert summary["shared_plan"] is None  # 4 fragments: no sample to take
     assert summary["ratio"] < 0.7
     ver = verify_job(out)
     assert ver == {"partitions": 4, "ok": 4, "failed": []}
@@ -2335,47 +2336,123 @@ def test_cluster_job_staging_invalidated_by_mtime(ray_session, tmp_path):
     assert decode_dataset(out).count() == 500
 
 
-def test_encode_job_shared_plan_roundtrip(ray_session, cc_parquet, tmp_path):
-    """shared_plan=True: one broadcast plan, bit-identical roundtrip, and
-    every partition's covered columns actually used the planned codec."""
+def _per_chunk_codecs(frag) -> dict:
+    """The codec per column that per-chunk planning picks for ``frag``."""
+    from json_to_parquet_ray.pipelines.encode_job import read_fragment
+    from json_to_parquet_ray.plan import plan_from_stats
+    from json_to_parquet_ray.stats import compute_stats_table
+
+    t = read_fragment(frag.path, frag.row_group, frag.num_rows,
+                      frag.row_start)
+    return {c: p.codec for c, p in
+            plan_from_stats(compute_stats_table(t), t.schema).columns.items()}
+
+
+def test_encode_job_shared_plan_roundtrip(ray_session, tmp_path):
+    """An input with more fragments than the sample takes the sampled
+    plan by default. On a homogeneous CC input the plan is every chunk's
+    own per-chunk pick (warc_ts stays delta: planning each sampled
+    fragment on its own rows keeps the monotone column ordered), decode
+    is bit-identical, and a resume that re-encodes fewer fragments than
+    the sample still gets the same plan and the same chunk bytes."""
+    import hashlib
+
+    from json_to_parquet_ray.manifest import record_path
+    from json_to_parquet_ray.pipelines.encode_job import PLAN_SAMPLE_FRAGS
+
+    src = str(tmp_path / "cc32.parquet")
+    write_cc_parquet(src, 16000, seed=401, row_group_size=500)
+    frags = list_fragments(src)
+    assert len(frags) == 2 * PLAN_SAMPLE_FRAGS
     out = str(tmp_path / "enc_sp")
-    summary = encode_job(cc_parquet, out, shared_plan=True)
-    assert summary["partitions_encoded"] == 4
+    summary = encode_job(src, out, bloom_columns=["url"])
     plan = summary["shared_plan"]
-    assert plan and set(plan) == {"url", "warc_ts", "html", "text", "lang"}
-    assert "constant" not in plan.values()
-    assert verify_job(out)["failed"] == []
-    for rec in load_manifest(out).values():
-        codecs = {c["name"]: c["codec"] for c in rec.columns}
+    assert set(plan) == {"url", "warc_ts", "html", "text", "lang"}
+    assert plan["warc_ts"] == "delta"
+    recs = load_manifest(out)
+    for f in frags:
+        codecs = {c["name"]: c["codec"] for c in recs[f.frag_hash].columns}
+        assert codecs == _per_chunk_codecs(f)
         for col, codec in plan.items():
             assert codecs[col] == codec, (col, codecs[col], codec)
-    # value parity with the source (ordering-insensitive)
+    assert verify_job(out)["failed"] == []
     import pandas as pd
 
-    dec = decode_dataset(out).to_pandas().sort_values("url", kind="stable")
-    src = pq.read_table(cc_parquet).to_pandas().sort_values(
-        "url", kind="stable")
-    pd.testing.assert_frame_equal(dec.reset_index(drop=True)[sorted(dec.columns)],
-                                  src.reset_index(drop=True)[sorted(src.columns)])
+    dec = decode_dataset(out).to_pandas()
+    pd.testing.assert_frame_equal(dec, pq.read_table(src).to_pandas())
+
+    def sha(pid):
+        with open(os.path.join(out, recs[pid].chunk_file), "rb") as fh:
+            return hashlib.sha1(fh.read()).hexdigest()
+
+    victims = [f.frag_hash for f in frags[-5:]]
+    before = {pid: sha(pid) for pid in victims}
+    for pid in victims:
+        os.remove(os.path.join(out, recs[pid].chunk_file))
+        os.remove(record_path(out, pid))
+    again = encode_job(src, out, bloom_columns=["url"])
+    assert again["partitions_encoded"] == 5
+    assert again["shared_plan"] == plan
+    assert {pid: sha(pid) for pid in victims} == before
+
+
+@pytest.mark.parametrize("n_random", [16, 15])
+def test_shared_plan_keeps_drifting_column_per_chunk(ray_session, tmp_path,
+                                                     n_random):
+    """A column whose sampled fragments disagree stays out of the plan:
+    sorted in the first 16 row groups and random in the rest, each chunk
+    records its own per-chunk codec. With 31 row groups the sample must
+    still reach past the first 16."""
+    import numpy as np
+
+    from json_to_parquet_ray.pipelines.encode_job import PLAN_SAMPLE_FRAGS
+
+    rows = 500
+    n_sorted = PLAN_SAMPLE_FRAGS * rows
+    rng = np.random.default_rng(7)
+    k = np.concatenate([np.arange(n_sorted, dtype=np.int64),
+                        rng.integers(-2**62, 2**62, n_random * rows,
+                                     dtype=np.int64)])
+    t = pa.table({"k": k, "id": pa.array(range(len(k)), pa.int64())})
+    src = str(tmp_path / "drift.parquet")
+    pq.write_table(t, src, row_group_size=rows)
+    out = str(tmp_path / "enc_drift")
+    summary = encode_job(src, out)
+    assert "k" not in summary["shared_plan"]
+    assert summary["shared_plan"]["id"] == "delta"
+    recs = load_manifest(out)
+    picks = set()
+    for f in list_fragments(src):
+        codec = {c["name"]: c["codec"]
+                 for c in recs[f.frag_hash].columns}["k"]
+        assert codec == _per_chunk_codecs(f)["k"]
+        picks.add(codec)
+    assert len(picks) == 2, picks
+    assert verify_job(out)["failed"] == []
 
 
 def test_shared_plan_constant_sanitized(ray_session, tmp_path):
-    """A column constant in the SAMPLE but not globally must not be
-    planned 'constant' store-wide (chunk-local evidence only): the shared
-    plan drops it and per-chunk planning takes over — roundtrip stays
-    bit-identical."""
-    from json_to_parquet_ray.pipelines.encode_job import PLAN_SAMPLE_ROWS
+    """A column constant in every sampled fragment's first
+    PLAN_SAMPLE_ROWS rows, but not in the whole fragment, must not be
+    planned 'constant' store-wide (chunk-local evidence only): the
+    sampled plan drops it and per-chunk planning takes over — roundtrip
+    stays bit-identical."""
+    from json_to_parquet_ray.pipelines.encode_job import (
+        PLAN_SAMPLE_FRAGS,
+        PLAN_SAMPLE_ROWS,
+    )
 
-    n = PLAN_SAMPLE_ROWS + 1000  # first PLAN_SAMPLE_ROWS rows constant
+    n_rg, rows = PLAN_SAMPLE_FRAGS + 1, PLAN_SAMPLE_ROWS + 4
     t = pa.table({
-        "k": pa.array(range(n), pa.int64()),
-        "c": pa.array(["x"] * PLAN_SAMPLE_ROWS
-                      + [f"y{i}" for i in range(1000)]),
+        "k": pa.array(range(n_rg * rows), pa.int64()),
+        "c": pa.array((["x"] * PLAN_SAMPLE_ROWS
+                       + [f"y{i}" for i in range(4)]) * n_rg),
     })
     src = str(tmp_path / "const.parquet")
-    pq.write_table(t, src, row_group_size=n)  # ONE row group = one sample
+    pq.write_table(t, src, row_group_size=rows)
     out = str(tmp_path / "enc_const")
-    summary = encode_job(src, out, shared_plan=True)
+    summary = encode_job(src, out)
+    assert summary["shared_plan"] is not None
     assert "c" not in summary["shared_plan"]  # sanitized, not 'constant'
     assert verify_job(out)["failed"] == []
     dec = decode_dataset(out).to_pandas().sort_values("k")
@@ -2383,26 +2460,39 @@ def test_shared_plan_constant_sanitized(ray_session, tmp_path):
 
 
 def test_shared_plan_type_fallback(ray_session, tmp_path):
-    """A chunk whose column type the shared plan's codec cannot encode
-    (schema evolution / type drift across files) falls back to per-chunk
-    planning for that column — no failure, bit-identical decode."""
-    import ray
+    """A chunk whose column type the sampled plan's codec cannot encode
+    (schema evolution / type drift across files) plans that column per
+    chunk, as it does a column the plan does not cover — no failure,
+    bit-identical decode."""
+    from json_to_parquet_ray.codecs import get_codec
+    from json_to_parquet_ray.encode import read_chunk_file
+    from json_to_parquet_ray.pipelines.encode_job import PLAN_SAMPLE_FRAGS
 
-    from json_to_parquet_ray.pipelines.encode_job import EncodePartition
-    from json_to_parquet_ray.plan import CodecPlan, ColumnPlan
-
-    # shared plan says forbp (int-only) for 'v' and covers no 'extra'
-    plan = CodecPlan({"v": ColumnPlan("v", "forbp")})
-    ref = ray.put(plan)
-    enc = EncodePartition(str(tmp_path), shared_plan_ref=ref)
-    t = pa.table({"v": pa.array(["a", "b", "b"]),  # string: forbp can't
-                  "extra": pa.array([1, 2, 3], pa.int64())})
-    got = enc._plan_for(t)
-    assert got.columns["v"].codec != "forbp"
-    assert "extra" in got.columns  # uncovered column got a per-chunk plan
-    # and an int chunk DOES take the shared forbp plan
-    t2 = pa.table({"v": pa.array([1, 2, 3], pa.int64())})
-    assert enc._plan_for(t2).columns["v"].codec == "forbp"
+    indir = tmp_path / "in"
+    indir.mkdir()
+    n_rg, rows = 2 * PLAN_SAMPLE_FRAGS, 200
+    pq.write_table(pa.table({"v": pa.array(range(n_rg * rows), pa.int64())}),
+                   str(indir / "a.parquet"), row_group_size=rows)
+    # sorts after a.parquet, so the strided sample never reaches it
+    drift = pa.table({"v": pa.array(["a", "b", "b"]),
+                      "extra": pa.array([1, 2, 3], pa.int64())})
+    pq.write_table(drift, str(indir / "b.parquet"))
+    out = str(tmp_path / "enc_type")
+    summary = encode_job(str(indir), out)
+    planned = summary["shared_plan"]["v"]
+    assert not get_codec(planned).can_encode(pa.string())
+    recs = load_manifest(out)
+    for f in list_fragments(str(indir)):
+        codecs = {c["name"]: c["codec"] for c in recs[f.frag_hash].columns}
+        if f.path.endswith("b.parquet"):
+            assert codecs == _per_chunk_codecs(f)
+            assert codecs["v"] != planned
+            got = read_chunk_file(os.path.join(out,
+                                               recs[f.frag_hash].chunk_file))
+            assert got.equals(drift)
+        else:
+            assert codecs["v"] == planned
+    assert verify_job(out)["failed"] == []
 
 
 def test_read_fragment_cache_slices_evictions_invalidation(tmp_path):
