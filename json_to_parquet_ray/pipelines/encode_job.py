@@ -6,10 +6,12 @@ Shape (SURVEY.md §3.4):
     (pass 1)  ray Dataset over the raw rows → map_batches stats partials
               → merged GlobalStats → shared-dictionary build (salted
               distinct) for low-cardinality string columns
+    (plan)    one CodecPlan per job: the sampled plan (> 16 fragments)
+              with shared dictionaries and FSST encoders pinned over it
     (pass 2)  ray Dataset over fragment work items → EncodePartition
-              actor pool (stateful: shared dictionaries fetched once per
-              actor from the object store) → one chunk file + one
-              manifest record per partition (atomic commit)
+              actor pool (stateful: the plan fetched once per actor from
+              the object store) → one chunk file + one manifest record
+              per partition (atomic commit)
     resume:   completed partitions (manifest ∩ chunk files) are filtered
               out of the work-item list before the Dataset is built.
 
@@ -65,51 +67,80 @@ def _store_optimize_path(out_dir: str) -> str:
     return os.path.join(manifest_dir(out_dir), "store_optimize.json")
 
 
-def record_store_optimize(out_dir: str, mode: str) -> None:
+def _store_record(out_dir: str) -> dict:
+    """The store's planner record; {} when absent or unreadable."""
+    try:
+        with open(_store_optimize_path(out_dir)) as f:
+            return dict(json.load(f))
+    except (OSError, ValueError, TypeError):
+        return {}
+
+
+def record_store_optimize(out_dir: str, mode: str,
+                          sampled_plan: dict | None = None) -> None:
     """Persist the planner mode the store was (last) encoded with, so
     later maintenance jobs — compaction re-encodes merged chunks — plan
     under the SAME frontier instead of silently reverting an archival
     store to balanced codecs. Last writer wins: a resumed run that
     passes a different mode governs subsequent maintenance; one that
-    passes none keeps the recorded mode (see ``encode_job``)."""
-    write_atomic(_store_optimize_path(out_dir),
-                 json.dumps({"optimize": mode}).encode())
+    passes none keeps the recorded mode (see ``encode_job``). Next to
+    it sits the job's keyed ``sampled_plan`` (``_sampled_plan``)."""
+    rec = {"optimize": mode}
+    if sampled_plan is not None:
+        rec["sampled_plan"] = sampled_plan
+    write_atomic(_store_optimize_path(out_dir), json.dumps(rec).encode())
 
 
 def load_store_optimize(out_dir: str) -> str:
     """The store's recorded planner mode; 'balanced' for stores written
     before the mode existed (their codecs ARE balanced picks)."""
-    try:
-        with open(_store_optimize_path(out_dir)) as f:
-            mode = json.load(f).get("optimize", "balanced")
-        return mode if mode in ("balanced", "size") else "balanced"
-    except (OSError, ValueError):
-        return "balanced"
+    mode = _store_record(out_dir).get("optimize", "balanced")
+    return mode if mode in ("balanced", "size") else "balanced"
 
 
-def build_shared_plan(frags: list[FragmentRef],
+def _sampled_plan(out_dir: str, frags: list[FragmentRef],
+                  frag_bytes: dict[str, int], optimize: str,
+                  stored: dict | None) -> CodecPlan:
+    """The plan of ``PLAN_SAMPLE_FRAGS`` evenly spaced fragments (even
+    below 2 x that many, where a stride of 1 would sample only the head).
+    The store's ``stored`` plan is reused when its key (mode, and each
+    pick's ``frag_hash``, file size and ``mtime_ns``) matches; otherwise
+    ``build_shared_plan`` runs and its plan is recorded."""
+    picks = [frags[i * len(frags) // PLAN_SAMPLE_FRAGS]
+             for i in range(PLAN_SAMPLE_FRAGS)]
+    key = [optimize]
+    for f in picks:
+        st = os.stat(f.path)
+        key.append([f.frag_hash, st.st_size, st.st_mtime_ns])
+    if stored and stored.get("key") == key:
+        return CodecPlan.loads(stored["plan"])
+    plan = build_shared_plan(picks, frag_bytes, optimize=optimize)
+    record_store_optimize(out_dir, optimize,
+                          {"key": key, "plan": plan.dumps()})
+    return plan
+
+
+def build_shared_plan(picks: list[FragmentRef],
                       frag_bytes: dict[str, int],
                       optimize: str = "balanced") -> CodecPlan:
-    """Plan codecs once for the whole store from a deterministic fragment
-    sample; ``EncodePartition`` plans per chunk only the columns left out.
+    """Plan codecs once for the whole store from the sampled fragments
+    ``picks``; ``EncodePartition`` plans per chunk only the columns left
+    out.
 
     Motivation (round-5 profile): ``plan_from_stats`` costs ~40-55 ms per
     partition *even on tiny partitions* — FSST trial training plus Arrow
     IPC writer setup dominate — which at 10^6+ partitions is pure
-    redundant work when the corpus is homogeneous. Each of
-    ``PLAN_SAMPLE_FRAGS`` evenly spaced fragments (``frags`` holds more)
-    is planned by the per-chunk planner on its first ``PLAN_SAMPLE_ROWS``
-    rows (not on merged stats, whose interleaved sample hides a monotone
-    column's order from the trial encodes). A column is kept only when every sampled fragment picked
-    the same codec and kwargs, so a column whose regime drifts across
-    the input stays per-chunk adaptive, and never as ``constant``: that
-    is chunk-local evidence by definition. A plan can change size, never
-    decoded values. ``frag_bytes`` comes from ``_read_footers``.
+    redundant work when the corpus is homogeneous. Each pick is planned
+    by the per-chunk planner on its first ``PLAN_SAMPLE_ROWS`` rows (not
+    on merged stats, whose interleaved sample hides a monotone column's
+    order from the trial encodes). A column is kept only when every
+    sampled fragment picked the same codec and kwargs, so a column whose
+    regime drifts across the input stays per-chunk adaptive, and never
+    as ``constant``: that is chunk-local evidence by definition. A plan
+    can change size, never decoded values. ``frag_bytes`` comes from
+    ``_read_footers``. The result is JSON-safe (``CodecPlan.dumps``);
+    ``encode_job`` pins shared dictionaries and FSST tables over it.
     """
-    # evenly spaced even below 2 x PLAN_SAMPLE_FRAGS fragments, where an
-    # integer stride of 1 would sample only the head of the input
-    picks = [frags[i * len(frags) // PLAN_SAMPLE_FRAGS]
-             for i in range(PLAN_SAMPLE_FRAGS)]
     items = [{"path": f.path, "row_group": f.row_group,
               "num_rows": f.num_rows, "row_start": f.row_start}
              for f in picks]
@@ -154,23 +185,19 @@ _ENC_CACHE: dict[tuple, "EncodePartition"] = {}
 _ENC_CACHE_MAX = 4  # concurrent jobs sharing one worker is the rare case
 
 
-def _worker_encoder(out_dir, shared_ref, fsst_ref, bloom_columns,
-                    plan_ref, optimize="balanced") -> "EncodePartition":
+def _worker_encoder(out_dir, plan_ref, bloom_columns,
+                    optimize="balanced") -> "EncodePartition":
     """Per-worker-process EncodePartition cache (setup-once amortization
     on the TASK pool — see the dispatch branch in ``encode_job``). Keyed
-    by the refs' ids, which are unique per job, so a re-run with new
-    broadcast state can never reuse a stale encoder. Ray task workers
-    are single-threaded; no lock needed."""
-    key = (out_dir, str(shared_ref), str(fsst_ref),
-           tuple(bloom_columns or ()), str(plan_ref), optimize)
+    by the plan ref's id, which is unique per job, so a re-run with a new
+    broadcast plan can never reuse a stale encoder. Ray task workers are
+    single-threaded; no lock needed."""
+    key = (out_dir, str(plan_ref), tuple(bloom_columns or ()), optimize)
     enc = _ENC_CACHE.get(key)
     if enc is None:
         while len(_ENC_CACHE) >= _ENC_CACHE_MAX:
             _ENC_CACHE.pop(next(iter(_ENC_CACHE)))
-        enc = EncodePartition(out_dir, shared_dicts_ref=shared_ref,
-                              shared_fsst_ref=fsst_ref,
-                              bloom_columns=bloom_columns,
-                              shared_plan_ref=plan_ref,
+        enc = EncodePartition(out_dir, plan_ref, bloom_columns=bloom_columns,
                               optimize=optimize)
         _ENC_CACHE[key] = enc
     return enc
@@ -476,77 +503,38 @@ def _zones_alive(columns: list, zone_filter: dict) -> bool:
     return True
 
 
-def _commit_chunk(out_dir: str, pid: str, fragment: dict, table: pa.Table,
-                  blob: bytes, header: dict, t0: float) -> PartitionRecord:
-    """Commit one encoded chunk: write its file atomically, then its
-    manifest record (header columns plus ``table``'s zone maps; wall
-    time since ``t0``). The record is written last — its presence is
-    the partition's commit."""
-    chunk_file = os.path.join(shard_of(pid), f"part-{pid}.rde")
-    write_atomic(os.path.join(out_dir, chunk_file), blob)
-    zone = _zone_maps(table)
-    rec = PartitionRecord(
-        partition_id=pid,
-        fragment=fragment,
-        num_rows=table.num_rows,
-        chunk_file=chunk_file,
-        chunk_size=len(blob),
-        columns=[
-            {"name": c["name"], "codec": c["codec"], "size": c["size"],
-             "offset": c["offset"], "crc32": c["crc32"],
-             **zone.get(c["name"], {})}
-            for c in header["columns"]
-        ],
-        wall_time_s=time.time() - t0,
-    )
-    write_record(out_dir, rec)
-    return rec
-
-
 class EncodePartition:
     """Stateful stage: encodes one partition (row group) per work item.
 
-    Stateful on purpose: shared dictionaries and shared FSST symbol tables
-    are fetched from the object store ONCE per actor in ``__init__`` — not
-    per batch (BASELINE.json: "FSST symbol tables and dictionaries built in
+    ``plan_ref`` is the encode job's one broadcast ``CodecPlan``, fetched
+    from the object store ONCE per actor in ``__init__`` — not per batch
+    (BASELINE.json: "FSST symbol tables and dictionaries built in
     stateful actor pools so tables are shared across batches of the same
-    partition"). A partition is encoded as one chunk, so within a
-    partition the tables are shared by construction; across partitions the
-    broadcast refs make them shared cluster-wide.
+    partition"). It holds the sampled plan's columns
+    (``build_shared_plan``) with the shared dictionaries (``dict``) and
+    compiled shared FSST encoders (``fsst``) pinned over them. A column
+    it covers takes its codec when that codec can encode the chunk's
+    type; every other column, and every column without a ref, is planned
+    from the chunk's own stats. A partition is encoded as one chunk, so
+    within a partition the tables are shared by construction; across
+    partitions the broadcast ref makes them shared cluster-wide.
 
     Runs as a ``map_batches`` actor pool at real partition counts, and on
     small jobs as plain tasks with a per-worker-process instance cache
     (``_worker_encoder``) — same setup-once amortization, no actor-spawn
-    fixed cost; see the dispatch branch in ``encode_job``.
-
-    ``shared_plan_ref`` is the job's sampled plan (``build_shared_plan``),
-    fetched once per actor. A column it covers takes the plan's codec
-    when that codec can encode the chunk's type; every other column, and
-    every column without a ref, is planned from the chunk's own stats.
+    fixed cost; see the dispatch branch in ``encode_job``. Compaction
+    commits its merged chunks through ``commit`` too.
     """
 
-    def __init__(self, out_dir: str, shared_dicts_ref=None,
-                 shared_fsst_ref=None, bloom_columns=None,
-                 shared_plan_ref=None, optimize: str = "balanced"):
+    def __init__(self, out_dir: str, plan_ref=None, bloom_columns=None,
+                 optimize: str = "balanced"):
         import ray
-
-        from ..codecs.fsst import FsstEncoder
 
         self.out_dir = out_dir
         self.optimize = optimize
         self.bloom_columns = list(bloom_columns or [])
-        self.shared_dicts: dict[str, pa.Array] = (
-            ray.get(shared_dicts_ref) if shared_dicts_ref is not None else {}
-        )
-        self.shared_plan: CodecPlan = (
-            ray.get(shared_plan_ref) if shared_plan_ref is not None
-            else CodecPlan({}))
-        # column → compiled FsstEncoder, built once per actor from the
-        # broadcast symbol tables
-        self.shared_fsst: dict[str, object] = {}
-        if shared_fsst_ref is not None:
-            tables: dict[str, list[bytes]] = ray.get(shared_fsst_ref)
-            self.shared_fsst = {c: FsstEncoder(t) for c, t in tables.items()}
+        self.plan: CodecPlan = (ray.get(plan_ref) if plan_ref is not None
+                                else CodecPlan({}))
 
     def _plan_for(self, table: pa.Table) -> CodecPlan:
         from ..codecs import get_codec
@@ -554,14 +542,9 @@ class EncodePartition:
         cols: dict[str, ColumnPlan] = {}
         rest: list[str] = []
         for field in table.schema:
-            cp = self.shared_plan.columns.get(field.name)
-            # fresh copy per partition: _encode_with_shared mutates the
-            # ColumnPlan in place (dict/fsst overrides), and the shared
-            # plan object is actor-lifetime state
+            cp = self.plan.columns.get(field.name)
             if cp is not None and get_codec(cp.codec).can_encode(field.type):
-                cols[field.name] = ColumnPlan(
-                    cp.column, cp.codec, dict(cp.kwargs),
-                    cp.est_ratio, cp.candidates)
+                cols[field.name] = cp
             else:
                 rest.append(field.name)
         if rest:
@@ -571,50 +554,59 @@ class EncodePartition:
         return CodecPlan(cols)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = batch.to_pylist()
-        out = []
-        for item in rows:
-            out.append(self._encode_one(item))
-        return pa.Table.from_pylist(out)
+        return pa.Table.from_pylist(
+            [self._encode_one(item) for item in batch.to_pylist()])
 
     def _encode_one(self, item: dict) -> dict:
         t0 = time.time()
         frag = FragmentRef(item["path"], item["row_group"], item["num_rows"],
                            item.get("row_start", 0))
-        pid = item["partition_id"]
         table = read_fragment(frag.path, frag.row_group, frag.num_rows,
                               frag.row_start)
-        plan = self._plan_for(table)
-        # shared dictionaries override the per-chunk choice where available
-        blob, header = self._encode_with_shared(table, plan)
-        rec = _commit_chunk(self.out_dir, pid, asdict(frag), table, blob,
-                            header, t0)
+        rec = self.commit(item["partition_id"], asdict(frag), table, t0)
         return {
-            "partition_id": pid,
+            "partition_id": rec.partition_id,
             "num_rows": table.num_rows,
             "input_bytes": table.nbytes,
-            "chunk_bytes": len(blob),
+            "chunk_bytes": rec.chunk_size,
             "wall_time_s": rec.wall_time_s,
             "codecs": ",".join(f"{c['name']}={c['codec']}" for c in rec.columns),
         }
 
-    def _encode_with_shared(self, table: pa.Table, plan: CodecPlan):
-        for name, values in self.shared_dicts.items():
-            if name in plan.columns:
-                cp = plan.columns[name]
-                cp.codec = "dict"
-                cp.kwargs = {"values_codec": "plain", "dictionary": values}
-        for name, encoder in self.shared_fsst.items():
-            if name in plan.columns:
-                cp = plan.columns[name]
-                cp.codec = "fsst"
-                cp.kwargs = {"encoder": encoder}
-        cols = ([c for c in self.bloom_columns if c in table.column_names]
-                if self.bloom_columns != ["auto"] else
-                [f.name for f in table.schema
-                 if pa.types.is_string(f.type) or pa.types.is_large_string(f.type)
-                 or pa.types.is_integer(f.type)])
-        return encode_table(table, plan, bloom_columns=cols)
+    def commit(self, pid: str, fragment: dict, table: pa.Table,
+               t0: float) -> PartitionRecord:
+        """Plan, encode and commit ``table`` as partition ``pid``: write
+        its chunk file atomically, then its manifest record (header
+        columns plus the table's zone maps; wall time since ``t0``). The
+        record is written last — its presence is the partition's
+        commit."""
+        bloom = ([c for c in self.bloom_columns if c in table.column_names]
+                 if self.bloom_columns != ["auto"] else
+                 [f.name for f in table.schema
+                  if pa.types.is_string(f.type)
+                  or pa.types.is_large_string(f.type)
+                  or pa.types.is_integer(f.type)])
+        blob, header = encode_table(table, self._plan_for(table),
+                                    bloom_columns=bloom)
+        chunk_file = os.path.join(shard_of(pid), f"part-{pid}.rde")
+        write_atomic(os.path.join(self.out_dir, chunk_file), blob)
+        zone = _zone_maps(table)
+        rec = PartitionRecord(
+            partition_id=pid,
+            fragment=fragment,
+            num_rows=table.num_rows,
+            chunk_file=chunk_file,
+            chunk_size=len(blob),
+            columns=[
+                {"name": c["name"], "codec": c["codec"], "size": c["size"],
+                 "offset": c["offset"], "crc32": c["crc32"],
+                 **zone.get(c["name"], {})}
+                for c in header["columns"]
+            ],
+            wall_time_s=time.time() - t0,
+        )
+        write_record(self.out_dir, rec)
+        return rec
 
 
 def encode_job(
@@ -648,7 +640,11 @@ def encode_job(
     (resumed ones count too, so a resume plans alike) first fixes the
     columns its sampled fragments agree on (``build_shared_plan``,
     listed in ``summary["shared_plan"]``). Below that the sample would
-    read every fragment, so per-chunk planning costs no more.
+    read every fragment, so per-chunk planning costs no more. The sampled
+    plan is recorded with the store (``record_store_optimize``); a resume
+    whose sample picks are unchanged loads it instead of re-planning.
+    Shared dictionaries and FSST tables are pinned over the sampled plan,
+    and every partition encodes from that one broadcast plan.
 
     ``bloom_columns`` (list, or "auto" = every string/integer column)
     writes per-chunk split-block Bloom filters so later equality scans
@@ -669,6 +665,7 @@ def encode_job(
 
     from ..manifest import manifest_dir
 
+    stored = _store_record(out_dir).get("sampled_plan") if resume else None
     if optimize is None:
         optimize = load_store_optimize(out_dir) if resume else "balanced"
     elif optimize not in ("balanced", "size"):
@@ -679,7 +676,8 @@ def encode_job(
     # (zero input fragments) must still satisfy require_store so verify
     # passes vacuously-but-honestly instead of 'not an encoded store'
     os.makedirs(manifest_dir(out_dir), exist_ok=True)
-    record_store_optimize(out_dir, optimize)  # compaction plans same-mode
+    # compaction plans same-mode; the stored plan is keyed on the mode
+    record_store_optimize(out_dir, optimize, stored)
 
     frags, file_schemas, frag_bytes = _read_footers(
         input_paths, max_rows_per_partition)
@@ -708,7 +706,6 @@ def encode_job(
         if f.frag_hash not in done
     ]
     shared: dict[str, pa.Array] = {}
-    shared_ref = None
     # distinct file list: frags are ROW-GROUP slices, so the raw path
     # list repeats each file once per slice — read_parquet would re-read
     # every file that many times (and skew any sample toward
@@ -768,13 +765,15 @@ def encode_job(
             ds_col = ray.data.read_parquet(col_files.get(coln, frag_paths),
                                            columns=[coln])
             shared[coln] = distinct_values(ds_col, coln)
-        if shared:
-            shared_ref = ray.put(shared)
-    fsst_ref = None
+    # one broadcast plan: the sampled plan with the shared dictionaries
+    # and then the shared FSST encoders pinned over it (FSST wins a
+    # column that has both)
+    pinned = {c: ColumnPlan(c, "dict", {"values_codec": "plain",
+                                        "dictionary": v})
+              for c, v in shared.items()}
     if work and shared_fsst_columns:
-        from ..codecs.fsst import train
+        from ..codecs.fsst import FsstEncoder, train
 
-        tables: dict[str, list[bytes]] = {}
         # STRATIFIED sample: a fixed per-block row stride spreads the
         # training sample across every fragment — a head `.limit(n)` sample
         # trains the symbol table on only the first fragments, which
@@ -793,14 +792,15 @@ def encode_job(
                 (r[coln].encode() if isinstance(r[coln], str) else (r[coln] or b""))
                 for r in sample_rows if r.get(coln) is not None
             )
-            tables[coln] = train(buf)
-        fsst_ref = ray.put(tables)
+            pinned[coln] = ColumnPlan(coln, "fsst",
+                                      {"encoder": FsstEncoder(train(buf))})
 
-    plan_ref = None
     plan_obj = None
     if work and total > PLAN_SAMPLE_FRAGS:
-        plan_obj = build_shared_plan(frags, frag_bytes, optimize=optimize)
-        plan_ref = ray.put(plan_obj)
+        plan_obj = _sampled_plan(out_dir, frags, frag_bytes, optimize, stored)
+    job_plan = {**(plan_obj.columns if plan_obj is not None else {}),
+                **pinned}
+    plan_ref = ray.put(CodecPlan(job_plan)) if job_plan else None
 
     summary_rows = []
     # EncodePartition takes the sentinel as a list; normalize ONCE here
@@ -810,9 +810,9 @@ def encode_job(
         items = _item_dataset(work, sum(frag_bytes[w["partition_id"]]
                                         for w in work))
         cpus = int(ray.cluster_resources().get("CPU", 4))
-        # a plan ref alone needs no actors: _worker_encoder fetches it once
-        stateless = shared_ref is None and fsst_ref is None
-        if concurrency is None and (stateless or len(work) < 4 * cpus):
+        # a sampled plan alone needs no actors: _worker_encoder fetches it
+        # once; pinned dictionaries and FSST encoders are worth a pool
+        if concurrency is None and (not pinned or len(work) < 4 * cpus):
             # plain tasks + a per-WORKER-process encoder cache: Ray task
             # workers are long-lived, so construction (ray.get of any
             # broadcast dicts/tables/plan, encoder build) happens once per
@@ -824,8 +824,8 @@ def encode_job(
             # at 1008 partitions the two tie, so big stateful jobs keep
             # the bounded pool below.
             def encode_item(batch: pa.Table) -> pa.Table:
-                return _worker_encoder(out_dir, shared_ref, fsst_ref,
-                                       _bc, plan_ref, optimize)(batch)
+                return _worker_encoder(out_dir, plan_ref, _bc,
+                                       optimize)(batch)
 
             results = items.map_batches(encode_item, batch_size=1,
                                         batch_format="pyarrow")
@@ -838,10 +838,8 @@ def encode_job(
             results = items.map_batches(
                 EncodePartition,
                 fn_constructor_kwargs={"out_dir": out_dir,
-                                       "shared_dicts_ref": shared_ref,
-                                       "shared_fsst_ref": fsst_ref,
+                                       "plan_ref": plan_ref,
                                        "bloom_columns": _bc,
-                                       "shared_plan_ref": plan_ref,
                                        "optimize": optimize},
                 batch_size=1,
                 batch_format="pyarrow",
@@ -1675,17 +1673,14 @@ def compact_job(out_dir: str, min_rows: int = 100_000,
                                   if "bloom_offset" in c)
                 sources.extend(m["sources"])
             merged = pa.concat_tables(tables).combine_chunks()
-            stats = compute_stats_table(merged)
-            plan = plan_from_stats(stats, merged.schema, optimize=optimize)
-            blob, header = encode_table(merged, plan,
-                                        bloom_columns=sorted(bloom_cols))
             # full paths: basename-only ids collide across same-named shards
             sid = ";".join(
                 f"{s['path']}#rg{s['row_group']}"
                 f"[{s.get('row_start', 0)}+{s['num_rows']}]" for s in sources)
             pid = hashlib.sha1(sid.encode()).hexdigest()[:16]
-            _commit_chunk(out_dir, pid, {"merged": sources}, merged, blob,
-                          header, t0)
+            EncodePartition(out_dir, bloom_columns=sorted(bloom_cols),
+                            optimize=optimize).commit(
+                pid, {"merged": sources}, merged, t0)
             out.append({"partition_id": pid, "merged_n": len(members),
                         "num_rows": merged.num_rows})
         return pa.Table.from_pylist(out)

@@ -28,10 +28,7 @@ from .stats import ColumnStats
 COST_WEIGHT = {
     "plain": 1.00,
     "zstd": 1.02,
-    "zstd9": 1.12,  # level-9 zstd: ~3-5x slower encode than level 1
     "zstd3": 1.04,  # zstd default level: ~95 MB/s on CC text (w=1+3.6/MBps)
-    "zstd6": 1.07,  # ~54 MB/s on CC text
-    "lz4": 1.01,
     "forbp": 0.98,
     "delta": 0.98,
     "rle": 0.98,
@@ -57,8 +54,8 @@ def _resolve_weights() -> None:
     shrinks accordingly. Weights are re-derived from measured end-to-end
     encode throughput (train + encode, 60k-row CC columns, round 5 —
     table in BASELINE.md): fitting ``weight = 1 + k/MBps`` to the
-    existing anchors (zstd9 1.12 @ ~30 MB/s → k ≈ 3.6; cross-checks:
-    zstd ~250 MB/s → 1.014 ≈ its 1.02, lz4 ~270 → 1.013 ≈ its 1.01)
+    level-9 zstd anchor of the time (1.12 @ ~30 MB/s → k ≈ 3.6;
+    cross-check: zstd ~250 MB/s → 1.014 ≈ its 1.02)
     puts native FSST — 71 MB/s on text after the 2-byte-prefix hot-loop
     rewrite, 2.2-2.4× the single-byte-bucket loop — at ~1.05."""
     global _weights_resolved
@@ -116,13 +113,11 @@ class CodecPlan:
 def _candidates_for(t: pa.DataType, st: ColumnStats,
                     optimize: str = "balanced") -> list[tuple[str, str, dict]]:
     """(label, codec_name, kwargs) candidate triples."""
+    # general-purpose points: the plain floor, zstd-1 and zstd-3. zstd6,
+    # zstd9 and lz4 still decode but are never tried: over >3,100 column
+    # plans (CC, sf0.01, stress) they won once, by ~15 bytes
     out: list[tuple[str, str, dict]] = [
-        ("plain", "plain", {}), ("zstd", "zstd", {}), ("zstd9", "zstd9", {}),
-        ("zstd3", "zstd3", {}), ("zstd6", "zstd6", {}),  # intermediate
-        # levels: measured on CC text, zstd-3 beats BOTH level 1 (better
-        # ratio — bigger match window) and level 9 (4x throughput) on the
-        # weighted score, so the frontier needs the middle points
-        ("lz4", "lz4", {}),  # decode-speed point on the frontier
+        ("plain", "plain", {}), ("zstd", "zstd", {}), ("zstd3", "zstd3", {}),
     ]
     if optimize == "size":
         # the archival point — ~1.7 MB/s/core, so even its 64 KiB TRIAL
@@ -181,13 +176,17 @@ def _sample_array(st: ColumnStats, t: pa.DataType) -> pa.Array | None:
 
 def plan_column(st: ColumnStats, t: pa.DataType,
                 optimize: str = "balanced") -> ColumnPlan:
-    """``optimize="balanced"`` (default) scores candidates as
-    ``sampled_ratio * COST_WEIGHT`` — the throughput-honest frontier.
+    """Pick a column chunk's codec by trial encodes on its stats sample.
+    ``optimize="balanced"`` (default) scores candidates as
+    ``sampled_ratio * COST_WEIGHT`` — the throughput-honest frontier of
+    ``plain``, ``zstd`` and ``zstd3`` plus the type-specific codecs.
     ``optimize="size"`` scores on sampled ratio alone and adds the
     zstd-19 archival candidate: write-once / read-many stores trade
     ~100x encode CPU on the big text columns for ~20-25% fewer bytes.
     Decode is unaffected either way (the chunk header records the
-    winning codec; readers never consult the mode)."""
+    winning codec; readers never consult the mode). Columns an encode
+    job's plan pins (shared dictionaries and FSST tables, the sampled
+    plan) never reach it."""
     if optimize not in ("balanced", "size"):
         raise ValueError(f"unknown optimize mode: {optimize!r}")
     n_valid = st.n - st.null_count
@@ -217,7 +216,7 @@ def plan_column(st: ColumnStats, t: pa.DataType,
     # training its own — same sample, deterministic trainer — but half
     # the training cost, which dominates string-column planning)
     def weight(label: str) -> float:
-        return 1.0 if optimize == "size" else COST_WEIGHT.get(label, 1.0)
+        return 1.0 if optimize == "size" else COST_WEIGHT[label]
 
     for label, name, kwargs in _candidates_for(t, st, optimize):
         codec = get_codec(name)

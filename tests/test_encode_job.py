@@ -33,6 +33,20 @@ def test_encode_table_roundtrip_and_pruning():
     assert sub.equals(t.select(["lang", "warc_ts"]))
 
 
+@pytest.mark.parametrize("codec", ["zstd6", "zstd9", "lz4"])
+def test_retired_generic_codecs_still_decode(codec):
+    """zstd6, zstd9 and lz4 left the planner's frontier but stay
+    registered: a chunk written with them, as older stores hold, decodes
+    bit-identically."""
+    from json_to_parquet_ray.plan import CodecPlan, ColumnPlan
+
+    t = make_cc_table(600, seed=5)
+    blob, header = encode_table(t, CodecPlan(
+        {c: ColumnPlan(c, codec) for c in t.column_names}))
+    assert {c["codec"] for c in header["columns"]} == {codec}
+    assert decode_table(blob, verify_crc=True).equals(t)
+
+
 def test_encode_stress_tables():
     for name, t in stress_tables().items():
         blob, _ = encode_table(t)
@@ -158,6 +172,67 @@ def test_encode_job_shared_fsst(ray_session, cc_parquet, tmp_path):
     for rec in load_manifest(out).values():
         codecs = {c["name"]: c["codec"] for c in rec.columns}
         assert codecs["text"] == "fsst"
+
+
+def test_encode_job_pinned_columns(ray_session, cc_parquet, tmp_path,
+                                   monkeypatch):
+    """Shared dictionaries and FSST tables travel pinned in the job's one
+    broadcast plan: every chunk records dict for lang and fsst for text,
+    and replaying the partitions from that plan in-process writes the
+    same chunks without a single trial encode of either pinned column."""
+    import ray
+
+    import json_to_parquet_ray.plan as plan_mod
+    from json_to_parquet_ray.manifest import manifest_dir
+    from json_to_parquet_ray.pipelines.encode_job import EncodePartition
+    from json_to_parquet_ray.plan import CodecPlan
+
+    broadcast = []
+    put = ray.put
+
+    def put_spy(obj, *args, **kwargs):
+        if isinstance(obj, CodecPlan):
+            broadcast.append(obj)
+        return put(obj, *args, **kwargs)
+
+    monkeypatch.setattr(ray, "put", put_spy)
+    out = str(tmp_path / "enc_pin")
+    encode_job(cc_parquet, out, shared_dict_columns=["lang"],
+               shared_fsst_columns=["text"])
+    monkeypatch.setattr(ray, "put", put)
+    recs = load_manifest(out)
+    for rec in recs.values():
+        codecs = {c["name"]: c["codec"] for c in rec.columns}
+        assert codecs["lang"] == "dict" and codecs["text"] == "fsst"
+    [job_plan] = broadcast
+    assert {c: p.codec for c, p in job_plan.columns.items()} == {
+        "lang": "dict", "text": "fsst"}
+
+    trials = []
+    trial_encode = plan_mod.encode_array
+
+    def trial_spy(arr, *args, **kwargs):
+        trials.append(arr)
+        return trial_encode(arr, *args, **kwargs)
+
+    monkeypatch.setattr(plan_mod, "encode_array", trial_spy)
+    replay = str(tmp_path / "replay")
+    os.makedirs(manifest_dir(replay))
+    enc = EncodePartition(replay, put(job_plan))
+    for f in list_fragments(cc_parquet):
+        enc(pa.Table.from_pylist([{
+            "partition_id": f.frag_hash, "path": f.path,
+            "row_group": f.row_group, "num_rows": f.num_rows,
+            "row_start": f.row_start}]))
+    src = pq.read_table(cc_parquet, columns=["lang", "text"])
+    pinned_values = (set(src["lang"].to_pylist())
+                     | set(src["text"].to_pylist()))
+    assert trials  # the other columns were planned per chunk
+    assert not any(set(a.to_pylist()) & pinned_values for a in trials)
+    for rec in recs.values():
+        with open(os.path.join(out, rec.chunk_file), "rb") as a, \
+                open(os.path.join(replay, rec.chunk_file), "rb") as b:
+            assert a.read() == b.read()
 
 
 def test_manifest_torn_record_skipped(tmp_path):
@@ -2348,15 +2423,19 @@ def _per_chunk_codecs(frag) -> dict:
             plan_from_stats(compute_stats_table(t), t.schema).columns.items()}
 
 
-def test_encode_job_shared_plan_roundtrip(ray_session, tmp_path):
+def test_encode_job_shared_plan_roundtrip(ray_session, tmp_path,
+                                          monkeypatch):
     """An input with more fragments than the sample takes the sampled
     plan by default. On a homogeneous CC input the plan is every chunk's
     own per-chunk pick (warc_ts stays delta: planning each sampled
     fragment on its own rows keeps the monotone column ordered), decode
     is bit-identical, and a resume that re-encodes fewer fragments than
-    the sample still gets the same plan and the same chunk bytes."""
+    the sample loads the plan stored with the store (the planner is never
+    called) and writes the same chunk bytes. Once a sampled input's mtime
+    changes, the stored plan no longer matches and is rebuilt."""
     import hashlib
 
+    import json_to_parquet_ray.pipelines.encode_job as ej
     from json_to_parquet_ray.manifest import record_path
     from json_to_parquet_ray.pipelines.encode_job import PLAN_SAMPLE_FRAGS
 
@@ -2387,11 +2466,35 @@ def test_encode_job_shared_plan_roundtrip(ray_session, tmp_path):
 
     victims = [f.frag_hash for f in frags[-5:]]
     before = {pid: sha(pid) for pid in victims}
-    for pid in victims:
-        os.remove(os.path.join(out, recs[pid].chunk_file))
-        os.remove(record_path(out, pid))
-    again = encode_job(src, out, bloom_columns=["url"])
+
+    def resume() -> dict:
+        for pid in victims:
+            os.remove(os.path.join(out, recs[pid].chunk_file))
+            os.remove(record_path(out, pid))
+        return encode_job(src, out, bloom_columns=["url"])
+
+    build = ej.build_shared_plan
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the stored sampled plan was not reused")
+
+    monkeypatch.setattr(ej, "build_shared_plan", no_build)
+    again = resume()
     assert again["partitions_encoded"] == 5
+    assert again["shared_plan"] == plan
+    assert {pid: sha(pid) for pid in victims} == before
+
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(ej, "build_shared_plan", counted)
+    st = os.stat(src)
+    os.utime(src, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+    again = resume()
+    assert builds == [1]
     assert again["shared_plan"] == plan
     assert {pid: sha(pid) for pid in victims} == before
 
@@ -2774,26 +2877,34 @@ def test_one_task_decode_keeps_heterogeneous_chunk_schemas(
 
 
 def test_worker_encoder_cache_keying(ray_session, tmp_path):
-    """Per-worker encoder cache: same refs → one cached instance; any
-    changed ref (a new job) → a fresh encoder; bounded size."""
+    """Per-worker encoder cache keyed on out_dir, plan ref, bloom columns
+    and optimize: the same key → one cached instance; any changed part
+    (a new job) → a fresh encoder; bounded size."""
     import ray
 
     import json_to_parquet_ray.pipelines.encode_job as ej
+    from json_to_parquet_ray.plan import CodecPlan, ColumnPlan
+
+    def pinned_dict(value: str):
+        return ray.put(CodecPlan({"lang": ColumnPlan(
+            "lang", "dict", {"values_codec": "plain",
+                             "dictionary": pa.array([value])})}))
 
     ej._ENC_CACHE.clear()
     d1, d2 = str(tmp_path / "a"), str(tmp_path / "b")
-    r1, r2 = ray.put({"lang": pa.array(["en"])}), ray.put(
-        {"lang": pa.array(["de"])})
+    r1, r2 = pinned_dict("en"), pinned_dict("de")
 
-    e1 = ej._worker_encoder(d1, r1, None, ["lang"], None)
-    assert ej._worker_encoder(d1, r1, None, ["lang"], None) is e1
-    assert ej._worker_encoder(d1, r2, None, ["lang"], None) is not e1
-    assert ej._worker_encoder(d2, r1, None, ["lang"], None) is not e1
-    assert e1.shared_dicts["lang"].to_pylist() == ["en"]
+    e1 = ej._worker_encoder(d1, r1, ["lang"])
+    assert ej._worker_encoder(d1, r1, ["lang"]) is e1
+    assert ej._worker_encoder(d1, r2, ["lang"]) is not e1
+    assert ej._worker_encoder(d2, r1, ["lang"]) is not e1
+    assert ej._worker_encoder(d1, r1, ["url"]) is not e1
+    assert ej._worker_encoder(d1, r1, ["lang"], "size") is not e1
+    assert e1.plan.columns["lang"].kwargs["dictionary"].to_pylist() == ["en"]
 
     # bound: a burst of distinct keys never grows past _ENC_CACHE_MAX
     for i in range(ej._ENC_CACHE_MAX + 3):
-        ej._worker_encoder(str(tmp_path / f"x{i}"), r1, None, [], None)
+        ej._worker_encoder(str(tmp_path / f"x{i}"), r1, [])
     assert len(ej._ENC_CACHE) <= ej._ENC_CACHE_MAX
     ej._ENC_CACHE.clear()
 

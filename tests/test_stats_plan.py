@@ -244,3 +244,41 @@ def test_plan_optimize_size_mode():
 
     with pytest.raises(ValueError):
         plan_column(st, arr.type, optimize="fastest")
+
+
+def test_planner_frontier_consistency():
+    """COST_WEIGHT holds exactly the labels ``_candidates_for`` can emit
+    in either mode: a dead weight or an unweighted candidate fails here
+    instead of scoring silently. The general-purpose points are plain,
+    zstd and zstd3 (plus zstd19 in size mode); on strings zstd is tried
+    before fsst, whose skip gate reads zstd's ratio; and CC chunks of
+    both partition sizes plan the known picks."""
+    from json_to_parquet_ray.plan import (COST_WEIGHT, _candidates_for,
+                                          _resolve_weights)
+
+    _resolve_weights()
+    arrays = [pa.array([1] * 50 + [2] * 50, pa.int64()),
+              pa.array([1.5] * 50 + [2.5] * 50),
+              pa.array(["ab"] * 50 + ["cd"] * 50)]
+    generic = {"plain", "zstd", "zstd3", "zstd6", "zstd9", "zstd19", "lz4"}
+    emitted = set()
+    for mode in ("balanced", "size"):
+        for arr in arrays:
+            labels = [label for label, _, _ in _candidates_for(
+                arr.type, column_stats_partial(arr, "x"), mode)]
+            emitted.update(labels)
+            assert [lb for lb in labels if lb in generic] == (
+                ["plain", "zstd", "zstd3"]
+                + (["zstd19"] if mode == "size" else []))
+            if pa.types.is_string(arr.type):
+                assert labels.index("zstd") < labels.index("fsst")
+    assert emitted == set(COST_WEIGHT)
+
+    t = make_cc_table(5000, seed=401)
+    for rows in (500, 2500):
+        for off in range(0, t.num_rows, rows):
+            chunk = t.slice(off, rows)
+            plan = plan_from_stats(compute_stats_table(chunk), chunk.schema)
+            assert {c: p.codec for c, p in plan.columns.items()} == {
+                "html": "zstd3", "text": "zstd3", "url": "zstd",
+                "lang": "fsst", "warc_ts": "delta"}, (rows, off)
