@@ -96,8 +96,9 @@ def main() -> None:
     queries["verify_cc"] = round(sec, 3)
     assert ver["failed"] == [], ver
 
-    # shared-dictionary flagship variant: the stateful actor-pool path
-    # (global dict built via salted distinct, broadcast once per actor)
+    # shared-dictionary variant: the global dict is built via salted
+    # distinct, broadcast once per worker, and tried per chunk as a
+    # codec candidate
     sd_dir = os.path.join(CC_BASE, f"enc_out_sd_{NUM_CPUS}")
     shutil.rmtree(sd_dir, ignore_errors=True)
     sec, sd = timed(lambda: encode_job(cc_dir, sd_dir,
@@ -105,8 +106,8 @@ def main() -> None:
     queries["encode_cc_shared_dict"] = round(sec, 3)
     extra["cc_shared_dict_bytes"] = sd["chunk_bytes"]
 
-    # shared-dict AMORTIZATION: at real partition counts the actor-pool
-    # path's fixed cost (actor spawn + distinct build) washes out — the
+    # shared-dict AMORTIZATION: at real partition counts the shared
+    # path's fixed cost (the distinct build) washes out — the
     # per-partition MARGINAL cost is what scales to 10^12 docs. Encode
     # the same table sliced into ~1k partitions both ways and derive
     # marginal ms/partition against the 16-partition runs above. At ~1k

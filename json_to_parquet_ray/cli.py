@@ -92,11 +92,12 @@ def main(argv: list[str] | None = None) -> int:
     enc.add_argument("out_dir")
     enc.add_argument("--no-resume", action="store_true")
     enc.add_argument("--shared-dicts", default=None,
-                     help="comma-separated columns, or 'auto'")
+                     help="comma-separated columns, or 'auto': one "
+                          "dictionary per column, a codec candidate")
     enc.add_argument("--shared-fsst", default=None,
-                     help="comma-separated string columns whose FSST "
-                          "symbol table is trained once and shared "
-                          "across all partitions (actor-pool state)")
+                     help="comma-separated string columns: one FSST table "
+                          "per column, trained on the sampled fragments, "
+                          "a codec candidate")
     enc.add_argument("--bloom-columns", default=None,
                      help="comma-separated columns to write per-chunk "
                           "Bloom filters for (point-lookup pruning), or "

@@ -356,6 +356,13 @@ def _concat_binary(arr: pa.Array) -> tuple[bytes, np.ndarray]:
     return data, np.diff(offs)
 
 
+def sample_share(arr: pa.Array, parts: int) -> bytes:
+    """``arr``'s values cut to a 1/``parts`` share of ``train``'s sample
+    (``strided_sample`` at ``_SAMPLE_CAP // parts`` bytes), so the joined
+    shares of ``parts`` fragments train one table on all of them."""
+    return strided_sample(_concat_binary(arr)[0], _SAMPLE_CAP // parts)
+
+
 def trial_encoder(arr: pa.Array) -> "FsstEncoder":
     """The planner's quick-trial encoder for ``arr`` — identical to what
     ``FsstCodec.encode(..., quick=True)`` would train internally, exposed

@@ -3,15 +3,15 @@
 Shape (SURVEY.md §3.4):
 
     fragments = parquet row groups of the input            [partition unit]
-    (pass 1)  ray Dataset over the raw rows → map_batches stats partials
-              → merged GlobalStats → shared-dictionary build (salted
-              distinct) for low-cardinality string columns
-    (plan)    one CodecPlan per job: the sampled plan (> 16 fragments)
-              with shared dictionaries and FSST encoders pinned over it
-    (pass 2)  ray Dataset over fragment work items → EncodePartition
-              actor pool (stateful: the plan fetched once per actor from
-              the object store) → one chunk file + one manifest record
-              per partition (atomic commit)
+    (pass 1)  shared dictionaries (salted distinct over the input) and
+              shared FSST tables (trained on the sampled fragments)
+              for the columns the caller names
+    (plan)    one broadcast per job: the sampled plan (> 16 fragments)
+              and each shared column's dictionary/FSST candidates
+    (pass 2)  ray Dataset over fragment work items → map_batches tasks,
+              one cached EncodePartition per worker process (the
+              broadcast fetched once per worker) → one chunk file + one
+              manifest record per partition (atomic commit)
     resume:   completed partitions (manifest ∩ chunk files) are filtered
               out of the work-item list before the Dataset is built.
 
@@ -98,16 +98,22 @@ def load_store_optimize(out_dir: str) -> str:
     return mode if mode in ("balanced", "size") else "balanced"
 
 
+def _sample_picks(frags: list[FragmentRef]) -> list[FragmentRef]:
+    """Up to ``PLAN_SAMPLE_FRAGS`` evenly spaced fragments (even below
+    2 x that many, where a stride of 1 would sample only the head)."""
+    n = len(frags)
+    return [frags[i] for i in sorted({i * n // PLAN_SAMPLE_FRAGS
+                                      for i in range(PLAN_SAMPLE_FRAGS)})]
+
+
 def _sampled_plan(out_dir: str, frags: list[FragmentRef],
                   frag_bytes: dict[str, int], optimize: str,
                   stored: dict | None) -> CodecPlan:
-    """The plan of ``PLAN_SAMPLE_FRAGS`` evenly spaced fragments (even
-    below 2 x that many, where a stride of 1 would sample only the head).
-    The store's ``stored`` plan is reused when its key (mode, and each
-    pick's ``frag_hash``, file size and ``mtime_ns``) matches; otherwise
+    """The plan of the ``_sample_picks`` fragments. The store's
+    ``stored`` plan is reused when its key (mode, and each pick's
+    ``frag_hash``, file size and ``mtime_ns``) matches; otherwise
     ``build_shared_plan`` runs and its plan is recorded."""
-    picks = [frags[i * len(frags) // PLAN_SAMPLE_FRAGS]
-             for i in range(PLAN_SAMPLE_FRAGS)]
+    picks = _sample_picks(frags)
     key = [optimize]
     for f in picks:
         st = os.stat(f.path)
@@ -139,7 +145,7 @@ def build_shared_plan(picks: list[FragmentRef],
     as ``constant``: that is chunk-local evidence by definition. A plan
     can change size, never decoded values. ``frag_bytes`` comes from
     ``_read_footers``. The result is JSON-safe (``CodecPlan.dumps``);
-    ``encode_job`` pins shared dictionaries and FSST tables over it.
+    ``encode_job`` leaves out of it the columns with shared candidates.
     """
     items = [{"path": f.path, "row_group": f.row_group,
               "num_rows": f.num_rows, "row_start": f.row_start}
@@ -178,7 +184,7 @@ _RG_CACHE: dict[tuple, pa.Table] = {}
 _RG_CACHE_BYTES = 0
 _RG_CACHE_MAX = 64 << 20  # per worker process; 32 workers → ≤2 GiB heap
 _RG_CACHE_LOCK = threading.Lock()  # created at import: lazy creation
-# would itself race when an actor runs __call__ concurrently
+# would itself race when two threads read fragments at once
 
 
 _ENC_CACHE: dict[tuple, "EncodePartition"] = {}
@@ -187,11 +193,11 @@ _ENC_CACHE_MAX = 4  # concurrent jobs sharing one worker is the rare case
 
 def _worker_encoder(out_dir, plan_ref, bloom_columns,
                     optimize="balanced") -> "EncodePartition":
-    """Per-worker-process EncodePartition cache (setup-once amortization
-    on the TASK pool — see the dispatch branch in ``encode_job``). Keyed
-    by the plan ref's id, which is unique per job, so a re-run with a new
-    broadcast plan can never reuse a stale encoder. Ray task workers are
-    single-threaded; no lock needed."""
+    """Per-worker-process EncodePartition cache: Ray task workers are
+    long-lived, so the broadcast is fetched once per worker, not per
+    partition. Keyed by the plan ref's id, which is unique per job, so a
+    re-run with a new broadcast can never reuse a stale encoder. Ray
+    task workers are single-threaded; no lock needed."""
     key = (out_dir, str(plan_ref), tuple(bloom_columns or ()), optimize)
     enc = _ENC_CACHE.get(key)
     if enc is None:
@@ -504,26 +510,19 @@ def _zones_alive(columns: list, zone_filter: dict) -> bool:
 
 
 class EncodePartition:
-    """Stateful stage: encodes one partition (row group) per work item.
+    """Encodes one partition (row group) per work item.
 
-    ``plan_ref`` is the encode job's one broadcast ``CodecPlan``, fetched
-    from the object store ONCE per actor in ``__init__`` — not per batch
-    (BASELINE.json: "FSST symbol tables and dictionaries built in
-    stateful actor pools so tables are shared across batches of the same
-    partition"). It holds the sampled plan's columns
-    (``build_shared_plan``) with the shared dictionaries (``dict``) and
-    compiled shared FSST encoders (``fsst``) pinned over them. A column
-    it covers takes its codec when that codec can encode the chunk's
-    type; every other column, and every column without a ref, is planned
-    from the chunk's own stats. A partition is encoded as one chunk, so
-    within a partition the tables are shared by construction; across
-    partitions the broadcast ref makes them shared cluster-wide.
+    ``plan_ref`` is the encode job's one broadcast, fetched from the
+    object store once in ``__init__``: the pair (sampled plan, shared
+    candidates). A column the sampled plan (``build_shared_plan``) covers
+    takes its codec when that codec can encode the chunk's type. Every
+    other column, and every column without a ref, is planned from the
+    chunk's own stats, with the column's shared candidates (a shared
+    dictionary, a shared FSST table with and without post-zstd) tried
+    next to its own; see ``plan_column``.
 
-    Runs as a ``map_batches`` actor pool at real partition counts, and on
-    small jobs as plain tasks with a per-worker-process instance cache
-    (``_worker_encoder``) — same setup-once amortization, no actor-spawn
-    fixed cost; see the dispatch branch in ``encode_job``. Compaction
-    commits its merged chunks through ``commit`` too.
+    Encode tasks build it once per worker process (``_worker_encoder``);
+    compaction commits its merged chunks through ``commit`` too.
     """
 
     def __init__(self, out_dir: str, plan_ref=None, bloom_columns=None,
@@ -533,8 +532,8 @@ class EncodePartition:
         self.out_dir = out_dir
         self.optimize = optimize
         self.bloom_columns = list(bloom_columns or [])
-        self.plan: CodecPlan = (ray.get(plan_ref) if plan_ref is not None
-                                else CodecPlan({}))
+        self.plan, self.shared = (ray.get(plan_ref) if plan_ref is not None
+                                  else (CodecPlan({}), {}))
 
     def _plan_for(self, table: pa.Table) -> CodecPlan:
         from ..codecs import get_codec
@@ -550,7 +549,8 @@ class EncodePartition:
         if rest:
             sub = table.select(rest)
             cols.update(plan_from_stats(compute_stats_table(sub), sub.schema,
-                                        optimize=self.optimize).columns)
+                                        optimize=self.optimize,
+                                        shared=self.shared).columns)
         return CodecPlan(cols)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -617,7 +617,6 @@ def encode_job(
     shared_dict_columns: list[str] | str | None = None,
     shared_fsst_columns: list[str] | None = None,
     bloom_columns: list[str] | str | None = None,
-    concurrency: int | tuple | None = None,
     max_rows_per_partition: int | None = None,
     consolidate_manifest: bool = False,
     optimize: str | None = None,
@@ -643,8 +642,15 @@ def encode_job(
     read every fragment, so per-chunk planning costs no more. The sampled
     plan is recorded with the store (``record_store_optimize``); a resume
     whose sample picks are unchanged loads it instead of re-planning.
-    Shared dictionaries and FSST tables are pinned over the sampled plan,
-    and every partition encodes from that one broadcast plan.
+
+    ``shared_dict_columns`` (list, or "auto") builds one dictionary per
+    column over the whole input, ``shared_fsst_columns`` one FSST table
+    per column from the sampled fragments. Such a column is planned per
+    chunk, with its shared state as candidates that win only on a
+    strictly lower score (``plan_column``); a column no input file has
+    raises ``ValueError`` before any output is touched. Partitions
+    encode as plain Ray tasks from one broadcast of the sampled plan and
+    the shared candidates.
 
     ``bloom_columns`` (list, or "auto" = every string/integer column)
     writes per-chunk split-block Bloom filters so later equality scans
@@ -671,6 +677,16 @@ def encode_job(
     elif optimize not in ("balanced", "size"):
         # fail before any output is touched, not inside the first worker
         raise ValueError(f"unknown optimize mode: {optimize!r}")
+    frags, file_schemas, frag_bytes = _read_footers(
+        input_paths, max_rows_per_partition)
+    if frags:
+        named = list(shared_fsst_columns or [])
+        if shared_dict_columns != "auto":
+            named += list(shared_dict_columns or [])
+        known = {n for sch in file_schemas.values() for n in sch.names}
+        missing = sorted(set(named) - known)
+        if missing:
+            raise ValueError(f"shared columns in no input file: {missing}")
 
     # mark the output as a store up front — a legitimately-EMPTY encode
     # (zero input fragments) must still satisfy require_store so verify
@@ -678,9 +694,6 @@ def encode_job(
     os.makedirs(manifest_dir(out_dir), exist_ok=True)
     # compaction plans same-mode; the stored plan is keyed on the mode
     record_store_optimize(out_dir, optimize, stored)
-
-    frags, file_schemas, frag_bytes = _read_footers(
-        input_paths, max_rows_per_partition)
     total = len(frags)
     done: set[str] = set()
     if resume:
@@ -765,86 +778,54 @@ def encode_job(
             ds_col = ray.data.read_parquet(col_files.get(coln, frag_paths),
                                            columns=[coln])
             shared[coln] = distinct_values(ds_col, coln)
-    # one broadcast plan: the sampled plan with the shared dictionaries
-    # and then the shared FSST encoders pinned over it (FSST wins a
-    # column that has both)
-    pinned = {c: ColumnPlan(c, "dict", {"values_codec": "plain",
-                                        "dictionary": v})
-              for c, v in shared.items()}
+    # shared state competes in the planner: each shared column keeps
+    # per-chunk planning, with its dictionary and FSST table as candidates
+    cands: dict[str, list] = {
+        c: [("dict", "dict", {"values_codec": "plain", "dictionary": v})]
+        for c, v in shared.items()}
     if work and shared_fsst_columns:
-        from ..codecs.fsst import FsstEncoder, train
+        from ..codecs.fsst import FsstCodec, FsstEncoder, sample_share, train
 
-        # STRATIFIED sample: a fixed per-block row stride spreads the
-        # training sample across every fragment — a head `.limit(n)` sample
-        # trains the symbol table on only the first fragments, which
-        # mis-trains on corpora whose content regime drifts across files
-        total_rows = sum(f.num_rows for f in frags)
-        step = max(1, total_rows // 2048)
-
-        def strided(b: pa.Table) -> pa.Table:
-            return b.take(list(range(0, len(b), step)))
-
-        sample_rows = (ray.data.read_parquet(
-            frag_paths, columns=list(shared_fsst_columns))
-            .map_batches(strided, batch_format="pyarrow").take_all())
-        for coln in shared_fsst_columns:
-            buf = b"".join(
-                (r[coln].encode() if isinstance(r[coln], str) else (r[coln] or b""))
-                for r in sample_rows if r.get(coln) is not None
-            )
-            pinned[coln] = ColumnPlan(coln, "fsst",
-                                      {"encoder": FsstEncoder(train(buf))})
+        # trained on the sampled fragments, not the whole input: each
+        # pick's column bytes are cut to an equal share of the trainer's
+        # sample as it is read, so the driver holds one pick at a time
+        picks = _sample_picks(frags)
+        shares: dict[str, list[bytes]] = {c: [] for c in shared_fsst_columns}
+        for f in picks:
+            sch = file_schemas[f.path]
+            cols = [c for c in shared_fsst_columns if c in sch.names
+                    and FsstCodec.can_encode(sch.field(c).type)]
+            with pq.ParquetFile(f.path) as pf:
+                t = pf.read_row_group(f.row_group, columns=cols).slice(
+                    f.row_start, f.num_rows)
+            for c in cols:
+                shares[c].append(sample_share(t.column(c), len(picks)))
+        for c, parts in shares.items():
+            if parts:
+                enc = FsstEncoder(train(b"".join(parts)))
+                cands.setdefault(c, []).extend([
+                    ("fsst", "fsst", {"encoder": enc}),
+                    ("fsst+z", "fsst", {"encoder": enc, "post_zstd": True})])
 
     plan_obj = None
     if work and total > PLAN_SAMPLE_FRAGS:
         plan_obj = _sampled_plan(out_dir, frags, frag_bytes, optimize, stored)
-    job_plan = {**(plan_obj.columns if plan_obj is not None else {}),
-                **pinned}
-    plan_ref = ray.put(CodecPlan(job_plan)) if job_plan else None
+    job_plan = {c: cp for c, cp in
+                (plan_obj.columns if plan_obj is not None else {}).items()
+                if c not in cands}
+    plan_ref = (ray.put((CodecPlan(job_plan), cands))
+                if job_plan or cands else None)
 
     summary_rows = []
-    # EncodePartition takes the sentinel as a list; normalize ONCE here
-    # so the task and actor branches can't drift
+    # EncodePartition takes the sentinel as a list
     _bc = ["auto"] if bloom_columns == "auto" else bloom_columns
     if work:
-        items = _item_dataset(work, sum(frag_bytes[w["partition_id"]]
-                                        for w in work))
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-        # a sampled plan alone needs no actors: _worker_encoder fetches it
-        # once; pinned dictionaries and FSST encoders are worth a pool
-        if concurrency is None and (not pinned or len(work) < 4 * cpus):
-            # plain tasks + a per-WORKER-process encoder cache: Ray task
-            # workers are long-lived, so construction (ray.get of any
-            # broadcast dicts/tables/plan, encoder build) happens once per
-            # worker — the actor-pool amortization — on the already-warm
-            # task pool. With shared state on a SMALL job, actor spawn
-            # (~2-4 s of fresh python workers importing the package)
-            # would rival the encode itself: interleaved A/B at 16
-            # partitions, median 6.7 s (tasks) vs 8.3 s (16-actor pool);
-            # at 1008 partitions the two tie, so big stateful jobs keep
-            # the bounded pool below.
-            def encode_item(batch: pa.Table) -> pa.Table:
-                return _worker_encoder(out_dir, plan_ref, _bc,
-                                       optimize)(batch)
+        def encode_item(batch: pa.Table) -> pa.Table:
+            return _worker_encoder(out_dir, plan_ref, _bc, optimize)(batch)
 
-            results = items.map_batches(encode_item, batch_size=1,
-                                        batch_format="pyarrow")
-        else:
-            # actor pool for real partition counts (spawn amortizes) or
-            # an explicit pool size (callers cap per-node memory when the
-            # broadcast state is large); half the CPUs keeps every core
-            # busy at ≥2 items/actor without doubling spawn+state cost
-            conc = concurrency or max(1, min(len(work), max(2, cpus // 2)))
-            results = items.map_batches(
-                EncodePartition,
-                fn_constructor_kwargs={"out_dir": out_dir,
-                                       "plan_ref": plan_ref,
-                                       "bloom_columns": _bc,
-                                       "optimize": optimize},
-                batch_size=1,
-                batch_format="pyarrow",
-                concurrency=conc,
-            )
+        results = _item_dataset(
+            work, sum(frag_bytes[w["partition_id"]] for w in work)
+        ).map_batches(encode_item, batch_size=1, batch_format="pyarrow")
         # distributed summary aggregation — per-partition rows never
         # materialize on the driver (there may be millions at full scale)
         from ray.data.aggregate import Count, Sum

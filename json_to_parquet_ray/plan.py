@@ -175,7 +175,9 @@ def _sample_array(st: ColumnStats, t: pa.DataType) -> pa.Array | None:
 
 
 def plan_column(st: ColumnStats, t: pa.DataType,
-                optimize: str = "balanced") -> ColumnPlan:
+                optimize: str = "balanced",
+                shared: list[tuple[str, str, dict]] | None = None
+                ) -> ColumnPlan:
     """Pick a column chunk's codec by trial encodes on its stats sample.
     ``optimize="balanced"`` (default) scores candidates as
     ``sampled_ratio * COST_WEIGHT`` — the throughput-honest frontier of
@@ -184,9 +186,12 @@ def plan_column(st: ColumnStats, t: pa.DataType,
     zstd-19 archival candidate: write-once / read-many stores trade
     ~100x encode CPU on the big text columns for ~20-25% fewer bytes.
     Decode is unaffected either way (the chunk header records the
-    winning codec; readers never consult the mode). Columns an encode
-    job's plan pins (shared dictionaries and FSST tables, the sampled
-    plan) never reach it."""
+    winning codec; readers never consult the mode). ``shared`` holds
+    an encode job's (label, codec, kwargs) candidates carrying a shared
+    dictionary or FSST table for this column; they are tried after the
+    chunk's own candidates on the same sample and weights, so one wins
+    only when it scores strictly lower. Columns the job's sampled plan
+    covers never reach it."""
     if optimize not in ("balanced", "size"):
         raise ValueError(f"unknown optimize mode: {optimize!r}")
     n_valid = st.n - st.null_count
@@ -210,7 +215,7 @@ def plan_column(st: ColumnStats, t: pa.DataType,
     base = max(1, sample.nbytes)
     _resolve_weights()
     ratios: dict[str, float] = {}
-    best_label, best_name, best_kwargs, best_score = "plain", "plain", {}, float("inf")
+    best_name, best_kwargs, best_ratio, best_score = "plain", {}, 1.0, float("inf")
     fsst_trial_enc = None  # trained at most once per column: the fsst and
     # fsst+z trials share one symbol table (byte-identical to each
     # training its own — same sample, deterministic trainer — but half
@@ -218,7 +223,8 @@ def plan_column(st: ColumnStats, t: pa.DataType,
     def weight(label: str) -> float:
         return 1.0 if optimize == "size" else COST_WEIGHT[label]
 
-    for label, name, kwargs in _candidates_for(t, st, optimize):
+    for label, name, kwargs in [*_candidates_for(t, st, optimize),
+                                *(shared or [])]:
         codec = get_codec(name)
         if not codec.can_encode(t):
             continue
@@ -232,8 +238,7 @@ def plan_column(st: ColumnStats, t: pa.DataType,
             continue
         try:
             trial_kwargs = dict(kwargs)
-            if name == "fsst":
-                trial_kwargs["quick"] = True
+            if name == "fsst" and "encoder" not in kwargs:
                 if fsst_trial_enc is None:
                     from .codecs.fsst import trial_encoder
 
@@ -246,16 +251,20 @@ def plan_column(st: ColumnStats, t: pa.DataType,
         ratios[label] = ratio
         score = ratio * weight(label)
         if score < best_score:
-            best_label, best_name, best_kwargs, best_score = label, name, kwargs, score
-    return ColumnPlan(st.name, best_name, best_kwargs,
-                      ratios.get(best_label, 1.0), ratios)
+            best_name, best_kwargs, best_ratio, best_score = (
+                name, kwargs, ratio, score)
+    return ColumnPlan(st.name, best_name, best_kwargs, best_ratio, ratios)
 
 
 def plan_from_stats(stats: dict[str, ColumnStats], schema: pa.Schema,
-                    optimize: str = "balanced") -> CodecPlan:
+                    optimize: str = "balanced",
+                    shared: dict[str, list] | None = None) -> CodecPlan:
+    """``plan_column`` for every column of ``schema``; ``shared`` maps a
+    column to its shared candidates."""
     cols = {}
     for name in schema.names:
         t = schema.field(name).type
         st = stats.get(name) or ColumnStats(name, str(t))
-        cols[name] = plan_column(st, t, optimize=optimize)
+        cols[name] = plan_column(st, t, optimize=optimize,
+                                 shared=(shared or {}).get(name))
     return CodecPlan(cols)

@@ -145,15 +145,120 @@ def test_encode_job_torn_chunk_detected(ray_session, cc_parquet, tmp_path):
     assert verify_job(out)["failed"] == []
 
 
-def test_encode_job_shared_dicts(ray_session, cc_parquet, tmp_path):
+def _spy_broadcast(monkeypatch) -> list:
+    """Record every (sampled plan, shared candidates) pair an encode job
+    broadcasts through ``ray.put``."""
+    import ray
+
+    from json_to_parquet_ray.plan import CodecPlan
+
+    seen, put = [], ray.put
+
+    def spy(obj, *args, **kwargs):
+        if isinstance(obj, tuple) and isinstance(obj[0], CodecPlan):
+            seen.append(obj)
+        return put(obj, *args, **kwargs)
+
+    monkeypatch.setattr(ray, "put", spy)
+    return seen
+
+
+def _replanned_chunks(out: str, frags, broadcast) -> list[dict]:
+    """Plan each fragment of ``frags`` in-process as an encode task does
+    from the job's ``broadcast`` pair, assert that its chunk in ``out``
+    records those codecs and holds exactly those bytes, and return the
+    ColumnPlans per fragment."""
+    from json_to_parquet_ray.pipelines.encode_job import read_fragment
+    from json_to_parquet_ray.plan import CodecPlan, plan_from_stats
+    from json_to_parquet_ray.stats import compute_stats_table
+
+    plan, shared = broadcast
+    recs = load_manifest(out)
+    out_plans = []
+    for f in frags:
+        t = read_fragment(f.path, f.row_group, f.num_rows, f.row_start)
+        rest = t.select([c for c in t.column_names
+                         if c not in plan.columns])
+        plans = {**plan.columns,
+                 **plan_from_stats(compute_stats_table(rest), rest.schema,
+                                   shared=shared).columns}
+        rec = recs[f.frag_hash]
+        assert {c["name"]: c["codec"] for c in rec.columns} == {
+            c: p.codec for c, p in plans.items()}
+        with open(os.path.join(out, rec.chunk_file), "rb") as fh:
+            assert fh.read() == encode_table(t, CodecPlan(plans))[0]
+        out_plans.append(plans)
+    return out_plans
+
+
+def test_encode_job_shared_dicts(ray_session, tmp_path, monkeypatch):
+    """A shared dictionary is a planner candidate, not an override. The
+    broadcast carries the column's dictionary (the input's distinct
+    values) and plans it per chunk. Each 60-row fragment holds all 40
+    distinct 40-byte values, too many for the chunk's own dictionary
+    candidate, so the shared dictionary wins every chunk on size; per
+    chunk planning without it picks no dictionary."""
+    import numpy as np
+
+    rng = np.random.default_rng(3)
+    pool = [bytes(rng.integers(0, 256, 40, dtype=np.uint8))
+            for _ in range(40)]
+    frags = []
+    for _ in range(3):
+        rows = pool + [pool[i] for i in rng.integers(0, 40, 20)]
+        frags.append([rows[i] for i in rng.permutation(60)])
+    t = pa.table({"id": pa.array(range(180), pa.int64()),
+                  "b": pa.array(sum(frags, []), pa.binary())})
+    src = str(tmp_path / "pool.parquet")
+    pq.write_table(t, src, row_group_size=60)
+
+    seen = _spy_broadcast(monkeypatch)
     out = str(tmp_path / "enc_sd")
-    summary = encode_job(cc_parquet, out, shared_dict_columns=["lang"])
-    assert summary["shared_dict_columns"] == ["lang"]
+    summary = encode_job(src, out, shared_dict_columns=["b"])
+    assert summary["shared_dict_columns"] == ["b"]
     assert verify_job(out)["failed"] == []
-    # every partition's lang column used the dict codec
-    for rec in load_manifest(out).values():
-        codecs = {c["name"]: c["codec"] for c in rec.columns}
-        assert codecs["lang"] == "dict"
+    [(plan, shared)] = seen
+    assert plan.columns == {}
+    [(label, codec, kwargs)] = shared["b"]
+    assert (label, codec, kwargs["values_codec"]) == ("dict", "dict", "plain")
+    assert sorted(kwargs["dictionary"].to_pylist()) == sorted(pool)
+    recs = load_manifest(out)
+    for f in list_fragments(src):
+        assert {c["name"]: c["codec"]
+                for c in recs[f.frag_hash].columns}["b"] == "dict"
+        assert _per_chunk_codecs(f)["b"] != "dict"
+    assert pa.concat_tables(decode_dataset(out).iter_batches(
+        batch_format="pyarrow", batch_size=None)).equals(t)
+
+
+def test_encode_job_shared_fsst(ray_session, cc_parquet, tmp_path,
+                                monkeypatch):
+    """Shared FSST tables are trained from the sampled fragments, with no
+    full-input read, and compete per chunk as ``fsst`` and ``fsst+z``
+    over one table. text keeps its own zstd3 pick (a forced shared table
+    made CC stores about half again larger); lang takes the shared
+    table on chunks where it scores lower."""
+    import ray
+
+    reads = []
+    monkeypatch.setattr(ray.data, "read_parquet",
+                        lambda *a, **kw: reads.append(a))
+    seen = _spy_broadcast(monkeypatch)
+    out = str(tmp_path / "enc_sf")
+    summary = encode_job(cc_parquet, out, shared_dict_columns=None,
+                         shared_fsst_columns=["text", "lang"])
+    assert reads == []
+    assert summary["partitions_encoded"] == 4
+    assert summary["shared_fsst_columns"] == ["lang", "text"]
+    assert verify_job(out)["failed"] == []
+    [broadcast] = seen
+    for col in ("text", "lang"):
+        (l1, c1, k1), (l2, c2, k2) = broadcast[1][col]
+        assert (l1, c1, l2, c2) == ("fsst", "fsst", "fsst+z", "fsst")
+        assert k2 == {"encoder": k1["encoder"], "post_zstd": True}
+    plans = _replanned_chunks(out, list_fragments(cc_parquet), broadcast)
+    assert all(p["text"].codec == "zstd3" for p in plans)
+    assert any("encoder" in p["lang"].kwargs for p in plans)
 
 
 def test_list_fragments_deterministic(cc_parquet):
@@ -163,50 +268,27 @@ def test_list_fragments_deterministic(cc_parquet):
     assert len(a) == 4
 
 
-def test_encode_job_shared_fsst(ray_session, cc_parquet, tmp_path):
-    out = str(tmp_path / "enc_sf")
-    summary = encode_job(cc_parquet, out, shared_dict_columns=None,
-                         shared_fsst_columns=["text"])
-    assert summary["partitions_encoded"] == 4
-    assert verify_job(out)["failed"] == []
-    for rec in load_manifest(out).values():
-        codecs = {c["name"]: c["codec"] for c in rec.columns}
-        assert codecs["text"] == "fsst"
-
-
 def test_encode_job_pinned_columns(ray_session, cc_parquet, tmp_path,
                                    monkeypatch):
-    """Shared dictionaries and FSST tables travel pinned in the job's one
-    broadcast plan: every chunk records dict for lang and fsst for text,
-    and replaying the partitions from that plan in-process writes the
-    same chunks without a single trial encode of either pinned column."""
+    """A column with a shared dictionary and a shared FSST table is
+    planned per chunk with both as candidates, in that order, from the
+    job's one broadcast. Replaying the partitions in-process from that
+    broadcast trial-encodes the column and writes the same chunks, and
+    at least one chunk takes a shared candidate."""
     import ray
 
     import json_to_parquet_ray.plan as plan_mod
     from json_to_parquet_ray.manifest import manifest_dir
     from json_to_parquet_ray.pipelines.encode_job import EncodePartition
-    from json_to_parquet_ray.plan import CodecPlan
 
-    broadcast = []
-    put = ray.put
-
-    def put_spy(obj, *args, **kwargs):
-        if isinstance(obj, CodecPlan):
-            broadcast.append(obj)
-        return put(obj, *args, **kwargs)
-
-    monkeypatch.setattr(ray, "put", put_spy)
+    seen = _spy_broadcast(monkeypatch)
     out = str(tmp_path / "enc_pin")
     encode_job(cc_parquet, out, shared_dict_columns=["lang"],
-               shared_fsst_columns=["text"])
-    monkeypatch.setattr(ray, "put", put)
-    recs = load_manifest(out)
-    for rec in recs.values():
-        codecs = {c["name"]: c["codec"] for c in rec.columns}
-        assert codecs["lang"] == "dict" and codecs["text"] == "fsst"
-    [job_plan] = broadcast
-    assert {c: p.codec for c, p in job_plan.columns.items()} == {
-        "lang": "dict", "text": "fsst"}
+               shared_fsst_columns=["lang"])
+    [broadcast] = seen
+    assert broadcast[0].columns == {}
+    assert [lb for lb, _, _ in broadcast[1]["lang"]] == [
+        "dict", "fsst", "fsst+z"]
 
     trials = []
     trial_encode = plan_mod.encode_array
@@ -218,21 +300,23 @@ def test_encode_job_pinned_columns(ray_session, cc_parquet, tmp_path,
     monkeypatch.setattr(plan_mod, "encode_array", trial_spy)
     replay = str(tmp_path / "replay")
     os.makedirs(manifest_dir(replay))
-    enc = EncodePartition(replay, put(job_plan))
-    for f in list_fragments(cc_parquet):
+    enc = EncodePartition(replay, ray.put(broadcast))
+    frags = list_fragments(cc_parquet)
+    for f in frags:
         enc(pa.Table.from_pylist([{
             "partition_id": f.frag_hash, "path": f.path,
             "row_group": f.row_group, "num_rows": f.num_rows,
             "row_start": f.row_start}]))
-    src = pq.read_table(cc_parquet, columns=["lang", "text"])
-    pinned_values = (set(src["lang"].to_pylist())
-                     | set(src["text"].to_pylist()))
-    assert trials  # the other columns were planned per chunk
-    assert not any(set(a.to_pylist()) & pinned_values for a in trials)
+    langs = set(pq.read_table(cc_parquet, columns=["lang"])["lang"]
+                .to_pylist())
+    assert any(set(a.to_pylist()) <= langs for a in trials)
+    recs = load_manifest(out)
     for rec in recs.values():
         with open(os.path.join(out, rec.chunk_file), "rb") as a, \
                 open(os.path.join(replay, rec.chunk_file), "rb") as b:
             assert a.read() == b.read()
+    assert any(set(p["lang"].kwargs) & {"dictionary", "encoder"}
+               for p in _replanned_chunks(out, frags, broadcast))
 
 
 def test_manifest_torn_record_skipped(tmp_path):
@@ -958,12 +1042,14 @@ def test_string_zone_maps_prune_and_bounds(ray_session, tmp_path):
     assert len(rows) == 100 and all(r["lang"] == "en" for r in rows)
 
 
-def test_encode_job_shared_dict_schema_evolution(ray_session, tmp_path):
+def test_encode_job_shared_dict_schema_evolution(ray_session, tmp_path,
+                                                 monkeypatch):
     """Regression (round-4 review F2): shared_dict_columns='auto' over a
     directory where a string column exists only in LATER files must build
     that column's dictionary from the files that have it instead of
     crashing — ray.data.read_parquet infers its schema from the first
-    fragment and raises on a projected column the fragment lacks."""
+    fragment and raises on a projected column the fragment lacks. The
+    dictionary is a candidate of the new file's chunks."""
     import numpy as np
 
     src = tmp_path / "evolved"
@@ -978,15 +1064,20 @@ def test_encode_job_shared_dict_schema_evolution(ray_session, tmp_path):
                   "lang": pa.array(langs)}),
         str(src / "b_new.parquet"))
 
+    seen = _spy_broadcast(monkeypatch)
     out = str(tmp_path / "enc_evo")
     summary = encode_job(str(src), out, shared_dict_columns="auto")
     assert "lang" in summary["shared_dict_columns"]
     assert verify_job(out)["failed"] == []
-    # the new file's partitions dict-encode lang against the shared dict
-    recs = load_manifest(out).values()
-    lang_codecs = {c["codec"] for rec in recs for c in rec.columns
-                   if c["name"] == "lang"}
-    assert lang_codecs == {"dict"}
+    [broadcast] = seen
+    [(_, _, kwargs)] = broadcast[1]["lang"]
+    assert sorted(kwargs["dictionary"].to_pylist()) == sorted(set(langs))
+    frags = list_fragments(str(src))
+    assert any(f.path.endswith("b_new.parquet") for f in frags)
+    _replanned_chunks(out, frags, broadcast)
+    dec = pa.concat_tables(decode_dataset(out).iter_batches(
+        batch_format="pyarrow", batch_size=None), promote_options="default")
+    assert dec.column("lang").to_pylist() == [None] * 600 + langs
 
 
 def test_cluster_job_zone_disjoint_and_verified(ray_session, tmp_path):
@@ -2499,6 +2590,66 @@ def test_encode_job_shared_plan_roundtrip(ray_session, tmp_path,
     assert {pid: sha(pid) for pid in victims} == before
 
 
+def test_resume_plans_shared_column_per_chunk(ray_session, tmp_path,
+                                             monkeypatch):
+    """A resume that names a shared dictionary for a column the store's
+    stored sampled plan covers loads that plan unchanged, leaves the
+    column out of the broadcast plan, and plans it per chunk with the
+    shared candidate: each re-encoded chunk records the codec that per
+    chunk planning with the candidate picks."""
+    import json_to_parquet_ray.pipelines.encode_job as ej
+    from json_to_parquet_ray.manifest import record_path
+    from json_to_parquet_ray.pipelines.encode_job import PLAN_SAMPLE_FRAGS
+
+    src = str(tmp_path / "cc17.parquet")
+    write_cc_parquet(src, 500 * (PLAN_SAMPLE_FRAGS + 1), seed=401,
+                     row_group_size=500)
+    out = str(tmp_path / "enc")
+    first = encode_job(src, out)
+    assert "lang" in first["shared_plan"]
+    stored = ej._store_record(out)["sampled_plan"]
+    recs = load_manifest(out)
+    frags = list_fragments(src)
+    victims = frags[-3:]
+    for f in victims:
+        os.remove(os.path.join(out, recs[f.frag_hash].chunk_file))
+        os.remove(record_path(out, f.frag_hash))
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the stored sampled plan was not reused")
+
+    monkeypatch.setattr(ej, "build_shared_plan", no_build)
+    seen = _spy_broadcast(monkeypatch)
+    again = encode_job(src, out, shared_dict_columns=["lang"])
+    assert again["partitions_encoded"] == 3
+    assert again["shared_plan"] == first["shared_plan"]
+    assert ej._store_record(out)["sampled_plan"] == stored
+    [(plan, shared)] = seen
+    assert set(plan.columns) == set(first["shared_plan"]) - {"lang"}
+    assert list(shared) == ["lang"]
+    _replanned_chunks(out, victims, (plan, shared))
+    assert verify_job(out)["failed"] == []
+
+
+def test_shared_columns_validated_on_driver(ray_session, cc_parquet,
+                                           tmp_path, monkeypatch):
+    """A shared dictionary or FSST column that no input file has raises a
+    ValueError naming it before any read or output."""
+    import ray
+
+    reads = []
+    monkeypatch.setattr(ray.data, "read_parquet",
+                        lambda *a, **kw: reads.append(a))
+    for kwargs in ({"shared_dict_columns": ["lang", "langg"]},
+                   {"shared_fsst_columns": ["txet"]}):
+        out = str(tmp_path / "enc")
+        bad = [c for v in kwargs.values() for c in v if c != "lang"]
+        with pytest.raises(ValueError, match=bad[0]):
+            encode_job(cc_parquet, out, **kwargs)
+        assert not os.path.exists(out)
+    assert reads == []
+
+
 @pytest.mark.parametrize("n_random", [16, 15])
 def test_shared_plan_keeps_drifting_column_per_chunk(ray_session, tmp_path,
                                                      n_random):
@@ -2877,22 +3028,24 @@ def test_one_task_decode_keeps_heterogeneous_chunk_schemas(
 
 
 def test_worker_encoder_cache_keying(ray_session, tmp_path):
-    """Per-worker encoder cache keyed on out_dir, plan ref, bloom columns
-    and optimize: the same key → one cached instance; any changed part
-    (a new job) → a fresh encoder; bounded size."""
+    """Per-worker encoder cache keyed on out_dir, broadcast ref, bloom
+    columns and optimize: the same key → one cached instance; any changed
+    part (a new job) → a fresh encoder that unpacks the broadcast's
+    sampled plan and shared candidates; bounded size."""
     import ray
 
     import json_to_parquet_ray.pipelines.encode_job as ej
     from json_to_parquet_ray.plan import CodecPlan, ColumnPlan
 
-    def pinned_dict(value: str):
-        return ray.put(CodecPlan({"lang": ColumnPlan(
-            "lang", "dict", {"values_codec": "plain",
-                             "dictionary": pa.array([value])})}))
+    def shared_dict(value: str):
+        return ray.put((CodecPlan({"url": ColumnPlan("url", "zstd")}),
+                        {"lang": [("dict", "dict", {
+                            "values_codec": "plain",
+                            "dictionary": pa.array([value])})]}))
 
     ej._ENC_CACHE.clear()
     d1, d2 = str(tmp_path / "a"), str(tmp_path / "b")
-    r1, r2 = pinned_dict("en"), pinned_dict("de")
+    r1, r2 = shared_dict("en"), shared_dict("de")
 
     e1 = ej._worker_encoder(d1, r1, ["lang"])
     assert ej._worker_encoder(d1, r1, ["lang"]) is e1
@@ -2900,36 +3053,14 @@ def test_worker_encoder_cache_keying(ray_session, tmp_path):
     assert ej._worker_encoder(d2, r1, ["lang"]) is not e1
     assert ej._worker_encoder(d1, r1, ["url"]) is not e1
     assert ej._worker_encoder(d1, r1, ["lang"], "size") is not e1
-    assert e1.plan.columns["lang"].kwargs["dictionary"].to_pylist() == ["en"]
+    assert e1.plan.columns["url"].codec == "zstd"
+    assert e1.shared["lang"][0][2]["dictionary"].to_pylist() == ["en"]
 
     # bound: a burst of distinct keys never grows past _ENC_CACHE_MAX
     for i in range(ej._ENC_CACHE_MAX + 3):
         ej._worker_encoder(str(tmp_path / f"x{i}"), r1, [])
     assert len(ej._ENC_CACHE) <= ej._ENC_CACHE_MAX
     ej._ENC_CACHE.clear()
-
-
-def test_shared_dict_actor_and_task_paths_identical(ray_session, cc_parquet,
-                                                    tmp_path):
-    """Both executions of the stateful stage — the small-job task path
-    (per-worker encoder cache) and the explicit-concurrency actor pool —
-    must produce chunk-identical stores; keeps the actor branch covered
-    now that small tests default to tasks."""
-    a, b = str(tmp_path / "task"), str(tmp_path / "pool")
-    sa = encode_job(cc_parquet, a, shared_dict_columns=["lang"])
-    sb = encode_job(cc_parquet, b, shared_dict_columns=["lang"],
-                    concurrency=2)
-    assert sa["chunk_bytes"] == sb["chunk_bytes"]
-    assert verify_job(b)["failed"] == []
-    for out in (a, b):
-        for rec in load_manifest(out).values():
-            codecs = {c["name"]: c["codec"] for c in rec.columns}
-            assert codecs["lang"] == "dict"
-    ta = pa.concat_tables(decode_dataset(a).iter_batches(
-        batch_format="pyarrow", batch_size=8192))
-    tb = pa.concat_tables(decode_dataset(b).iter_batches(
-        batch_format="pyarrow", batch_size=8192))
-    assert ta.equals(tb)
 
 
 @pytest.fixture(scope="module")

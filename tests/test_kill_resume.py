@@ -1,6 +1,7 @@
 """SURVEY §5.2(6): kill the encode job mid-run (SIGKILL, no cleanup),
 restart, and assert completed partitions are not re-encoded and the final
-output is identical to an uninterrupted run."""
+output is identical to an uninterrupted run. A killed encode worker (not
+the driver) must be retried by Ray to the same output."""
 
 import json
 import os
@@ -75,6 +76,91 @@ def test_kill9_mid_encode_then_resume(tmp_path):
     )
     assert ver.returncode == 0, ver.stderr[-2000:]
     assert json.loads(ver.stdout.strip().splitlines()[-1])["failed"] == []
+
+
+_ENCODE_DRIVER = """
+import logging, sys, ray
+ray.init(address="local", num_cpus=2, include_dashboard=False,
+         log_to_driver=False, logging_level=logging.ERROR)
+from json_to_parquet_ray.pipelines.encode_job import encode_job
+encode_job(sys.argv[1], sys.argv[2])
+ray.shutdown()
+"""
+
+
+def _tasks_under(root: int, title: str) -> list[int]:
+    """Pids of the processes descending from ``root`` whose command line
+    contains ``title``. Ray retitles a worker ``ray::<task name>`` while
+    it runs a task, so this finds the workers running that task."""
+    procs = {}
+    for d in os.listdir("/proc"):
+        if not d.isdigit():
+            continue
+        try:
+            with open(f"/proc/{d}/cmdline", "rb") as f:
+                cmd = f.read()
+            with open(f"/proc/{d}/stat") as f:
+                ppid = int(f.read().rsplit(")", 1)[1].split()[1])
+        except (OSError, ValueError, IndexError):
+            continue
+        procs[int(d)] = (ppid, cmd)
+
+    def under(pid: int) -> bool:
+        while pid in procs and pid != root:
+            pid = procs[pid][0]
+        return pid == root
+
+    return [pid for pid, (_, cmd) in procs.items()
+            if title.encode() in cmd and under(pid)]
+
+
+def _chunk_digests(out: str) -> dict:
+    import hashlib
+
+    from json_to_parquet_ray.manifest import load_manifest
+
+    digests = {}
+    for rec in load_manifest(out).values():
+        with open(os.path.join(out, rec.chunk_file), "rb") as f:
+            digests[rec.chunk_file] = hashlib.sha1(f.read()).hexdigest()
+    return digests
+
+
+def test_sigkill_encode_worker_mid_job(ray_session, tmp_path):
+    """SIGKILL the Ray worker running the encode task once the first
+    record has committed: Ray retries the task, the driver's job
+    finishes, the store verifies, and every chunk equals an
+    uninterrupted run's byte for byte."""
+    from json_to_parquet_ray.manifest import completed_partitions
+    from json_to_parquet_ray.pipelines.encode_job import (
+        encode_job, verify_job,
+    )
+
+    src = str(tmp_path / "cc.parquet")
+    write_cc_parquet(src, 6000, seed=11, row_group_size=100)  # 60 partitions
+    out = str(tmp_path / "enc")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ENCODE_DRIVER, src, out], cwd=REPO,
+        env={**os.environ, "PYTHONPATH": REPO},
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    killed = []
+    deadline = time.time() + 180
+    while proc.poll() is None and not killed and time.time() < deadline:
+        if completed_partitions(out):
+            for pid in _tasks_under(proc.pid, "MapBatches(encode_item)"):
+                os.kill(pid, signal.SIGKILL)
+                killed.append(pid)
+        time.sleep(0.02)
+    _, err = proc.communicate(timeout=300)
+    assert killed, "the encode finished before a worker could be killed"
+    assert proc.returncode == 0, err[-2000:]
+    assert verify_job(out)["failed"] == []
+
+    ref = str(tmp_path / "ref")
+    encode_job(src, ref)
+    got = _chunk_digests(out)
+    assert len(got) == 60
+    assert got == _chunk_digests(ref)
 
 
 def test_lifecycle_torture_append_kill_compact(ray_session, tmp_path):

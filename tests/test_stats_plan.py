@@ -282,3 +282,51 @@ def test_planner_frontier_consistency():
             assert {c: p.codec for c, p in plan.columns.items()} == {
                 "html": "zstd3", "text": "zstd3", "url": "zstd",
                 "lang": "fsst", "warc_ts": "delta"}, (rows, off)
+
+
+def test_plan_column_shared_candidates_win_only_strictly():
+    """Shared candidates are scored after the chunk's own on the same
+    sample and weights: a shared dictionary wins a chunk whose own stats
+    offer no dictionary (40 distinct values in 60 rows), and loses the
+    tie to the chunk's own dictionary when both encode to the same size.
+    A shared FSST table is skipped by the same plausibility gate."""
+    from json_to_parquet_ray.codecs import encode_array
+    from json_to_parquet_ray.codecs.fsst import FsstEncoder, train
+
+    rng = np.random.default_rng(3)
+    pool = [bytes(rng.integers(0, 256, 40, dtype=np.uint8))
+            for _ in range(40)]
+    rows = pool + [pool[i] for i in rng.integers(0, 40, 20)]
+    arr = pa.array([rows[i] for i in rng.permutation(60)], pa.binary())
+    st = compute_stats_table(pa.table({"b": arr}))["b"]
+    shared = [("dict", "dict", {"values_codec": "plain",
+                                "dictionary": pa.array(pool, pa.binary())})]
+    own = plan_column(st, arr.type)
+    assert own.codec != "dict" and "dict" not in own.candidates
+    won = plan_column(st, arr.type, shared=shared)
+    assert won.codec == "dict" and won.kwargs is shared[0][2]
+    assert won.est_ratio == won.candidates["dict"] < own.est_ratio
+
+    langs = ["en", "de", "fr", "es", "it"]
+    arr = pa.array([langs[i] for i in rng.integers(0, 5, 400)])
+    st = compute_stats_table(pa.table({"l": arr}))["l"]
+    own = plan_column(st, arr.type)
+    assert own.codec == "dict" and own.kwargs == {"values_codec": "plain"}
+    dictionary = pa.array(sorted(langs))
+    assert (len(encode_array(arr, "dict", values_codec="plain",
+                             dictionary=dictionary)[0])
+            == len(encode_array(arr, "dict", values_codec="plain")[0]))
+    tied = plan_column(st, arr.type, shared=[
+        ("dict", "dict", {"values_codec": "plain",
+                          "dictionary": dictionary})])
+    assert (tied.codec, tied.kwargs, tied.est_ratio) == (
+        own.codec, own.kwargs, own.est_ratio)
+
+    text = pa.array(["the same sentence, again and again"] * 400)
+    st = compute_stats_table(pa.table({"t": text}))["t"]
+    enc = FsstEncoder(train(b"the same sentence, again and again"))
+    gated = plan_column(st, text.type, shared=[
+        ("fsst", "fsst", {"encoder": enc}),
+        ("fsst+z", "fsst", {"encoder": enc, "post_zstd": True})])
+    assert "fsst" not in gated.candidates
+    assert gated.codec == plan_column(st, text.type).codec

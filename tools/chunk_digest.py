@@ -1,9 +1,10 @@
 """Chunk digest: encode one input and print the sha1 of every chunk file.
 
 Prints one JSON object, ``{"chunks": {relative .rde path: sha1},
-"total_bytes": N}``, so two code versions can be checked for
-byte-identical output by running this script from each checkout on the
-same input and comparing the printed objects.
+"total_bytes": N, "column_bytes": {column: N}}``, so two code versions
+can be checked for byte-identical output by running this script from
+each checkout on the same input and comparing the printed objects.
+``column_bytes`` sums the manifest's per-column chunk sizes.
 
 The input is either a parquet path (file or directory) or a
 ``--cc ROWS SEED ROW_GROUP_ROWS`` spec: ``fixtures.make_cc_table(ROWS,
@@ -17,8 +18,9 @@ Usage:
   python tools/chunk_digest.py --cc 5000 401 2500 [options]
 
 Options: ``--max-rows N`` (max_rows_per_partition), ``--bloom COLS``,
-``--shared-dicts COLS``, ``--shared-fsst COLS`` (comma-separated column
-lists), ``--compact MIN_ROWS`` (runs ``compact_job`` after the encode),
+``--shared-dicts COLS`` (or ``auto``), ``--shared-fsst COLS``
+(comma-separated column lists), ``--compact MIN_ROWS`` (runs
+``compact_job`` after the encode),
 ``--optimize {balanced,size}``, ``--work DIR``. Ray runs at 1 CPU.
 """
 
@@ -50,7 +52,9 @@ def cc_input(work: str, rows: int, seed: int, row_group: int) -> str:
 
 
 def digest(store: str) -> dict:
-    chunks, total = {}, 0
+    from json_to_parquet_ray.manifest import effective_records
+
+    chunks, total, columns = {}, 0, {}
     for root, _, files in os.walk(store):
         for name in files:
             if not name.endswith(".rde"):
@@ -60,7 +64,11 @@ def digest(store: str) -> dict:
                 blob = f.read()
             chunks[os.path.relpath(path, store)] = hashlib.sha1(blob).hexdigest()
             total += len(blob)
-    return {"chunks": dict(sorted(chunks.items())), "total_bytes": total}
+    for rec in effective_records(store):
+        for c in rec.columns:
+            columns[c["name"]] = columns.get(c["name"], 0) + c["size"]
+    return {"chunks": dict(sorted(chunks.items())), "total_bytes": total,
+            "column_bytes": dict(sorted(columns.items()))}
 
 
 def main() -> int:
@@ -92,7 +100,9 @@ def main() -> int:
         inp = (cc_input(work, *args.cc) if args.cc
                else os.path.abspath(args.path))
         encode_job(inp, store, bloom_columns=_cols(args.bloom),
-                   shared_dict_columns=_cols(args.shared_dicts),
+                   shared_dict_columns=(
+                       "auto" if args.shared_dicts == "auto"
+                       else _cols(args.shared_dicts)),
                    shared_fsst_columns=_cols(args.shared_fsst),
                    max_rows_per_partition=args.max_rows,
                    optimize=args.optimize)
