@@ -129,19 +129,24 @@ def _load_index(out_dir: str) -> dict[str, PartitionRecord]:
         return {}
     out: dict[str, PartitionRecord] = {}
     for raw in read_index_rows(p):
-        try:
-            rec = PartitionRecord(**json.loads(raw))
-        except (json.JSONDecodeError, TypeError) as e:
-            # same loud-fail policy as the file-level read: the index is
-            # the SOLE copy of every covered record, so a skipped row
-            # would silently drop a partition from decode (rows vanish),
-            # verify (vacuous pass), and gc (live chunk swept as orphan)
-            raise ValueError(
-                f"manifest index {p!r} contains an unparseable record "
-                f"({e}); restore the index from a backup or delete it "
-                f"EXPLICITLY to fall back to re-encoding") from e
+        rec = index_record(p, raw)
         out[rec.partition_id] = rec
     return out
+
+
+def index_record(path: str, raw: str) -> PartitionRecord:
+    """One 'json' row of index ``path`` as a record. An unparseable row
+    raises — same loud-fail policy as the file-level read: the index is
+    the SOLE copy of every covered record, so a skipped row would
+    silently drop a partition from decode (rows vanish), verify (vacuous
+    pass), and gc (live chunk swept as orphan)."""
+    try:
+        return PartitionRecord(**json.loads(raw))
+    except (json.JSONDecodeError, TypeError) as e:
+        raise ValueError(
+            f"manifest index {path!r} contains an unparseable record "
+            f"({e}); restore the index from a backup or delete it "
+            f"EXPLICITLY to fall back to re-encoding") from e
 
 
 def read_index_rows(path: str) -> list[str]:
@@ -154,10 +159,25 @@ def read_index_rows(path: str) -> list[str]:
         return pq.read_table(path, columns=["json"]).column(
             "json").to_pylist()
     except Exception as e:
-        raise ValueError(
-            f"manifest index {path!r} exists but cannot be read ({e}); "
-            f"restore it from a backup or delete it EXPLICITLY to fall "
-            f"back to re-encoding the covered partitions") from e
+        raise _unreadable_index(path, e) from e
+
+
+def read_index_metadata(path: str):
+    """An index's parquet footer (row count, row groups, the seal flag),
+    under ``read_index_rows``' loud-fail policy."""
+    import pyarrow.parquet as pq
+
+    try:
+        return pq.read_metadata(path)
+    except Exception as e:
+        raise _unreadable_index(path, e) from e
+
+
+def _unreadable_index(path: str, e: Exception) -> ValueError:
+    return ValueError(
+        f"manifest index {path!r} exists but cannot be read ({e}); "
+        f"restore it from a backup or delete it EXPLICITLY to fall "
+        f"back to re-encoding the covered partitions")
 
 
 def write_index_file(path: str, json_rows: list[str],
@@ -166,8 +186,8 @@ def write_index_file(path: str, json_rows: list[str],
     'json' string column, committed through write_atomic (fsync before
     rename — the index may be the SOLE copy of every record, so an
     unsynced write_table + replace could leave a torn file after power
-    loss). Small row groups are the read unit of the streamed record
-    scan (``encode_job._record_scan``): 256 records each."""
+    loss). Small row groups are the read unit of the record scan
+    (``encode_job._record_scan``): 256 records each."""
     import io
 
     import pyarrow as pa
@@ -193,27 +213,17 @@ def _write_index(out_dir: str, json_rows: list[str],
 
 def _index_sealed(out_dir: str) -> bool:
     """True iff a consolidated index exists and was written sealed.
-    Reads only the parquet footer metadata."""
+    Reads only the parquet footer; an unreadable index raises."""
     p = index_path(out_dir)
-    if not os.path.exists(p):
-        return False
-    import pyarrow.parquet as pq
-
-    try:
-        meta = pq.read_schema(p).metadata or {}
-    except Exception:
-        return False  # unreadable → the slow path will raise loudly
-    return meta.get(b"sealed") == b"1"
+    return os.path.exists(p) and (
+        read_index_metadata(p).metadata or {}).get(b"sealed") == b"1"
 
 
 def _has_delta_records(out_dir: str) -> bool:
     """True iff any per-partition JSON record exists alongside the index
     (deltas overlay — and therefore unseal — the indexed set). Scans
     both the sharded layout and the flat legacy layout load_manifest
-    reads (``shard_dirs or [mdir]``); early-exits on the first hit. The
-    streamed record scan uses it to choose its sealed-index shortcut
-    (no deltas: index rows stream as work items with no classification
-    and no order sort)."""
+    reads (``shard_dirs or [mdir]``); early-exits on the first hit."""
     mdir = manifest_dir(out_dir)
     if not os.path.isdir(mdir):
         return False
@@ -229,67 +239,14 @@ def _has_delta_records(out_dir: str) -> bool:
     return False
 
 
-STREAM_INDEX_MIN_ROWS = 4096
-
-
-def stream_records(out_dir: str, force: bool | None = None) -> bool:
-    """The ONE gate between the two work-item sources of decode_dataset
-    and verify_job: the driver list (``effective_records``) or the
-    distributed record scan (``encode_job._record_scan``). True iff the
-    index row count plus the estimated shard-record count reaches
-    STREAM_INDEX_MIN_ROWS; ``force`` True streams any non-empty store,
-    False never streams. Below the threshold the scan's fixed Ray cost
-    (classification passes, order sort) outweighs a driver list that
-    is still cheap.
-
-    A store with flat-layout records (``part-*.json`` directly under
-    ``_manifest``) never streams: that layout has no parallel read unit.
-    An index that cannot be read does not stream either, so the driver
-    path raises its loud error. The shard-record count is ESTIMATED
-    from dirent listings (no file opens): exact up to 64 shard dirs,
-    sampled past that — a threshold gate needs no precision."""
-    if force is False:
-        return False
-    mdir = manifest_dir(out_dir)
-    if not os.path.isdir(mdir):
-        return False
-    names = os.listdir(mdir)
-    if any(n.startswith("part-") and n.endswith(".json") for n in names):
-        return False
-    n = 0
-    if os.path.exists(index_path(out_dir)):
-        import pyarrow.parquet as pq
-
-        try:
-            n = pq.read_metadata(index_path(out_dir)).num_rows
-        except (OSError, ValueError):  # ArrowIOError / ArrowInvalid
-            return False
-    shards = [os.path.join(mdir, d) for d in names if d.startswith("shard-")]
-
-    def _count(sd: str) -> int:
-        try:
-            return sum(1 for e in os.scandir(sd)
-                       if e.name.startswith("part-")
-                       and e.name.endswith(".json"))
-        except OSError:
-            return 0
-
-    if len(shards) <= 64:
-        n += sum(_count(sd) for sd in shards)
-    else:
-        sample = shards[::max(1, len(shards) // 64)][:64]
-        n += sum(_count(sd) for sd in sample) * len(shards) // len(sample)
-    return n > 0 and (force is True or n >= STREAM_INDEX_MIN_ROWS)
-
-
 def overlay_reconcile(out_dir: str,
                       contested: list[PartitionRecord]) -> list:
-    """Driver half of the streamed record scan: the exact
+    """Driver half of the distributed record scan: the exact
     ``effective_records`` reconciliation over the CONTESTED records the
-    distributed scan found, returning the chosen records to union with
-    the streamed clean survivors. The scan reads each contested record
-    from its JSON file when one exists (a delta wins on a partition_id
-    collision, as in ``load_manifest``), else from the index.
+    scan found, returning the chosen records to union with the clean
+    survivors. The scan reads each contested record from its JSON file
+    when one exists (a delta wins on a partition_id collision, as in
+    ``load_manifest``), else from the index.
 
     Exactness: a record is contested iff some ``(path, row_group)`` key
     it claims has a merged claimant or two claims with overlapping row
@@ -298,9 +255,10 @@ def overlay_reconcile(out_dir: str,
     consolidate's seal condition). Reconciliation only ever rejects a
     record through such a key, so the global two-pass outcome equals
     ``effective_records(contested) ∪ clean``. One deliberate divergence
-    from the driver list: clean records are not ``is_complete``-checked
-    (that would be one driver ``stat()`` per record — 10^7 of them); a
-    chunk damaged after it was written fails loudly at decode (CRC/size).
+    from ``effective_records`` over the whole store: clean merged records
+    are not ``is_complete``-checked (that would be one ``stat()`` per
+    record — 10^7 of them); a chunk damaged after it was written fails
+    loudly at decode (CRC/size).
     Pathology: a compaction touching most of the store degrades the
     contested set to the full store — at that shape run ``consolidate``."""
     return effective_records(

@@ -42,6 +42,8 @@ from ..manifest import (
     PartitionRecord,
     completed_partitions,
     effective_records,
+    index_path,
+    index_record,
     load_manifest,
     shard_of,
     write_atomic,
@@ -221,6 +223,9 @@ TASK_BYTES = 32 << 20
 # parsing its header costs ~0.8 ms even on a 50 KB chunk, which is
 # ~128 KiB at the same 160 MB/s.
 ITEM_BYTES = 128 << 10
+# The record scan's work per task, in manifest records: a smaller store
+# is read in one plain task, a larger one by the distributed scan.
+TASK_RECORDS = 4096
 
 
 def _dispatch_blocks(n_items: int, work_bytes: int) -> int:
@@ -236,8 +241,9 @@ def _dispatch_blocks(n_items: int, work_bytes: int) -> int:
     byte total, floored at ``ITEM_BYTES`` per item. ``from_items``
     splits the list into contiguous runs, so packed items keep their
     order, and manifest records, resume claims and verdicts stay
-    strictly per-partition. A driver-list read sized as one block runs
-    as one plain Ray task with no streaming executor (``_map_items``)."""
+    strictly per-partition. Work sized as one block runs as one plain
+    Ray task with no streaming executor (``_map_items`` and the record
+    scan's one-task case)."""
     try:
         import ray
 
@@ -249,8 +255,8 @@ def _dispatch_blocks(n_items: int, work_bytes: int) -> int:
 
 
 def _item_dataset(items: list[dict], work_bytes: int):
-    """``ray.data.from_items`` over a driver-built work-item list, packed
-    into ``_dispatch_blocks`` contiguous blocks."""
+    """``ray.data.from_items`` over a work-item list, packed into
+    ``_dispatch_blocks`` contiguous blocks."""
     import ray
 
     return ray.data.from_items(
@@ -258,8 +264,9 @@ def _item_dataset(items: list[dict], work_bytes: int):
 
 
 def _run_items(fn, items: pa.Table):
-    """Body of ``_map_items``'s one task: ``fn`` once per item, in item
-    order. Returns (True, the outputs concatenated) when they share one
+    """``fn`` once per item, in item order, in one task (``_map_items``,
+    ``_scan_one``). Returns (True, the outputs concatenated) when they
+    share one
     schema, else (False, None): a Dataset keeps per-item blocks of
     different schemas apart, one table cannot."""
     outs = [fn(items.slice(i, 1)) for i in range(items.num_rows)]
@@ -269,8 +276,8 @@ def _run_items(fn, items: pa.Table):
 
 
 def _map_items(items: list[dict], work_bytes: int, fn):
-    """Map the per-batch UDF ``fn`` over a driver-built work-item list,
-    one item per call, keeping item order.
+    """Map the per-batch UDF ``fn`` over ``items``, one item per call,
+    keeping item order.
 
     Work that ``_dispatch_blocks`` sizes as one block runs as ONE plain
     Ray task, with no streaming executor (its start-up was ~85% of a
@@ -487,9 +494,9 @@ def _zone_hits(z: dict, lo, hi) -> bool:
 
 
 def _zones_alive(columns: list, zone_filter: dict) -> bool:
-    """One record's zone-map survival check — shared by the driver-side
-    ``zone_prune`` and the record scan (same logic runs inside its
-    tasks there)."""
+    """One record's zone-map survival check — shared by ``zone_prune``
+    and the distributed record scan (same logic runs inside its tasks
+    there)."""
     zones = {c["name"]: c for c in columns}
     for col, bound in zone_filter.items():
         z = zones.get(col)
@@ -878,13 +885,12 @@ def encode_job(
 
 
 def validate_zone_bounds(recs: list, zone_filter: dict) -> None:
-    """Fail fast ON THE DRIVER for bounds a temporal column can't parse
-    (e.g. CLI ts=2024,2025): the zone prune compares zone STRINGS
-    lexically so such bounds slip through it and can lexically prune
-    EVERY chunk — an empty result must not masquerade as success, and
-    raising inside a Ray task would surface as an opaque RayTaskError.
-    Shared by decode_dataset and the CLI scan-stats explain path (the
-    explain must error exactly where the decode would)."""
+    """Fail fast, before any chunk is read, for bounds a temporal column
+    can't parse (e.g. CLI ts=2024,2025): the zone prune compares zone
+    STRINGS lexically so such bounds slip through it and can lexically
+    prune EVERY chunk — an empty result must not masquerade as success.
+    Shared by the record scan's one task and the CLI scan-stats explain
+    path (the explain must error exactly where the decode would)."""
     validate_zone_bounds_cols(
         {c["name"] for rec in recs for c in rec.columns if c.get("ts")},
         zone_filter)
@@ -892,8 +898,8 @@ def validate_zone_bounds(recs: list, zone_filter: dict) -> None:
 
 def validate_zone_bounds_cols(ts_cols: set, zone_filter: dict) -> None:
     """Core of ``validate_zone_bounds`` over a pre-computed timestamp
-    column-name set (the record scan collects it inside its tasks
-    instead of from a driver record list)."""
+    column-name set (the distributed record scan collects it inside its
+    tasks)."""
     for col, bound in zone_filter.items():
         if col not in ts_cols:
             continue
@@ -971,9 +977,8 @@ def _preserve_order():
     return cm()
 
 
-# decode/verify work items, one per partition, from either source (the
-# driver list or the record scan); sk_* is the input-order sort key
-# (PartitionRecord.sort_key)
+# decode/verify work items, one per partition, from the record scan;
+# sk_* is the input-order sort key (PartitionRecord.sort_key)
 _ITEM_SCHEMA = pa.schema([
     ("partition_id", pa.string()), ("path", pa.string()),
     ("sources", pa.string()), ("num_rows", pa.int64()),
@@ -1090,113 +1095,179 @@ def _overlap_keys(items) -> set:
     return out
 
 
-def _record_scan(out_dir: str, zone_filter: dict | None = None):
-    """The streamed work-item source of decode_dataset and verify_job: a
-    Dataset of ``_ITEM_SCHEMA`` rows in input order, built from a
-    distributed read of every record — index row groups and
-    ``shard-*`` JSON records as ONE record source. The driver holds the
-    source list (index row group numbers, ≤4096 shard dirs) and the
-    contested records, never the full record list. Decode builds it
-    under preserve_order.
+def _records(out_dir: str, rg: int, shard: str):
+    """The records of one record-scan source: index row group ``rg``, or
+    (``rg`` -1) the ``part-*.json`` files of directory ``shard``. Torn
+    JSON records are skipped (the ``load_delta_records`` policy); an
+    unreadable directory, file, index or index row fails loudly."""
+    if rg >= 0:
+        ipath = index_path(out_dir)
+        st = os.stat(ipath)
+        pf = pq.ParquetFile(ipath, metadata=_index_metadata(
+            ipath, st.st_mtime_ns, st.st_size))
+        for raw in pf.read_row_group(rg, columns=["json"]).column(
+                "json").to_pylist():
+            yield index_record(ipath, raw)
+        return
+    try:
+        names = sorted(os.listdir(shard))
+    except FileNotFoundError:
+        # vanished shard dir (concurrent gc of an emptied shard) —
+        # load_delta_records' isdir() guard skips exactly this. Any
+        # OTHER OSError propagates: swallowing it would silently drop
+        # every partition in the shard and let verify pass vacuously.
+        return
+    for name in names:
+        if not (name.startswith("part-") and name.endswith(".json")):
+            continue
+        # open/read errors propagate: an unreadable-but-present
+        # record is not "torn"
+        with open(os.path.join(shard, name)) as f:
+            raw = f.read()
+        try:
+            rec = PartitionRecord(**json.loads(raw))
+        except (json.JSONDecodeError, TypeError):
+            continue  # torn record → partition re-encodes
+        yield rec
 
-    Classification (exact vs ``effective_records``; see
-    ``overlay_reconcile``): a record is CONTESTED iff some
+
+def _record_sources(out_dir: str) -> tuple[list[dict], int, bool, bool]:
+    """The record scan's sources, listed on the driver without opening a
+    record: ``(sources, estimated records, sealed, shortcut)``. Sources
+    are the index row groups, then ``_manifest/`` itself and the
+    ``shard-*`` dirs that hold ``part-*.json`` records (consolidate
+    leaves its shard dirs behind, emptied). The estimate adds the index
+    footer's row count and those dirents, sampled past 64 dirs.
+    ``shortcut``: a sealed index with no JSON records, whose rows are the
+    effective set in input order."""
+    from ..manifest import manifest_dir, read_index_metadata
+
+    def records_in(d: str):
+        try:
+            with os.scandir(d) as it:
+                yield from (e for e in it if e.name.startswith("part-")
+                            and e.name.endswith(".json"))
+        except FileNotFoundError:
+            return  # removed by a concurrent gc
+
+    ipath = index_path(out_dir)
+    meta = read_index_metadata(ipath) if os.path.exists(ipath) else None
+    n_rg = meta.num_row_groups if meta else 0
+    sealed = n_rg > 0 and (meta.metadata or {}).get(b"sealed") == b"1"
+    mdir = manifest_dir(out_dir)
+    dirs = [mdir] + [os.path.join(mdir, n) for n in sorted(os.listdir(mdir))
+                     if n.startswith("shard-")]
+    dirs = [d for d in dirs if next(records_in(d), None) is not None]
+    sample = dirs[::max(1, len(dirs) // 64)][:64]
+    est = sum(sum(1 for _ in records_in(d)) for d in sample)
+    est = est * len(dirs) // max(1, len(sample)) + (
+        meta.num_rows if meta else 0)
+    sources = [{"rg": rg, "shard": ""} for rg in range(n_rg)]
+    sources += [{"rg": -1, "shard": d} for d in dirs]
+    return sources, est, sealed, sealed and not dirs
+
+
+def _scan_one(out_dir: str, sources: list[dict], shortcut: bool,
+              zone_filter: dict | None, columns: list[str], fn, blocks):
+    """The record scan's one task: read every source's records (a later
+    source wins a partition_id collision, as in ``load_manifest``),
+    reconcile them (``effective_records``), check and apply
+    ``zone_filter``, order them by ``sort_key``, and when they fit one
+    block by ``blocks`` (the driver's ``_dispatch_blocks``) call ``fn``
+    on each item too. Returns (head, body): head is (ValueError message
+    of the record phase, item count, work bytes, done), body ``fn``'s
+    output table when done, else the items."""
+    recs: dict = {}
+    try:
+        for s in sources:
+            for rec in _records(out_dir, s["rg"], s["shard"]):
+                recs[rec.partition_id] = rec
+        recs = (sorted(recs.values(), key=lambda r: r.sort_key) if shortcut
+                else effective_records(out_dir, manifest=recs))
+        if zone_filter:
+            validate_zone_bounds(recs, zone_filter)
+            recs, _ = zone_prune(out_dir, zone_filter, recs=recs)
+    except ValueError as e:
+        return (str(e), 0, 0, False), None
+    work = sum(r.chunk_size for r in recs)
+    items = pa.Table.from_pylist([_work_item(out_dir, r) for r in recs],
+                                 schema=_ITEM_SCHEMA).select(columns)
+    if recs and blocks(len(recs), work) == 1:
+        same, out = _run_items(fn, items)
+        if same:
+            return (None, len(recs), work, True), out
+    return (None, len(recs), work, False), items
+
+
+def _record_scan(out_dir: str, zone_filter: dict | None,
+                 columns: list[str], fn):
+    """THE work-item source of decode_dataset and verify_job: the
+    per-batch UDF ``fn`` mapped, one item per call and in input order,
+    over the ``_ITEM_SCHEMA`` ``columns`` of the effective records that
+    survive ``zone_filter`` (unread columns cost ~0.4 ms per item). The
+    driver names the sources without reading a record
+    (``_record_sources``). Below ``TASK_RECORDS``
+    estimated records one plain task (``_scan_one``) does the record
+    work, and ``fn`` too when the survivors fit one block; else the
+    distributed scan runs, sized at ``TASK_RECORDS`` per task. Both raise
+    a clean ``ValueError`` for a bad bound before any chunk is read.
+    Returns None (no item), the ObjectRef of ``fn``'s one output table,
+    or a lazy Dataset.
+
+    The distributed scan classifies exactly (vs ``effective_records``;
+    see ``overlay_reconcile``): a record is CONTESTED iff some
     ``(path, row_group)`` key it claims has a merged claimant or two
     claims with overlapping row intervals (``_overlap_keys``, a
     distributed sort). Interval-disjoint claims — a store encoded with
     ``max_rows_per_partition`` — stay clean. Rows of a SEALED index never
     conflict with each other, so they enter the check only on keys a
     JSON record also claims. Contested records alone are read back
-    (from their JSON file if one exists — a delta wins on a
-    partition_id collision — else from the index row groups that hold
-    them) and reconciled on the driver; the clean rest streams, and one
-    distributed sort by ``sk_*`` restores input order.
-
-    A sealed index with no JSON records skips all of that: its rows are
-    the effective set, already in input order.
-
-    ``zone_filter`` prunes inside the scan tasks, after classification
-    (a pruned record still claims its intervals). The tasks also return
-    the ts-flagged filter columns they saw and any bound-comparability
-    error; the driver raises the same ``ValueError`` as the driver-list
-    path before any decode starts. Torn JSON records are skipped (the
-    ``load_delta_records`` policy); an unreadable shard dir or index
-    fails the task loudly."""
+    (from their JSON file if one exists, else from the index row groups
+    that hold them) and reconciled on the driver; the clean rest
+    streams, and one distributed sort by ``sk_*`` restores input order.
+    The shortcut skips all of that. ``zone_filter`` prunes inside the
+    scan tasks, after classification (a pruned record still claims its
+    intervals); the tasks also return the ts-flagged filter columns they
+    saw and any bound-comparability error, for the driver to raise."""
     import pyarrow.compute as pc
     import ray
+    from ray.data._internal.remote_fn import cached_remote_fn
 
-    from ..manifest import (_has_delta_records, _index_sealed, index_path,
-                            manifest_dir, overlay_reconcile, record_path)
+    from ..manifest import manifest_dir, overlay_reconcile, record_path
+
+    require_store(out_dir)
+    sources, est, sealed, shortcut = _record_sources(out_dir)
+    if est < TASK_RECORDS:
+        head, body = cached_remote_fn(_scan_one, num_returns=2).remote(
+            out_dir, sources, shortcut, zone_filter, columns, fn,
+            _dispatch_blocks)
+        err, n, work, done = ray.get(head)
+        if err is not None:
+            raise ValueError(err)
+        if done:
+            return body
+        if not n:
+            return None
+        return _item_dataset(ray.get(body).to_pylist(), work).map_batches(
+            fn, batch_size=1, batch_format="pyarrow")
 
     ipath = index_path(out_dir)
-    n_rg = (pq.read_metadata(ipath).num_row_groups
-            if os.path.exists(ipath) else 0)
-    sealed = n_rg > 0 and _index_sealed(out_dir)
-    # no JSON records over a sealed index: index rows ARE the items
-    shortcut = sealed and not _has_delta_records(out_dir)
-    sources = [{"rg": rg, "shard": ""} for rg in range(n_rg)]
-    if not shortcut:
-        def nonempty(sd: str) -> bool:
-            # consolidate leaves its shard dirs behind, emptied; one
-            # dirent read per dir keeps them out of the task list
-            try:
-                with os.scandir(sd) as it:
-                    return next(it, None) is not None
-            except FileNotFoundError:
-                return False  # removed by a concurrent gc
 
-        mdir = manifest_dir(out_dir)
-        sources += [{"rg": -1, "shard": sd}
-                    for sd in (os.path.join(mdir, d)
-                               for d in sorted(os.listdir(mdir))
-                               if d.startswith("shard-"))
-                    if nonempty(sd)]
-
-    def zone_facts(columns: list) -> tuple:
+    def zone_facts(zones: list) -> tuple:
         if not zone_filter:
             return True, None, None
-        ts = "\x00".join(sorted(c["name"] for c in columns
+        ts = "\x00".join(sorted(c["name"] for c in zones
                                 if c.get("ts") and c["name"] in zone_filter))
         try:
-            return _zones_alive(columns, zone_filter), ts or None, None
+            return _zones_alive(zones, zone_filter), ts or None, None
         except ValueError as e:
             return True, ts or None, str(e)
-
-    def records(rg: int, shard: str):
-        if rg >= 0:
-            st = os.stat(ipath)
-            pf = pq.ParquetFile(ipath, metadata=_index_metadata(
-                ipath, st.st_mtime_ns, st.st_size))
-            for raw in pf.read_row_group(rg, columns=["json"]).column(
-                    "json").to_pylist():
-                yield PartitionRecord(**json.loads(raw))
-            return
-        try:
-            names = sorted(os.listdir(shard))
-        except FileNotFoundError:
-            # vanished shard dir (concurrent gc of an emptied shard) —
-            # load_delta_records' isdir() guard skips exactly this. Any
-            # OTHER OSError propagates: swallowing it would silently drop
-            # every partition in the shard and let verify pass vacuously.
-            return
-        for name in names:
-            if not (name.startswith("part-") and name.endswith(".json")):
-                continue
-            # open/read errors propagate: an unreadable-but-present
-            # record is not "torn"
-            with open(os.path.join(shard, name)) as f:
-                raw = f.read()
-            try:
-                rec = PartitionRecord(**json.loads(raw))
-            except (json.JSONDecodeError, TypeError):
-                continue  # torn record → partition re-encodes
-            yield rec
 
     def read_records(b: pa.Table) -> pa.Table:
         rows, carried = [], set()
         for rg, shard in zip(b.column("rg").to_pylist(),
                              b.column("shard").to_pylist()):
-            for rec in records(rg, shard):
+            for rec in _records(out_dir, rg, shard):
                 alive, zts, zerr = zone_facts(rec.columns)
                 if shortcut and not alive:
                     # nothing to classify: drop pruned records, keeping
@@ -1221,8 +1292,9 @@ def _record_scan(out_dir: str, zone_filter: dict | None = None):
                         break  # only the item row is needed
         return pa.Table.from_pylist(rows, schema=_SCAN_SCHEMA)
 
-    scan = _item_dataset(sources, 0).map_batches(
-        read_records, batch_format="pyarrow", batch_size=16)
+    scan = _item_dataset(
+        sources, est * TASK_BYTES // TASK_RECORDS).map_batches(
+            read_records, batch_format="pyarrow", batch_size=16)
     if not (shortcut and not zone_filter):
         scan = scan.materialize()
 
@@ -1256,8 +1328,12 @@ def _record_scan(out_dir: str, zone_filter: dict | None = None):
             in_json = {pid for pid, src in hits if src < 0}
             recs = []
             for pid in sorted(in_json):
+                p = record_path(out_dir, pid)
+                if not os.path.exists(p):  # the flat layout
+                    p = os.path.join(manifest_dir(out_dir),
+                                     f"part-{pid}.json")
                 try:
-                    with open(record_path(out_dir, pid)) as f:
+                    with open(p) as f:
                         recs.append(PartitionRecord(**json.load(f)))
                 except OSError as ex:
                     # parsed in the scan moments ago: a vanished file
@@ -1265,7 +1341,7 @@ def _record_scan(out_dir: str, zone_filter: dict | None = None):
                     # the store — dropping it would lose rows
                     raise RuntimeError(
                         f"manifest record for contested partition {pid!r} "
-                        f"disappeared during the streamed read ({ex}); the "
+                        f"disappeared during the record scan ({ex}); the "
                         "store was mutated concurrently — re-run the read "
                         "(or consolidate first)") from ex
             rgs = sorted({src for pid, src in hits
@@ -1273,7 +1349,7 @@ def _record_scan(out_dir: str, zone_filter: dict | None = None):
             if rgs:
                 for raw in pq.ParquetFile(ipath).read_row_groups(
                         rgs, columns=["json"]).column("json").to_pylist():
-                    rec = PartitionRecord(**json.loads(raw))
+                    rec = index_record(ipath, raw)
                     if (rec.partition_id in contested
                             and rec.partition_id not in in_json):
                         recs.append(rec)
@@ -1306,12 +1382,14 @@ def _record_scan(out_dir: str, zone_filter: dict | None = None):
             _ITEM_SCHEMA.names)
 
     items = scan.map_batches(clean_items, batch_format="pyarrow")
-    if shortcut:
-        return items
-    if extra:
-        items = items.union(ray.data.from_arrow(pa.Table.from_pylist(
-            [_work_item(out_dir, r) for r in extra], schema=_ITEM_SCHEMA)))
-    return items.sort(["sk_path", "sk_rg", "sk_rs"])
+    if not shortcut:
+        if extra:
+            items = items.union(ray.data.from_arrow(pa.Table.from_pylist(
+                [_work_item(out_dir, r) for r in extra],
+                schema=_ITEM_SCHEMA)))
+        items = items.sort(["sk_path", "sk_rg", "sk_rs"])
+    return items.select_columns(columns).map_batches(
+        fn, batch_size=1, batch_format="pyarrow")
 
 
 def _zone_mask(table: pa.Table, zone_filter: dict) -> pa.Array:
@@ -1394,50 +1472,9 @@ def _zone_mask(table: pa.Table, zone_filter: dict) -> pa.Array:
     return pc.fill_null(mask, False)
 
 
-def _work_items(out_dir: str, zone_filter: dict | None,
-                stream_index: bool | None, columns: list[str], fn):
-    """The per-batch UDF ``fn`` mapped, one item per call, over the work
-    items of decode_dataset and verify_job, projected to the
-    ``_ITEM_SCHEMA`` ``columns`` the caller reads. The items come from
-    one of exactly two sources: the driver list built from
-    ``effective_records`` for small stores, or the distributed
-    ``_record_scan`` for large ones. The one gate
-    ``manifest.stream_records`` chooses; ``stream_index`` forces either
-    source. Both prune by ``zone_filter`` and raise the same clean
-    ``ValueError`` for a bad bound before any chunk is read.
-
-    Returns None for an empty driver list, the ObjectRef of ``fn``'s one
-    output table when ``_map_items`` runs the driver list as one task,
-    else a lazy Dataset.
-
-    Ray slices every column of a batch: unread columns cost ~0.4 ms per
-    item (1 CPU), and on the driver list a projection operator costs
-    more than the items do."""
-    from ..manifest import stream_records
-
-    require_store(out_dir)
-    if stream_records(out_dir, stream_index):
-        return _record_scan(out_dir, zone_filter).select_columns(
-            columns).map_batches(fn, batch_size=1, batch_format="pyarrow")
-    # input order is recomputed from the recorded fragment identity
-    # (path, row_group, row_start) — stable under appends, unlike ids;
-    # effective_records resolves merged/plain overlap after a crashed
-    # compaction
-    recs = effective_records(out_dir)
-    if zone_filter:
-        validate_zone_bounds(recs, zone_filter)
-        recs, _ = zone_prune(out_dir, zone_filter, recs=recs)
-    if not recs:
-        return None
-    return _map_items(
-        [{c: v for c, v in _work_item(out_dir, r).items() if c in columns}
-         for r in recs], sum(r.chunk_size for r in recs), fn)
-
-
 def decode_dataset(out_dir: str, columns: list[str] | None = None,
                    zone_filter: dict | None = None,
-                   schema: pa.Schema | None = None,
-                   stream_index: bool | None = None):
+                   schema: pa.Schema | None = None):
     """Ray Dataset over the encoded chunks → decoded Arrow rows (streaming).
 
     ``zone_filter`` {col: (lo, hi)} (inclusive range) or {col: [v1, ...]}
@@ -1453,17 +1490,15 @@ def decode_dataset(out_dir: str, columns: list[str] | None = None,
     column order normalized) — old chunks stay readable after the logical
     schema gains columns or widens types.
 
-    Work items come from the driver list on small stores and from the
-    distributed record scan on large ones (``_work_items``); zone-filtered
-    reads prune in the scan tasks on every store shape. ``stream_index``
-    forces the scan (True) or the driver list (False).
+    Work items come from the record scan (``_record_scan``), which reads,
+    reconciles and zone-prunes the manifest records in Ray tasks.
 
-    A small read runs at call time: when the driver list's surviving
-    chunks fit one task (``_dispatch_blocks``), one plain Ray task decodes
-    them all before this returns, and the result is a materialized
-    one-block Dataset (``from_arrow_refs``) in item order. Its errors,
-    such as a typo'd projected column, raise from this call. Larger reads
-    stay lazy and raise when consumed."""
+    A small read runs at call time: below ``TASK_RECORDS`` records, when
+    the surviving chunks fit one block (``_dispatch_blocks``), the one
+    task that read the records decodes them all before this returns, and
+    the result is a materialized one-block Dataset (``from_arrow_refs``)
+    in item order. Its errors, such as a typo'd projected column, raise
+    from this call. Larger reads stay lazy and raise when consumed."""
     from ..encode import read_chunk_file
 
     # equality (lo == hi) and IN-list predicates additionally consult
@@ -1509,8 +1544,7 @@ def decode_dataset(out_dir: str, columns: list[str] | None = None,
     import ray
 
     with _preserve_order():
-        out = _work_items(out_dir, zone_filter, stream_index, ["path"],
-                          decode_item)
+        out = _record_scan(out_dir, zone_filter, ["path"], decode_item)
         if out is None:
             import pandas as pd
 
@@ -1884,17 +1918,15 @@ def gc_job(out_dir: str, dry_run: bool = False) -> dict:
             "dry_run": dry_run}
 
 
-def verify_job(out_dir: str, stream_index: bool | None = None) -> dict:
+def verify_job(out_dir: str) -> dict:
     """Distributed bit-identical verification: decode every chunk and compare
     against its recorded input fragment. Returns {partitions, ok, failed:[...]}.
 
-    Work items come from the same two sources as decode_dataset
-    (``_work_items``): the driver list on small stores, the distributed
-    record scan past STREAM_INDEX_MIN_ROWS records (or with
-    ``stream_index=True``). Only FAILURES ever reach the driver either
-    way — totals aggregate distributed. A driver list that fits one task
-    (``_map_items``) returns its verdicts as one small table, with no
-    materialize and no second pass.
+    Work items come from the record scan, as for decode_dataset
+    (``_record_scan``). Only FAILURES ever reach the driver — totals
+    aggregate distributed. A read whose chunks fit the scan's one task
+    returns its verdicts as one small table, with no materialize and no
+    second pass.
     """
 
     def check(batch: pa.Table) -> pa.Table:
@@ -1940,8 +1972,8 @@ def verify_job(out_dir: str, stream_index: bool | None = None) -> dict:
 
         return b.filter(pc.invert(b.column("ok").combine_chunks()))
 
-    res = _work_items(out_dir, None, stream_index,
-                      ["partition_id", "path", "sources", "num_rows"], check)
+    res = _record_scan(out_dir, None,
+                       ["partition_id", "path", "sources", "num_rows"], check)
     if res is None:
         return {"partitions": 0, "ok": 0, "failed": []}
     if isinstance(res, ray.ObjectRef):

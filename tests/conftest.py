@@ -13,3 +13,25 @@ def ray_session():
     ctx.enable_progress_bars = False
     yield
     ray.shutdown()
+
+
+@pytest.fixture
+def both_sides(monkeypatch):
+    """``both_sides(read)`` calls ``read()`` once per shape of the record
+    scan and returns both results: first the one fused task, then the
+    distributed scan. The shape is forced on the driver by patching the
+    per-task record budget, past any test store and then to 1 (every
+    non-empty store scans); the default budget is restored after."""
+    from json_to_parquet_ray.pipelines import encode_job as ej
+
+    default = ej.TASK_RECORDS
+
+    def run(read):
+        got = []
+        for budget in (1 << 62, 1):
+            monkeypatch.setattr(ej, "TASK_RECORDS", budget)
+            got.append(read())
+        monkeypatch.setattr(ej, "TASK_RECORDS", default)
+        return got
+
+    return run

@@ -1361,9 +1361,10 @@ def test_store_stats_metrics(ray_session, cc_parquet, tmp_path):
 
 
 def test_corrupt_index_fails_loudly_and_gc_refuses(ray_session, cc_parquet,
-                                                   tmp_path):
+                                                   tmp_path, both_sides):
     """An index that exists but cannot be read must RAISE, not read as an
-    empty store — gc would otherwise sweep every live chunk."""
+    empty store — gc would otherwise sweep every live chunk, decode
+    would return no row and verify would pass vacuously."""
     from json_to_parquet_ray.manifest import (
         consolidate,
         index_path,
@@ -1380,6 +1381,14 @@ def test_corrupt_index_fails_loudly_and_gc_refuses(ray_session, cc_parquet,
     with pytest.raises(ValueError, match="cannot be read"):
         gc_job(out)
     assert glob.glob(os.path.join(out, "shard-*", "*.rde"))  # untouched
+
+    def unreadable():
+        with pytest.raises(ValueError, match="cannot be read"):
+            decode_dataset(out)
+        with pytest.raises(ValueError, match="cannot be read"):
+            verify_job(out)
+
+    both_sides(unreadable)
 
 
 def test_gc_refuses_torn_keyed_swap(ray_session, tmp_path):
@@ -1469,7 +1478,8 @@ def test_encode_job_consolidate_manifest_flag(ray_session, cc_parquet,
     assert verify_job(out)["failed"] == []
 
 
-def test_sealed_index_fast_path(ray_session, cc_parquet, tmp_path):
+def test_sealed_index_fast_path(ray_session, cc_parquet, tmp_path,
+                                both_sides):
     """A sealed index with no deltas skips interval reconciliation but
     returns the identical effective set; any delta or conflict unseals."""
     from json_to_parquet_ray.manifest import (
@@ -1513,18 +1523,26 @@ def test_sealed_index_fast_path(ray_session, cc_parquet, tmp_path):
     assert res2["sealed"] is False
     assert [r.to_json() for r in effective_records(out)] == slow
     assert verify_job(out)["failed"] == []
-    # the streamed scan checks every row of an UNSEALED index for
-    # overlap, so the stale record still loses there
-    assert verify_job(out, stream_index=True) == verify_job(out)
-    assert decode_dataset(out, stream_index=True).take_all() == \
-        decode_dataset(out, stream_index=False).take_all()
+    # the distributed scan checks every row of an UNSEALED index for
+    # overlap, so the stale record loses there too
+    one, scan = both_sides(lambda: verify_job(out))
+    assert one == scan and one["failed"] == []
+    one, scan = both_sides(lambda: decode_dataset(out).take_all())
+    assert one == scan
+
+
+def _table(ds) -> pa.Table:
+    return pa.concat_tables(
+        ds.iter_batches(batch_format="pyarrow", batch_size=4096))
 
 
 def test_sealed_index_streamed_decode_order_identical(ray_session,
-                                                      tmp_path):
-    """Decoding a sealed store streams work items off the index row
-    groups (no driver from_items list) and yields byte-identical rows in
-    the same order as the reconciliation path."""
+                                                      tmp_path,
+                                                      both_sides):
+    """Decoding a sealed store reads work items off the index row groups
+    and yields byte-identical rows, in the same order as before
+    consolidation, through both the one-task case and the distributed
+    scan."""
     from json_to_parquet_ray.manifest import consolidate
 
     d = tmp_path / "src"
@@ -1534,39 +1552,31 @@ def test_sealed_index_streamed_decode_order_identical(ray_session,
     out = str(tmp_path / "enc_stream")
     encode_job(str(d), out, shared_dict_columns=None)
 
-    before = pa.concat_tables(
-        decode_dataset(out).iter_batches(batch_format="pyarrow",
-                                         batch_size=4096))
+    before = _table(decode_dataset(out))
     res = consolidate(out)
     assert res["sealed"] is True
-    # stream_index=True forces the streamed path (auto engages only past
-    # STREAM_INDEX_MIN_ROWS — small stores keep the cheap driver list)
-    after = pa.concat_tables(
-        decode_dataset(out, stream_index=True).iter_batches(
-            batch_format="pyarrow", batch_size=4096))
-    assert after.equals(before)          # values AND row order
-
-    proj = pa.concat_tables(
-        decode_dataset(out, columns=["url", "lang"],
-                       stream_index=True).iter_batches(
-            batch_format="pyarrow", batch_size=4096))
-    assert proj.equals(before.select(["url", "lang"]))
-    assert verify_job(out, stream_index=True)["failed"] == []
+    for after in both_sides(lambda: _table(decode_dataset(out))):
+        assert after.equals(before)          # values AND row order
+    for proj in both_sides(lambda: _table(
+            decode_dataset(out, columns=["url", "lang"]))):
+        assert proj.equals(before.select(["url", "lang"]))
+    one, scan = both_sides(lambda: verify_job(out))
+    assert one == scan and one["failed"] == []
 
 
-def test_unsealed_overlay_streamed_decode_and_verify(ray_session, tmp_path):
-    """A sealed index OVERLAID by JSON deltas decodes/verifies via the
-    streamed overlay path — index rows stream off the parquet row groups,
-    only the small delta set reconciles on the driver — with rows AND
-    order identical to the full reconciliation path. Covers both delta
-    shapes: (A) plain append deltas, (B) a crashed compaction's merged
-    delta superseding index-resident plain records."""
+def test_unsealed_overlay_streamed_decode_and_verify(ray_session, tmp_path,
+                                                     both_sides):
+    """A sealed index OVERLAID by JSON deltas decodes/verifies through the
+    distributed scan — index rows stream off the parquet row groups, only
+    the small delta set reconciles on the driver — with rows AND order
+    identical to the one-task case's full reconciliation. Covers both
+    delta shapes: (A) plain append deltas, (B) a crashed compaction's
+    merged delta superseding index-resident plain records."""
     from json_to_parquet_ray.manifest import (
         _has_delta_records,
         _index_sealed,
         consolidate,
         index_path,
-        stream_records,
     )
     from json_to_parquet_ray.pipelines.encode_job import compact_job
 
@@ -1580,20 +1590,14 @@ def test_unsealed_overlay_streamed_decode_and_verify(ray_session, tmp_path):
     # (A) append: two JSON deltas over the sealed 4-record index
     write_cc_parquet(str(d / "b.parquet"), 500, seed=6, row_group_size=250)
     encode_job(str(d), out, shared_dict_columns=None)
-    assert stream_records(out, True)
     # the overlay shape: a sealed index with JSON deltas over it
     assert _index_sealed(out) and _has_delta_records(out)
 
-    slow = pa.concat_tables(
-        decode_dataset(out, stream_index=False).iter_batches(
-            batch_format="pyarrow", batch_size=4096))
-    fast = pa.concat_tables(
-        decode_dataset(out, stream_index=True).iter_batches(
-            batch_format="pyarrow", batch_size=4096))
+    slow, fast = both_sides(lambda: _table(decode_dataset(out)))
     assert fast.equals(slow)             # values AND row order
     assert slow.num_rows == 1500
-    v = verify_job(out, stream_index=True)
-    assert v == {"partitions": 6, "ok": 6, "failed": []}
+    one, v = both_sides(lambda: verify_job(out))
+    assert one == v == {"partitions": 6, "ok": 6, "failed": []}
 
     # (B) crashed compaction: fold the deltas in, compact (merged record
     # lands as a JSON delta, retirement rewrites the index), then restore
@@ -1611,36 +1615,28 @@ def test_unsealed_overlay_streamed_decode_and_verify(ray_session, tmp_path):
     for p, blob in chunks.items():
         os.makedirs(os.path.dirname(p), exist_ok=True)
         open(p, "wb").write(blob)
-    assert stream_records(out, True)
 
-    slow_b = pa.concat_tables(
-        decode_dataset(out, stream_index=False).iter_batches(
-            batch_format="pyarrow", batch_size=4096))
-    fast_b = pa.concat_tables(
-        decode_dataset(out, stream_index=True).iter_batches(
-            batch_format="pyarrow", batch_size=4096))
+    slow_b, fast_b = both_sides(lambda: _table(decode_dataset(out)))
     assert fast_b.equals(slow_b)         # merged wins, no duplication
     assert fast_b.num_rows == 1500
-    v = verify_job(out, stream_index=True)
+    one, v = both_sides(lambda: verify_job(out))
+    assert one == v
     assert v["failed"] == [] and v["partitions"] == 1  # the merged record
 
 
-def test_unsealed_store_streamed_decode_and_verify(ray_session, tmp_path):
+def test_unsealed_store_streamed_decode_and_verify(ray_session, tmp_path,
+                                                   both_sides):
     """A NEVER-consolidated store (sharded JSON records, no index)
-    decodes/verifies via the streamed unsealed path — record files are
+    decodes/verifies through the distributed scan — record files are
     read and classified inside tasks, only contested records reconcile
-    on the driver — with rows AND order identical to the full driver
-    reconciliation. Covers: (A) the clean fresh-encode shape, (B) a
+    on the driver — with rows AND order identical to the one-task case's
+    full reconciliation. Covers: (A) the clean fresh-encode shape, (B) a
     crashed compaction (merged record + its covered plain records
     coexisting — every one of them contested), (C) a torn JSON record
-    skipped identically by both paths."""
+    skipped identically by both shapes."""
     import shutil
 
-    from json_to_parquet_ray.manifest import (
-        index_path,
-        manifest_dir,
-        stream_records,
-    )
+    from json_to_parquet_ray.manifest import index_path, manifest_dir
     from json_to_parquet_ray.pipelines.encode_job import compact_job
 
     d = tmp_path / "src"
@@ -1648,22 +1644,14 @@ def test_unsealed_store_streamed_decode_and_verify(ray_session, tmp_path):
     write_cc_parquet(str(d / "a.parquet"), 1000, seed=11, row_group_size=250)
     out = str(tmp_path / "enc_uns")
     encode_job(str(d), out, shared_dict_columns=None)
-
-    assert stream_records(out, True)
-    assert not stream_records(out, None)  # 4 records < threshold
     assert not os.path.exists(index_path(out))  # no index at all
 
     # (A) clean store: parity of rows AND order, verify all-ok
-    slow = pa.concat_tables(
-        decode_dataset(out, stream_index=False).iter_batches(
-            batch_format="pyarrow", batch_size=4096))
-    fast = pa.concat_tables(
-        decode_dataset(out, stream_index=True).iter_batches(
-            batch_format="pyarrow", batch_size=4096))
+    slow, fast = both_sides(lambda: _table(decode_dataset(out)))
     assert fast.equals(slow)
     assert slow.num_rows == 1000
-    assert verify_job(out, stream_index=True) == {
-        "partitions": 4, "ok": 4, "failed": []}
+    assert both_sides(lambda: verify_job(out)) == [
+        {"partitions": 4, "ok": 4, "failed": []}] * 2
 
     # (B) crashed compaction: snapshot records+chunks, compact (merged
     # record lands, old records/chunks retired), then restore the old
@@ -1688,34 +1676,28 @@ def test_unsealed_store_streamed_decode_and_verify(ray_session, tmp_path):
         if not os.path.exists(p):
             os.makedirs(os.path.dirname(p), exist_ok=True)
             open(p, "wb").write(blob)
-    assert stream_records(out, True)
 
-    slow_b = pa.concat_tables(
-        decode_dataset(out, stream_index=False).iter_batches(
-            batch_format="pyarrow", batch_size=4096))
-    fast_b = pa.concat_tables(
-        decode_dataset(out, stream_index=True).iter_batches(
-            batch_format="pyarrow", batch_size=4096))
+    slow_b, fast_b = both_sides(lambda: _table(decode_dataset(out)))
     assert fast_b.equals(slow_b)        # merged wins, no duplication
     assert fast_b.num_rows == 1000
-    v = verify_job(out, stream_index=True)
+    one, v = both_sides(lambda: verify_job(out))
+    assert one == v
     assert v["failed"] == [] and v["partitions"] == 1  # the merged record
 
-    # (C) a torn record is skipped in-task, same policy as the driver path
+    # (C) a torn record is skipped in-task, the same way by both shapes
     shard = sorted(p for p in os.listdir(mdir) if p.startswith("shard-"))[0]
     torn = os.path.join(mdir, shard, "part-deadbeef.json")
     open(torn, "w").write('{"partition_id": "deadbeef", "trunca')
-    fast_c = pa.concat_tables(
-        decode_dataset(out, stream_index=True).iter_batches(
-            batch_format="pyarrow", batch_size=4096))
-    assert fast_c.equals(slow_b)
+    for got in both_sides(lambda: _table(decode_dataset(out))):
+        assert got.equals(slow_b)
 
 
-def test_sealed_store_zone_filter_streams(ray_session, tmp_path):
-    """zone_filter on a sealed store prunes INSIDE the streamed index
-    scan — rows and order identical to the driver-side prune, and bad
-    timestamp bounds still fail loudly on the streamed path."""
-    from json_to_parquet_ray.manifest import consolidate, stream_records
+def test_sealed_store_zone_filter_streams(ray_session, tmp_path,
+                                          both_sides):
+    """zone_filter on a sealed store prunes INSIDE the distributed index
+    scan — rows and order identical to the one-task case's prune, and
+    bad timestamp bounds fail loudly on both shapes."""
+    from json_to_parquet_ray.manifest import consolidate
 
     d = tmp_path / "src"
     d.mkdir()
@@ -1723,44 +1705,41 @@ def test_sealed_store_zone_filter_streams(ray_session, tmp_path):
     out = str(tmp_path / "enc_zone")
     encode_job(str(d), out, shared_dict_columns=None)
     assert consolidate(out)["sealed"] is True
-    assert stream_records(out, True)
 
     zf = {"lang": ("de", "en")}
-    slow = pa.concat_tables(
-        decode_dataset(out, zone_filter=zf, stream_index=False)
-        .iter_batches(batch_format="pyarrow", batch_size=4096))
-    fast = pa.concat_tables(
-        decode_dataset(out, zone_filter=zf, stream_index=True)
-        .iter_batches(batch_format="pyarrow", batch_size=4096))
+    slow, fast = both_sides(
+        lambda: _table(decode_dataset(out, zone_filter=zf)))
     assert fast.equals(slow)             # values AND row order
     assert 0 < fast.num_rows <= 1000
 
-    with pytest.raises(ValueError, match="not a full literal"):
-        decode_dataset(out, zone_filter={"warc_ts": ("2024", None)},
-                       stream_index=True)
-    # an incomparable bound on a non-timestamp column must ALSO raise a
-    # clean driver-side ValueError on the streamed path (not an opaque
-    # RayTaskError mid-stream) — int bounds against lang's string zones
-    with pytest.raises(ValueError, match="not comparable"):
-        decode_dataset(out, zone_filter={"lang": (0, 9)},
-                       stream_index=True)
+    def bad_bounds():
+        with pytest.raises(ValueError, match="not a full literal"):
+            decode_dataset(out, zone_filter={"warc_ts": ("2024", None)})
+        # an incomparable bound on a non-timestamp column must ALSO
+        # raise a clean ValueError from the call (not an opaque
+        # RayTaskError mid-stream) — int bounds against lang's string
+        # zones
+        with pytest.raises(ValueError, match="not comparable") as e:
+            decode_dataset(out, zone_filter={"lang": (0, 9)})
+        assert type(e.value) is ValueError
+
+    both_sides(bad_bounds)
     # a column no record carries validates vacuously; the exact filter
-    # then excludes every chunk's rows — identical on both paths
-    assert decode_dataset(out, zone_filter={"nope": (0, 1)},
-                          stream_index=True).count() == 0
-    assert decode_dataset(out, zone_filter={"nope": (0, 1)},
-                          stream_index=False).count() == 0
+    # then excludes every chunk's rows — identical on both shapes
+    assert both_sides(lambda: decode_dataset(
+        out, zone_filter={"nope": (0, 1)}).count()) == [0, 0]
 
 
 def test_streamed_zone_validation_skips_null_slice_sample(ray_session,
-                                                          tmp_path):
+                                                          tmp_path,
+                                                          both_sides):
     """A first chunk whose timestamp column is ALL NULL carries no zone
     info for it — the streamed validation must not let that zone-less
     entry shadow real ts zones, or a partial literal would slip through
     and lexically prune every chunk (empty result masquerading as
     success)."""
     from json_to_parquet_ray.fixtures import make_cc_table
-    from json_to_parquet_ray.manifest import consolidate, stream_records
+    from json_to_parquet_ray.manifest import consolidate
 
     d = tmp_path / "src"
     d.mkdir()
@@ -1773,20 +1752,19 @@ def test_streamed_zone_validation_skips_null_slice_sample(ray_session,
     out = str(tmp_path / "enc_nullts")
     encode_job(str(d), out, shared_dict_columns=None)
     assert consolidate(out)["sealed"] is True
-    assert stream_records(out, True)
 
     # record 0 (a.parquet) has NO warc_ts zone; the partial literal must
-    # still be rejected on the driver, exactly like the driver-side path
-    with pytest.raises(ValueError, match="not a full literal"):
-        decode_dataset(out, zone_filter={"warc_ts": ("2024", None)},
-                       stream_index=True)
-    with pytest.raises(ValueError, match="not a full literal"):
-        decode_dataset(out, zone_filter={"warc_ts": ("2024", None)},
-                       stream_index=False)
+    # still be rejected from the call, by both shapes
+    def bad_bound():
+        with pytest.raises(ValueError, match="not a full literal"):
+            decode_dataset(out, zone_filter={"warc_ts": ("2024", None)})
+
+    both_sides(bad_bound)
 
 
 def test_streamed_zone_validation_finds_mid_store_column(ray_session,
-                                                         tmp_path):
+                                                         tmp_path,
+                                                         both_sides):
     """A zone-filter column that exists ONLY in mid-store records (schema
     evolution) is absent from the index's first AND last row groups, so
     the streamed validation's fallback scan is its only chance: it must
@@ -1796,8 +1774,7 @@ def test_streamed_zone_validation_finds_mid_store_column(ray_session,
     Layout: 256 base records, 2 evolved records carrying ``crawl_ts``,
     256 base records → 3 index row groups (256 rows each), evolved rows
     strictly inside the middle one."""
-    from json_to_parquet_ray.manifest import (consolidate, index_path,
-                                              stream_records)
+    from json_to_parquet_ray.manifest import consolidate, index_path
 
     src = tmp_path / "evo_mid"
     src.mkdir()
@@ -1815,7 +1792,6 @@ def test_streamed_zone_validation_finds_mid_store_column(ray_session,
     encode_job(str(src), out, shared_dict_columns=None,
                max_rows_per_partition=1)
     assert consolidate(out)["sealed"] is True
-    assert stream_records(out, True)
     # 514 records at 256 rows/row-group → first and last row groups are
     # base-schema only (the precondition that forces the fallback scan)
     pf = pq.ParquetFile(index_path(out))
@@ -1828,21 +1804,24 @@ def test_streamed_zone_validation_finds_mid_store_column(ray_session,
                  for c in _json.loads(raw)["columns"]}
         assert "crawl_ts" not in names
 
-    with pytest.raises(ValueError, match="not a full literal"):
-        decode_dataset(out, zone_filter={"crawl_ts": ("2024", None)},
-                       stream_index=True)
+    def bad_bound():
+        with pytest.raises(ValueError, match="not a full literal"):
+            decode_dataset(out, zone_filter={"crawl_ts": ("2024", None)})
+
+    both_sides(bad_bound)
 
 
 def test_streamed_zone_validation_mid_store_type_flip(ray_session,
-                                                     tmp_path):
+                                                     tmp_path,
+                                                     both_sides):
     """A zone-filter bound that compares fine with the first and last
     records' zones but NOT with a mid-store record's (the column's type
     differs only there) must raise the clean driver ValueError from
-    ``decode_dataset`` itself on the streamed path, exactly like the
-    driver-side prune — not later as a task failure mid-stream. Layout
-    as in the mid-store column test: the flipped records sit strictly
-    inside the middle index row group."""
-    from json_to_parquet_ray.manifest import consolidate, stream_records
+    ``decode_dataset`` itself on both shapes of the record scan — not
+    later as a task failure mid-stream. Layout as in the mid-store
+    column test: the flipped records sit strictly inside the middle
+    index row group."""
+    from json_to_parquet_ray.manifest import consolidate
 
     src = tmp_path / "flip_mid"
     src.mkdir()
@@ -1860,21 +1839,23 @@ def test_streamed_zone_validation_mid_store_type_flip(ray_session,
     encode_job(str(src), out, shared_dict_columns=None,
                max_rows_per_partition=1)
     assert consolidate(out)["sealed"] is True
-    assert stream_records(out, True)
 
-    for stream in (False, True):
+    def bad_bound():
         with pytest.raises(ValueError, match="not comparable"):
-            decode_dataset(out, zone_filter={"score": (0, 9)},
-                           stream_index=stream)
+            decode_dataset(out, zone_filter={"score": (0, 9)})
+
+    both_sides(bad_bound)
 
 
 def test_zone_filtered_overlay_and_unsealed_reads_stream(ray_session,
                                                          tmp_path,
-                                                         monkeypatch):
+                                                         monkeypatch,
+                                                         both_sides):
     """A zone-filtered read of an overlay store (sealed index + JSON
-    deltas) and of a never-consolidated store, forced to stream, prunes
-    in the record scan — the driver never builds the effective record
-    list — and returns the driver path's rows in the same order."""
+    deltas) and of a never-consolidated store prunes in the record scan
+    — the driver never builds the effective record list — and returns
+    the same rows in the same order from the one-task case and the
+    distributed scan."""
     from json_to_parquet_ray.manifest import consolidate
     from json_to_parquet_ray.pipelines import encode_job as ej
 
@@ -1894,21 +1875,18 @@ def test_zone_filtered_overlay_and_unsealed_reads_stream(ray_session,
     filters = [{"warc_ts": (ts[200].isoformat(), ts[600].isoformat())},
                {"url": src.column("url").to_pylist()[::97] + ["absent"]}]
 
-    def read(out, zf, stream):
-        return pa.concat_tables(decode_dataset(
-            out, zone_filter=zf, stream_index=stream).iter_batches(
-                batch_format="pyarrow", batch_size=4096))
-
-    want = {(out, i): read(out, zf, False)
+    want = {(out, i): _table(decode_dataset(out, zone_filter=zf))
             for out in (unsealed, overlay) for i, zf in enumerate(filters)}
 
     def no_driver_list(*a, **k):
-        raise AssertionError("effective_records called on a streamed read")
+        raise AssertionError("effective_records called on the driver")
 
     monkeypatch.setattr(ej, "effective_records", no_driver_list)
     for (out, i), slow in want.items():
         assert slow.num_rows > 0
-        assert read(out, filters[i], True).equals(slow), (out, i)
+        for got in both_sides(lambda: _table(
+                decode_dataset(out, zone_filter=filters[i]))):
+            assert got.equals(slow), (out, i)
 
 
 def test_overlap_keys_boundary_stitching(ray_session):
@@ -1942,12 +1920,12 @@ def test_overlap_keys_boundary_stitching(ray_session):
     assert _overlap_keys(clean) == set()
 
 
-def test_unsealed_streamed_parity_fuzz(ray_session, tmp_path):
+def test_unsealed_streamed_parity_fuzz(ray_session, tmp_path, both_sides):
     """Randomized unsealed stores — random partition slicing, plus a
     second generation re-encoded with DIFFERENT slicing over the same
     input (whole-group vs slice claims on every row group) — must decode
-    identically (rows AND order, no duplication) through the streamed
-    and the driver reconciliation paths."""
+    identically (rows AND order, no duplication) through the distributed
+    scan and the one-task case's reconciliation."""
     import random
 
     rng = random.Random(20260819)
@@ -1968,23 +1946,18 @@ def test_unsealed_streamed_parity_fuzz(ray_session, tmp_path):
         encode_job(str(d), out, shared_dict_columns=None,
                    max_rows_per_partition=slicings[1], resume=False)
 
-        slow = pa.concat_tables(
-            decode_dataset(out, stream_index=False).iter_batches(
-                batch_format="pyarrow", batch_size=4096))
-        fast = pa.concat_tables(
-            decode_dataset(out, stream_index=True).iter_batches(
-                batch_format="pyarrow", batch_size=4096))
+        slow, fast = both_sides(lambda: _table(decode_dataset(out)))
         assert fast.equals(slow), (trial, slicings)
         assert fast.num_rows == nrows, (trial, slicings, fast.num_rows)
-        v = verify_job(out, stream_index=True)
-        assert v["failed"] == [], (trial, slicings, v)
+        one, v = both_sides(lambda: verify_job(out))
+        assert one == v and v["failed"] == [], (trial, slicings, v)
 
         # now the OVERLAY shape with real conflicts: consolidate (seals
         # the reconciled generation), then a third generation with yet
         # another slicing lands as JSON deltas whose fragment keys
-        # collide with index records — the streamed overlay must
-        # reconcile them identically to the driver path
-        from json_to_parquet_ray.manifest import consolidate, stream_records
+        # collide with index records — the distributed scan must
+        # reconcile them identically to the one-task case
+        from json_to_parquet_ray.manifest import consolidate
         from json_to_parquet_ray.pipelines.encode_job import gc_job
 
         gc_job(out)  # retire the losing generation so consolidate seals
@@ -1993,16 +1966,11 @@ def test_unsealed_streamed_parity_fuzz(ray_session, tmp_path):
                             if s not in slicings])
         encode_job(str(d), out, shared_dict_columns=None,
                    max_rows_per_partition=third, resume=False)
-        assert stream_records(out, True)
-        slow_o = pa.concat_tables(
-            decode_dataset(out, stream_index=False).iter_batches(
-                batch_format="pyarrow", batch_size=4096))
-        fast_o = pa.concat_tables(
-            decode_dataset(out, stream_index=True).iter_batches(
-                batch_format="pyarrow", batch_size=4096))
+        slow_o, fast_o = both_sides(lambda: _table(decode_dataset(out)))
         assert fast_o.equals(slow_o), (trial, slicings, third)
         assert fast_o.num_rows == nrows, (trial, slicings, third)
-        assert verify_job(out, stream_index=True)["failed"] == []
+        one, v = both_sides(lambda: verify_job(out))
+        assert one == v and v["failed"] == []
 
     # one MIXED store holding every record shape at once: a sealed index,
     # appended JSON deltas, a crashed compaction's merged delta over
@@ -2067,10 +2035,7 @@ def test_unsealed_streamed_parity_fuzz(ray_session, tmp_path):
         f.write('{"partition_id": "deadbeef", "trunca')
 
     def both(**kw):
-        return [pa.concat_tables(decode_dataset(
-            out, stream_index=s, **kw).iter_batches(
-                batch_format="pyarrow", batch_size=4096))
-            for s in (False, True)]
+        return both_sides(lambda: _table(decode_dataset(out, **kw)))
 
     slow_m, fast_m = both()
     assert fast_m.equals(slow_m)                 # rows AND order
@@ -2082,8 +2047,7 @@ def test_unsealed_streamed_parity_fuzz(ray_session, tmp_path):
         slow_z, fast_z = both(zone_filter=zf)
         assert fast_z.equals(slow_z), zf
         assert slow_z.num_rows > 0, zf
-    v_slow = verify_job(out, stream_index=False)
-    v_fast = verify_job(out, stream_index=True)
+    v_slow, v_fast = both_sides(lambda: verify_job(out))
     assert v_fast == v_slow
     assert v_fast["failed"] == [] and v_fast["partitions"] == 8
 
@@ -2127,7 +2091,7 @@ def test_overlap_keys_fuzz_vs_bruteforce(ray_session):
 
 
 def test_unsealed_sliced_store_streams_clean(ray_session, tmp_path,
-                                             monkeypatch):
+                                             monkeypatch, both_sides):
     """max_rows_per_partition slices every row group into several
     interval-DISJOINT records sharing a (path, row_group) key — claim
     counting would call the whole store contested and pull every record
@@ -2136,10 +2100,7 @@ def test_unsealed_sliced_store_streams_clean(ray_session, tmp_path,
     hold; a genuinely OVERLAPPING pair (re-encode with a different slice
     size — whole-group record vs slices) must still be contested."""
     from json_to_parquet_ray import manifest
-    from json_to_parquet_ray.pipelines.encode_job import (
-        _record_scan,
-        encode_job,
-    )
+    from json_to_parquet_ray.pipelines import encode_job as ej
 
     reconciled = []
     real_reconcile = manifest.overlay_reconcile
@@ -2158,24 +2119,23 @@ def test_unsealed_sliced_store_streams_clean(ray_session, tmp_path,
     # 2 row groups × 5 slices each = 10 interval-disjoint records
     encode_job(str(d), out, shared_dict_columns=None,
                max_rows_per_partition=100)
-    assert manifest.stream_records(out, True)
 
-    assert _record_scan(out).count() == 10
+    def scanned_items():
+        # the items the distributed scan maps over
+        return both_sides(lambda: ej._record_scan(
+            out, None, ["partition_id"], lambda b: b))[1].take_all()
+
+    assert len(scanned_items()) == 10
     assert reconciled == []                 # disjoint slices: all clean
 
-    slow = pa.concat_tables(
-        decode_dataset(out, stream_index=False).iter_batches(
-            batch_format="pyarrow", batch_size=4096))
-    fast = pa.concat_tables(
-        decode_dataset(out, stream_index=True).iter_batches(
-            batch_format="pyarrow", batch_size=4096))
+    slow, fast = both_sides(lambda: _table(decode_dataset(out)))
     assert fast.equals(slow) and fast.num_rows == 1000
 
     # true overlap: re-encode the same input UNSLICED without resume —
     # whole-row-group records land alongside the slice records
     encode_job(str(d), out, shared_dict_columns=None, resume=False)
     reconciled.clear()
-    items = _record_scan(out).take_all()
+    items = scanned_items()
     (extra2,) = reconciled
     assert len(extra2) == 2                 # reconciliation picked one
     # generation: 2 whole-group records (larger coverage wins the tie)
@@ -2184,26 +2144,22 @@ def test_unsealed_sliced_store_streams_clean(ray_session, tmp_path,
     # every record was contested: nothing streamed clean
     assert sorted(i["partition_id"] for i in items) == sorted(
         r.partition_id for r in extra2)
-    slow2 = pa.concat_tables(
-        decode_dataset(out, stream_index=False).iter_batches(
-            batch_format="pyarrow", batch_size=4096))
-    fast2 = pa.concat_tables(
-        decode_dataset(out, stream_index=True).iter_batches(
-            batch_format="pyarrow", batch_size=4096))
+    slow2, fast2 = both_sides(lambda: _table(decode_dataset(out)))
     assert fast2.equals(slow2) and fast2.num_rows == 1000
 
 
 def test_sealed_store_verify_reports_corruption(ray_session, cc_parquet,
-                                                tmp_path):
-    """verify on a sealed store (streamed items, failures-only driver
-    path) still surfaces a corrupted chunk with its reason."""
+                                                tmp_path, both_sides):
+    """verify on a sealed store (index-row items; through the distributed
+    scan only failures reach the driver) surfaces a corrupted chunk with
+    its reason, the same way in the one-task case and the scan."""
     from json_to_parquet_ray.manifest import consolidate
 
     out = str(tmp_path / "enc_vs")
     encode_job(cc_parquet, out, shared_dict_columns=None)
     assert consolidate(out)["sealed"] is True
-    res0 = verify_job(out, stream_index=True)
-    assert res0 == {"partitions": 4, "ok": 4, "failed": []}
+    assert both_sides(lambda: verify_job(out)) == [
+        {"partitions": 4, "ok": 4, "failed": []}] * 2
 
     victim = sorted(load_manifest(out).values(),
                     key=lambda r: r.partition_id)[0]
@@ -2212,17 +2168,20 @@ def test_sealed_store_verify_reports_corruption(ray_session, cc_parquet,
     blob[len(blob) // 2] ^= 0xFF      # same size: flips payload bytes
     with open(p, "wb") as f:
         f.write(bytes(blob))
-    res = verify_job(out, stream_index=True)
+    one, res = both_sides(lambda: verify_job(out))
+    assert one == res
     assert res["partitions"] == 4 and res["ok"] == 3
     assert len(res["failed"]) == 1
     assert res["failed"][0]["partition_id"] == victim.partition_id
     assert res["failed"][0]["err"]
 
 
-def test_streamed_decode_multi_rowgroup_index_order(ray_session, tmp_path):
-    """The streamed path's ordering guarantee across MULTIPLE index row
+def test_streamed_decode_multi_rowgroup_index_order(ray_session, tmp_path,
+                                                    both_sides):
+    """The record scan's ordering guarantee across MULTIPLE index row
     groups (>256 records → several read fragments): decode order must
-    still equal the reconciliation path's."""
+    still equal the order before consolidation, in the one-task case and
+    the distributed scan."""
     from json_to_parquet_ray.manifest import consolidate, index_path
 
     src = str(tmp_path / "src.parquet")
@@ -2235,10 +2194,97 @@ def test_streamed_decode_multi_rowgroup_index_order(ray_session, tmp_path):
                                          batch_size=8192))
     assert consolidate(out)["sealed"] is True
     assert pq.read_metadata(index_path(out)).num_row_groups >= 2
-    after = pa.concat_tables(
-        decode_dataset(out, stream_index=True).iter_batches(
-            batch_format="pyarrow", batch_size=8192))
-    assert after.equals(before)
+    for after in both_sides(lambda: _table(decode_dataset(out))):
+        assert after.equals(before)
+
+
+def test_flat_layout_store_decodes_and_verifies(ray_session, tmp_path,
+                                                both_sides):
+    """A store whose records sit directly under ``_manifest/`` (the flat
+    legacy layout, no shard dirs) decodes in input order and verifies
+    through the one-task case and the distributed scan — also with two
+    overlapping generations, whose contested records the scan reads back
+    from the flat layout."""
+    from json_to_parquet_ray.manifest import manifest_dir
+
+    d = tmp_path / "src"
+    d.mkdir()
+    write_cc_parquet(str(d / "a.parquet"), 600, seed=37, row_group_size=300)
+    write_cc_parquet(str(d / "b.parquet"), 400, seed=38, row_group_size=200)
+    want = pa.concat_tables([pq.read_table(str(d / f"{n}.parquet"))
+                             for n in ("a", "b")]).to_pylist()
+    out = str(tmp_path / "enc_flat")
+    mdir = manifest_dir(out)
+
+    def flatten():
+        for sd in [os.path.join(mdir, n) for n in os.listdir(mdir)
+                   if n.startswith("shard-")]:
+            for name in os.listdir(sd):
+                os.replace(os.path.join(sd, name), os.path.join(mdir, name))
+            os.rmdir(sd)
+
+    encode_job(str(d), out, shared_dict_columns=None)
+    flatten()
+    assert len(load_manifest(out)) == 4
+    ok = {"partitions": 4, "ok": 4, "failed": []}
+    assert both_sides(lambda: decode_dataset(out).take_all()) == [want] * 2
+    assert both_sides(lambda: verify_job(out)) == [ok] * 2
+
+    # a second generation with other slicing: every record is contested,
+    # and the whole-row-group generation wins (larger coverage)
+    encode_job(str(d), out, shared_dict_columns=None,
+               max_rows_per_partition=100, resume=False)
+    flatten()
+    assert len(load_manifest(out)) == 14
+    assert both_sides(lambda: decode_dataset(out).take_all()) == [want] * 2
+    assert both_sides(lambda: verify_job(out)) == [ok] * 2
+
+
+def test_decode_and_verify_read_no_records_on_the_driver(
+        ray_session, tmp_path, monkeypatch, both_sides):
+    """decode_dataset (full, projected, url point, warc_ts range) and
+    verify_job read no manifest record on the driver: with the record
+    readers patched to raise there, a 2-partition store — unsealed, then
+    consolidated — reads as it does unpatched, through both shapes of
+    the record scan."""
+    from json_to_parquet_ray import manifest
+    from json_to_parquet_ray.manifest import consolidate
+    from json_to_parquet_ray.pipelines import encode_job as ej
+
+    src = str(tmp_path / "cc.parquet")
+    write_cc_parquet(src, 600, seed=43, row_group_size=300)
+    out = str(tmp_path / "enc")
+    encode_job(src, out, shared_dict_columns=None, bloom_columns=["url"])
+    t = pq.read_table(src)
+    ts, url = t.column("warc_ts"), t.column("url")
+    lo, hi = sorted([ts[100].as_py(), ts[400].as_py()])
+    reads = {
+        "full": lambda: decode_dataset(out).take_all(),
+        "projected": lambda: decode_dataset(
+            out, columns=["url", "lang"]).take_all(),
+        "point": lambda: decode_dataset(
+            out, zone_filter={"url": [url[450].as_py()]}).take_all(),
+        "range": lambda: decode_dataset(out, zone_filter={
+            "warc_ts": (lo.isoformat(), hi.isoformat())}).take_all(),
+        "verify": lambda: verify_job(out),
+    }
+
+    def no_records(*a, **k):
+        raise AssertionError("the driver read manifest records")
+
+    for shape in ("unsealed", "sealed"):
+        if shape == "sealed":
+            assert consolidate(out)["sealed"] is True
+        want = {k: f() for k, f in reads.items()}
+        assert want["point"] and want["range"], shape
+        with monkeypatch.context() as m:
+            for mod in (manifest, ej):
+                for name in ("effective_records", "load_manifest",
+                             "_load_index", "load_delta_records"):
+                    if hasattr(mod, name):
+                        m.setattr(mod, name, no_records)
+            for k, f in reads.items():
+                assert both_sides(f) == [want[k]] * 2, (shape, k)
 
 
 def test_gc_sweeps_lone_partial_keyed_staging(ray_session, cc_parquet,
@@ -2383,6 +2429,8 @@ def test_corrupt_index_row_raises(ray_session, cc_parquet, tmp_path):
     write_index_file(index_path(out), rows, {"sealed": "1"})
     with pytest.raises(ValueError, match="unparseable record"):
         load_manifest(out)
+    with pytest.raises(ValueError, match="unparseable record"):
+        decode_dataset(out)  # 4 records: the record scan's one task
 
 
 def test_encode_consolidate_empty_input_and_noop_reconsolidate(
@@ -2901,12 +2949,13 @@ def _spy_from_items(monkeypatch) -> list:
 
 def test_one_task_reads_match_block_reads(ray_session, tmp_path,
                                           monkeypatch):
-    """A driver-list read sized as one block runs as one plain task and
-    gives the rows, in order, of the map_batches Dataset over two blocks:
-    full and projected decode, a warc_ts range, a url IN-list hit, a miss
-    every Bloom filter rejects, schema= alignment, the Bloom reject count,
-    and verify verdicts on a store with a clobbered magic and a flipped
-    Bloom byte. At one block no from_items Dataset is built."""
+    """A read sized as one block runs in one plain task (for decode and
+    verify, the record scan's one task) and gives the rows, in order, of
+    the map_batches Dataset over two blocks: full and projected decode, a
+    warc_ts range, a url IN-list hit, a miss every Bloom filter rejects,
+    schema= alignment, the Bloom reject count, and verify verdicts on a
+    store with a clobbered magic and a flipped Bloom byte. At one block
+    no from_items Dataset is built."""
     import pyarrow.compute as pc
 
     from json_to_parquet_ray.manifest import effective_records
@@ -2998,7 +3047,7 @@ def test_one_task_reads_match_block_reads(ray_session, tmp_path,
 
 
 def test_one_task_decode_keeps_heterogeneous_chunk_schemas(
-        ray_session, tmp_path, monkeypatch):
+        ray_session, tmp_path, monkeypatch, both_sides):
     """Chunks that decode to different schemas (an appended encode adds a
     column and widens int32 to int64), read without schema= under the
     one-block rule: one table cannot hold both, so the read falls back to
@@ -3021,10 +3070,10 @@ def test_one_task_decode_keeps_heterogeneous_chunk_schemas(
 
     calls = _spy_from_items(monkeypatch)
     monkeypatch.setattr(ej, "_dispatch_blocks", lambda n, w: 1)
-    got = decode_dataset(out).take_all()
-    assert len(calls) == 1
-    assert got == decode_dataset(out, stream_index=True).take_all()
-    assert [r["id"] for r in got] == list(range(100))
+    one, scan = both_sides(lambda: decode_dataset(out).take_all())
+    assert len(calls) == 2  # the one task's fallback, then the scan's
+    assert one == scan
+    assert [r["id"] for r in one] == list(range(100))
 
 
 def test_worker_encoder_cache_keying(ray_session, tmp_path):

@@ -53,7 +53,7 @@ def job_tables(draw):
 
 
 def _roundtrip(tmp_base, tag, t, row_group_size, max_rows_per_partition,
-               consolidated=False):
+               consolidated=False, both_sides=None):
     src = os.path.join(tmp_base, f"{tag}.parquet")
     out = os.path.join(tmp_base, f"{tag}_enc")
     pq.write_table(t, src, row_group_size=row_group_size)
@@ -63,26 +63,34 @@ def _roundtrip(tmp_base, tag, t, row_group_size, max_rows_per_partition,
     # pruning must change I/O only, never answers
     encode_job(src, out, shared_dict_columns=None, bloom_columns="auto",
                max_rows_per_partition=max_rows_per_partition)
-    stream = None
     if consolidated:
-        # sealed-index reads (and, when sealed, the FORCED streamed
-        # decode path) must be answer-identical for arbitrary schemas
+        # sealed-index reads must be answer-identical for arbitrary
+        # schemas
         from json_to_parquet_ray.manifest import consolidate
 
-        stream = consolidate(out)["sealed"] or None
-    got = pa.Table.from_pylist(
-        sorted(decode_dataset(out, stream_index=stream).take_all(),
-               key=lambda r: r["rid"]),
-        schema=t.schema) if t.num_rows else decode_dataset(out)
-    return src, out, got
+        consolidate(out)
+    if not t.num_rows:
+        return src, out, decode_dataset(out)
+
+    def read():
+        return pa.Table.from_pylist(
+            sorted(decode_dataset(out).take_all(), key=lambda r: r["rid"]),
+            schema=t.schema)
+
+    if both_sides is None:
+        return src, out, read()
+    # the one-task case and the distributed scan give the same rows
+    one, scan = both_sides(read)
+    assert scan.equals(one)
+    return src, out, one
 
 
 @settings(max_examples=_EXAMPLES, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(t=job_tables(), rgs=st.sampled_from([7, 50, 128]),
        mrpp=st.sampled_from([None, 13, 64]), con=st.booleans())
-def test_encode_job_roundtrip_fuzz(ray_session, tmp_path_factory, t, rgs,
-                                   mrpp, con):
+def test_encode_job_roundtrip_fuzz(ray_session, tmp_path_factory,
+                                   both_sides, t, rgs, mrpp, con):
     base = str(tmp_path_factory.mktemp("jobfuzz"))
     if t.num_rows == 0:
         # empty input: nothing to encode, decode of an empty store is empty
@@ -93,7 +101,8 @@ def test_encode_job_roundtrip_fuzz(ray_session, tmp_path_factory, t, rgs,
                    max_rows_per_partition=mrpp)
         assert decode_dataset(out).count() == 0
         return
-    _, _, got = _roundtrip(base, "t", t, rgs, mrpp, consolidated=con)
+    _, _, got = _roundtrip(base, "t", t, rgs, mrpp, consolidated=con,
+                           both_sides=both_sides if con else None)
     assert got.equals(t)
 
 

@@ -13,10 +13,9 @@ one manifest record. Three stores come from that encode:
 
 For each shape it prints the median wall time of a full decode
 (``decode_dataset(...).count()``), a url point decode (IN-list zone
-filter on one url) and ``verify_job``, plus the driver's peak RSS over
-those operations (VmHWM, reset per shape). Every read runs with the
-default store-size gate, so shapes past ``STREAM_INDEX_MIN_ROWS``
-records take the streamed record scan.
+filter on one url) and ``verify_job``, plus the driver's peak RSS.
+Each shape is measured in a child process of its own, with its own Ray
+session, so that process's VmHWM covers only that shape's reads.
 
 Usage: python tools/read_paths_scale.py [--records 5000] [--deltas 50]
        [--reps 3] [--cpus 1] [--work DIR]
@@ -29,8 +28,10 @@ alternately on the same stores.
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import json
 import logging
+import multiprocessing
 import os
 import re
 import shutil
@@ -49,9 +50,25 @@ def peak_rss_mb() -> float:
         return int(re.search(r"VmHWM:\s+(\d+)", f.read()).group(1)) / 1024
 
 
-def reset_peak_rss() -> None:
-    with open("/proc/self/clear_refs", "w") as f:
-        f.write("5")
+def with_ray(cpus: int, fn, *args):
+    import ray
+
+    ray.init(address="local", num_cpus=cpus, include_dashboard=False,
+             log_to_driver=False, logging_level="ERROR")
+    ray.data.DataContext.get_current().enable_progress_bars = False
+    logging.getLogger("ray.data").setLevel(logging.ERROR)
+    try:
+        return fn(*args)
+    finally:
+        ray.shutdown()
+
+
+def in_child(cpus: int, fn, *args):
+    """``fn(*args)`` in a fresh spawned process with a Ray session of
+    ``cpus`` CPUs."""
+    ctx = multiprocessing.get_context("spawn")
+    with concurrent.futures.ProcessPoolExecutor(1, mp_context=ctx) as ex:
+        return ex.submit(with_ray, cpus, fn, *args).result()
 
 
 def crash_compaction(store: str, scratch: str) -> None:
@@ -126,7 +143,6 @@ def measure(store: str, url: str, rows: int, reps: int) -> dict:
         assert v["failed"] == [], v["failed"][:3]
 
     out = {}
-    reset_peak_rss()
     for name, op in (("decode_s", decode), ("point_s", point),
                      ("verify_s", verify)):
         walls = []
@@ -152,30 +168,24 @@ def main() -> int:
                          "(default: a fresh temp dir, removed on exit)")
     args = ap.parse_args()
 
-    import ray
-
     work = args.work or tempfile.mkdtemp(prefix="read_paths_scale.")
-    ray.init(address="local", num_cpus=args.cpus, include_dashboard=False,
-             log_to_driver=False, logging_level="ERROR")
-    ray.data.DataContext.get_current().enable_progress_bars = False
-    logging.getLogger("ray.data").setLevel(logging.ERROR)
     try:
         done = os.path.join(work, "built.json")
         if os.path.exists(done):
             with open(done) as f:
                 built = json.load(f)
         else:
-            built = build(work, args.records, args.deltas, args.seed)
+            built = in_child(args.cpus, build, work, args.records,
+                             args.deltas, args.seed)
         print(f"{'shape':10s} {'decode_s':>9s} {'point_s':>9s} "
               f"{'verify_s':>9s} {'driver_peak_rss_MB':>19s}")
         for shape, store in built["stores"].items():
-            m = measure(store, built["url"], built["rows"][shape],
-                        args.reps)
+            m = in_child(args.cpus, measure, store, built["url"],
+                         built["rows"][shape], args.reps)
             print(f"{shape:10s} {m['decode_s']:9.3f} {m['point_s']:9.3f} "
                   f"{m['verify_s']:9.3f} {m['driver_peak_rss_MB']:19.1f}",
                   flush=True)
     finally:
-        ray.shutdown()
         if args.work is None:
             shutil.rmtree(work, ignore_errors=True)
     return 0
