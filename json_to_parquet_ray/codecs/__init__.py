@@ -62,6 +62,12 @@ def decode_array(payload: bytes, meta: dict) -> pa.Array:
     return get_codec(meta["codec"]).decode(payload, meta)
 
 
+def decode_column(payload: bytes, meta: dict) -> pa.Array | pa.ChunkedArray:
+    """The whole column for a table — equal to ``decode_array``; a paged
+    payload keeps its pages as chunks (no copy into one array)."""
+    return get_codec(meta["codec"]).decode_column(payload, meta)
+
+
 def decode_rows(payload: bytes, meta: dict, rows: np.ndarray) -> pa.Array:
     """Rows ``rows`` (sorted positions) of the chunk — equal to
     ``decode_array(...).take(rows)``; a paged payload decodes only the
@@ -71,5 +77,6 @@ def decode_rows(payload: bytes, meta: dict, rows: np.ndarray) -> pa.Array:
 
 __all__ = [
     "Codec", "register", "get_codec", "codec_names", "encode_array",
-    "decode_array", "decode_rows", "FsstEncoder", "fsst_decode", "train",
+    "decode_array", "decode_column", "decode_rows", "FsstEncoder",
+    "fsst_decode", "train",
 ]

@@ -79,8 +79,13 @@ def ipc_write(arr: pa.Array | pa.ChunkedArray, compression: str | None = None) -
 
 
 def ipc_read(buf: bytes) -> pa.Array:
-    t = pa.ipc.open_stream(pa.py_buffer(buf)).read_all()
-    return t.column("v").combine_chunks()
+    return ipc_read_chunked(buf).combine_chunks()
+
+
+def ipc_read_chunked(buf: bytes) -> pa.ChunkedArray:
+    """The stream's column with one chunk per record batch: a paged
+    payload's pages stay apart, with no copy into one array."""
+    return pa.ipc.open_stream(pa.py_buffer(buf)).read_all().column("v")
 
 
 # ------------------------------------------------------------- IPC pages
@@ -136,22 +141,40 @@ def ipc_read_page(buf: pa.Buffer, schema: pa.Schema, offset: int) -> pa.Array:
     return pa.ipc.read_record_batch(msg, schema).column(0)
 
 
+def _selected_pages(meta: dict, rows: np.ndarray) -> list:
+    """(page, positions within it) of each page of a paged payload that
+    holds some of ``rows`` (sorted positions), in page order."""
+    page_rows, offsets = meta["page_rows"], meta["page_offsets"]
+    # rows are sorted: page p's rows are rows[cut[p]:cut[p + 1]]
+    cut = np.searchsorted(rows, np.arange(len(offsets) + 1) * page_rows)
+    return [(p, rows[cut[p]:cut[p + 1]] - p * page_rows)
+            for p in range(len(offsets)) if cut[p] < cut[p + 1]]
+
+
+def ipc_page_spans(meta: dict, rows: np.ndarray,
+                   size: int) -> list[tuple[int, int]]:
+    """The byte ranges of a paged payload of ``size`` bytes that
+    :func:`ipc_read_rows` reads for ``rows``: the schema message, then
+    each selected page up to the next page's offset (the last one up to
+    the payload end). Other bytes of the payload are never read."""
+    ends = meta["page_offsets"][1:] + [size]
+    return [(0, meta["page_offsets"][0])] + [
+        (meta["page_offsets"][p], ends[p])
+        for p, _ in _selected_pages(meta, rows)]
+
+
 def ipc_read_rows(payload: bytes, meta: dict, rows: np.ndarray) -> pa.Array:
     """Rows ``rows`` (sorted positions) of an IPC payload. A paged payload
-    decodes only the pages holding them; a single-batch one (no
-    ``page_rows`` in meta: every store written before pages) decodes
-    whole and is taken."""
+    decodes only the pages holding them, and reads only its
+    :func:`ipc_page_spans`; a single-batch one (no ``page_rows`` in meta:
+    every store written before pages) decodes whole and is taken."""
     if "page_rows" not in meta:
         return ipc_read(payload).take(rows)
     buf = pa.py_buffer(payload)
     schema = pa.ipc.read_schema(buf)
-    page_rows = meta["page_rows"]
-    offsets = meta["page_offsets"]
-    # rows are sorted: page p's rows are rows[cut[p]:cut[p + 1]]
-    cut = np.searchsorted(rows, np.arange(len(offsets) + 1) * page_rows)
-    parts = [ipc_read_page(buf, schema, offsets[p]).take(
-                 pa.array(rows[cut[p]:cut[p + 1]] - p * page_rows))
-             for p in range(len(offsets)) if cut[p] < cut[p + 1]]
+    parts = [ipc_read_page(buf, schema, meta["page_offsets"][p]).take(
+                 pa.array(at))
+             for p, at in _selected_pages(meta, rows)]
     if not parts:
         return pa.array([], schema.field("v").type)
     return pa.concat_arrays(parts)
@@ -331,6 +354,14 @@ class Codec:
     @classmethod
     def decode(cls, payload: bytes, meta: dict) -> pa.Array:  # pragma: no cover
         raise NotImplementedError
+
+    @classmethod
+    def decode_column(cls, payload: bytes,
+                      meta: dict) -> pa.Array | pa.ChunkedArray:
+        """The whole column for a table. Codecs whose payload holds pages
+        override this to return them as chunks, with no copy into one
+        array; :meth:`decode` always returns one array."""
+        return cls.decode(payload, meta)
 
     @classmethod
     def decode_rows(cls, payload: bytes, meta: dict,

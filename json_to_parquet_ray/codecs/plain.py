@@ -6,7 +6,8 @@ stream with IPC buffer compression — these are the "general compression"
 candidates the auto-selector must keep available so lightweight codecs are
 only chosen when they actually win (SURVEY.md §7.5). A string/binary
 column over ``base.PAGE_BYTES`` is written as 1 MiB pages (one record
-batch each) that ``decode_rows`` can decode one at a time.
+batch each) that ``decode_rows`` can decode one at a time and
+``decode_column`` keeps as chunks.
 
 ``constant`` covers degenerate chunks (all-equal or all-null — the
 near-constant ``lang`` column's best case after partitioning).
@@ -26,6 +27,7 @@ from .base import (
     compress,
     decompress,
     ipc_read,
+    ipc_read_chunked,
     ipc_read_rows,
     ipc_write,
     ipc_write_pages,
@@ -57,6 +59,10 @@ class PlainCodec(Codec):
     @classmethod
     def decode(cls, payload: bytes, meta: dict) -> pa.Array:
         return ipc_read(payload)
+
+    @classmethod
+    def decode_column(cls, payload: bytes, meta: dict) -> pa.ChunkedArray:
+        return ipc_read_chunked(payload)
 
     @classmethod
     def decode_rows(cls, payload: bytes, meta: dict,

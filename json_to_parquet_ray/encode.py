@@ -20,9 +20,11 @@ without pages decodes a paged payload whole (the IPC stream reader reads
 every batch), and this reader decodes an unpaged payload whole.
 
 Late materialization: ``read_chunk_file(..., row_filter=(cols, mask_fn))``
-decodes the filter columns, evaluates the exact mask, then decodes only
-the pages holding selected rows (unpaged columns decode whole and are
-taken); when no row is selected, no other payload is read.
+decodes the filter columns, evaluates the exact mask, then reads and
+decodes only the pages holding selected rows, plus the payload's schema
+message (unpaged columns are read and decoded whole and are taken); when
+no row is selected, no other payload is read. A full decode keeps a
+paged column's pages as the chunks of its ``ChunkedArray``.
 
 Supersedes the reference's single parquet-mr writer (Writer.java:20-36):
 instead of one hardcoded encoder for the whole file, every column chunk
@@ -41,7 +43,11 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .codecs import decode_array, decode_rows, encode_array
+# whole columns keep their pages as chunks; perfbench/tracing.py times
+# every whole-column decode as ``encode.decode_array``
+from .codecs import decode_column as decode_array
+from .codecs import decode_rows, encode_array
+from .codecs.base import ipc_page_spans
 from .plan import CodecPlan, ColumnPlan, plan_from_stats
 from .stats import compute_stats_table
 
@@ -222,9 +228,11 @@ def read_chunk_file(path: str, columns: list[str] | None = None,
     ``mask_fn`` is true, with late materialization: the filter columns
     present in the chunk decode first (absent ones are left out of the
     table ``mask_fn`` gets), then each other column decodes only the
-    pages holding selected rows (``codecs.decode_rows``). When no row
-    is selected, no other payload is read. The result equals a full
-    decode filtered by the mask."""
+    pages holding selected rows (``codecs.decode_rows``). Of a paged
+    payload only the schema message and those pages' byte ranges are
+    read (``codecs.base.ipc_page_spans``), unless ``verify_crc`` needs
+    every byte. When no row is selected, no other payload is read. The
+    result equals a full decode filtered by the mask."""
     with open(path, "rb") as f:
         if columns is None and not eq_prune and row_filter is None:
             # full decode: one sequential read beats per-column seeks
@@ -248,19 +256,34 @@ def read_chunk_file(path: str, columns: list[str] | None = None,
                            f"{os.path.basename(path)}")
         want = [name for name in want if name in by_name]
 
-        def decode(name: str, rows: np.ndarray | None = None) -> pa.Array:
+        def read_spans(start: int, size: int, spans: list) -> pa.Buffer:
+            # a payload-sized buffer holding only ``spans``: the decode
+            # never reads the bytes between them, so they stay unset
+            buf = pa.allocate_buffer(size)
+            out = memoryview(buf).cast("B")
+            for lo, hi in spans:
+                f.seek(start + lo)
+                out[lo:hi] = f.read(hi - lo)
+            return buf
+
+        def decode(name: str, rows: np.ndarray | None = None):
             col = by_name[name]
-            f.seek(base + col["offset"])
-            payload = f.read(col["size"])
+            start, size, meta = base + col["offset"], col["size"], col["meta"]
+            if rows is not None and "page_rows" in meta and not verify_crc:
+                return decode_rows(read_spans(
+                    start, size, ipc_page_spans(meta, rows, size)),
+                    meta, rows)
+            f.seek(start)
+            payload = f.read(size)
             if verify_crc and zlib.crc32(payload) != col["crc32"]:
                 raise IOError(f"CRC mismatch for column {name}")
             if rows is None:
-                return decode_array(payload, col["meta"])
-            return decode_rows(payload, col["meta"], rows)
+                return decode_array(payload, meta)
+            return decode_rows(payload, meta, rows)
 
         num_rows = header.get("num_rows", 0)
         rows = None  # positions of the selected rows; None = every row
-        decoded: dict[str, pa.Array] = {}
+        decoded: dict[str, pa.Array | pa.ChunkedArray] = {}
         if rejected:
             rows = np.empty(0, np.int64)
         elif row_filter is not None:
@@ -307,8 +330,9 @@ def decode_table(blob: bytes, columns: list[str] | None = None,
                  verify_crc: bool = False,
                  header_base: tuple | None = None) -> pa.Table:
     """Decode a chunk file back to an Arrow table (optionally a column
-    subset). ``header_base`` lets a caller that already ran
-    read_chunk_header pass (header, base) instead of re-parsing."""
+    subset); a paged column keeps its pages as chunks. ``header_base``
+    lets a caller that already ran read_chunk_header pass (header, base)
+    instead of re-parsing."""
     header, base = (header_base if header_base is not None
                     else read_chunk_header(blob))
     schema = schema_from_b64(header["schema"])

@@ -222,8 +222,8 @@ def _index_sealed(out_dir: str) -> bool:
 def _has_delta_records(out_dir: str) -> bool:
     """True iff any per-partition JSON record exists alongside the index
     (deltas overlay — and therefore unseal — the indexed set). Scans
-    both the sharded layout and the flat legacy layout load_manifest
-    reads (``shard_dirs or [mdir]``); early-exits on the first hit."""
+    both the flat legacy layout and the sharded one, as
+    ``load_delta_records`` reads them; early-exits on the first hit."""
     mdir = manifest_dir(out_dir)
     if not os.path.isdir(mdir):
         return False
@@ -267,14 +267,16 @@ def overlay_reconcile(out_dir: str,
 
 def load_delta_records(out_dir: str) -> dict[str, PartitionRecord]:
     """Only the per-partition JSON records (the post-consolidation
-    deltas; the whole store on a never-consolidated layout)."""
+    deltas; the whole store on a never-consolidated layout): the flat
+    ``_manifest/part-*.json`` ones, then the ``shard-*`` dirs', which win
+    a partition_id collision (the record scan's source order)."""
     mdir = manifest_dir(out_dir)
     out: dict[str, PartitionRecord] = {}
     if not os.path.isdir(mdir):
         return out
     shard_dirs = [os.path.join(mdir, d) for d in sorted(os.listdir(mdir))
                   if d.startswith("shard-")]
-    for sd in shard_dirs or [mdir]:
+    for sd in [mdir] + shard_dirs:
         if not os.path.isdir(sd):
             continue
         for name in sorted(os.listdir(sd)):

@@ -228,8 +228,18 @@ ITEM_BYTES = 128 << 10
 TASK_RECORDS = 4096
 
 
-def _dispatch_blocks(n_items: int, work_bytes: int) -> int:
-    """Block count for a work-item Dataset (one PARTITION per row).
+def _cluster_cpus() -> int:
+    try:
+        import ray
+
+        return int(ray.cluster_resources().get("CPU", 4))
+    except Exception:
+        return 4
+
+
+class _BlockRule:
+    """Block count for a work-item Dataset (one PARTITION per row), as
+    ``_dispatch_blocks(n_items, work_bytes)``.
 
     ``map_batches(..., batch_size=1)`` calls the UDF once per item
     regardless of blocking, but Ray dispatches one TASK per block, so
@@ -243,15 +253,27 @@ def _dispatch_blocks(n_items: int, work_bytes: int) -> int:
     order, and manifest records, resume claims and verdicts stay
     strictly per-partition. Work sized as one block runs as one plain
     Ray task with no streaming executor (``_map_items`` and the record
-    scan's one-task case)."""
-    try:
-        import ray
+    scan's one task).
 
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        cpus = 4
-    work = max(work_bytes, n_items * ITEM_BYTES)
-    return max(1, min(n_items, 8 * cpus, max(cpus, -(-work // TASK_BYTES))))
+    The CPU count is the cluster's (a GCS query) unless ``cpus`` is set.
+    Pickled, the rule carries the CPU count read where it is pickled: the
+    record scan's task gets the driver's rule, read once per read, and
+    makes no cluster query of its own."""
+
+    def __init__(self, cpus: int | None = None):
+        self.cpus = cpus
+
+    def __call__(self, n_items: int, work_bytes: int) -> int:
+        cpus = self.cpus or _cluster_cpus()
+        work = max(work_bytes, n_items * ITEM_BYTES)
+        return max(1, min(n_items, 8 * cpus,
+                          max(cpus, -(-work // TASK_BYTES))))
+
+    def __reduce__(self):
+        return _BlockRule, (self.cpus or _cluster_cpus(),)
+
+
+_dispatch_blocks = _BlockRule()
 
 
 def _item_dataset(items: list[dict], work_bytes: int):
@@ -263,16 +285,39 @@ def _item_dataset(items: list[dict], work_bytes: int):
         items, override_num_blocks=_dispatch_blocks(len(items), work_bytes))
 
 
-def _run_items(fn, items: pa.Table):
+def _run_items(fn, items: pa.Table) -> pa.Table:
     """``fn`` once per item, in item order, in one task (``_map_items``,
-    ``_scan_one``). Returns (True, the outputs concatenated) when they
-    share one
-    schema, else (False, None): a Dataset keeps per-item blocks of
-    different schemas apart, one table cannot."""
-    outs = [fn(items.slice(i, 1)) for i in range(items.num_rows)]
-    if any(not t.schema.equals(outs[0].schema) for t in outs[1:]):
-        return False, None
-    return True, pa.concat_tables(outs)
+    ``_scan_one``), built into one output block by the builder
+    ``map_batches`` uses for its own output blocks: outputs of different
+    schemas (per-chunk decode under schema evolution without a target
+    schema) are merged as ``map_batches`` merges them, with types
+    promoted and missing columns null. No item gives a 0-column
+    table."""
+    from ray.data._internal.arrow_block import ArrowBlockBuilder
+
+    block = ArrowBlockBuilder()
+    for i in range(items.num_rows):
+        block.add_block(fn(items.slice(i, 1)))
+    return block.build()
+
+
+def _one_block(ref, meta):
+    """The materialized one-block Dataset over the table at ``ref`` whose
+    block metadata (``get_table_block_metadata_schema``, computed where
+    the table is) is ``meta``, built as ``ray.data.from_arrow_refs``
+    builds it but with no task to compute the metadata."""
+    from ray.data import DataContext
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.from_operators import FromArrow
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data._internal.stats import DatasetStats
+    from ray.data.dataset import MaterializedDataset
+
+    plan = ExecutionPlan(
+        DatasetStats(metadata={"FromArrow": [meta]}, parent=None),
+        DataContext.get_current().copy())
+    return MaterializedDataset(
+        plan, LogicalPlan(FromArrow([ref], [meta]), plan._context))
 
 
 def _map_items(items: list[dict], work_bytes: int, fn):
@@ -281,19 +326,15 @@ def _map_items(items: list[dict], work_bytes: int, fn):
 
     Work that ``_dispatch_blocks`` sizes as one block runs as ONE plain
     Ray task, with no streaming executor (its start-up was ~85% of a
-    2-chunk point lookup), and the ObjectRef of the single output table
-    comes back once that task has finished; the task's errors raise
-    here. Otherwise, and when the outputs' schemas differ (per-chunk
-    decode under schema evolution without a target schema), returns the
-    lazy ``map_batches`` Dataset over ``_item_dataset`` blocks."""
+    2-chunk point lookup), and returns its one output table
+    (``_run_items``); the task's errors raise here. Otherwise returns
+    the lazy ``map_batches`` Dataset over ``_item_dataset`` blocks."""
     import ray
     from ray.data._internal.remote_fn import cached_remote_fn
 
     if _dispatch_blocks(len(items), work_bytes) == 1:
-        same, ref = cached_remote_fn(_run_items, num_returns=2).remote(
-            fn, pa.Table.from_pylist(items))
-        if ray.get(same):
-            return ref
+        return ray.get(cached_remote_fn(_run_items).remote(
+            fn, pa.Table.from_pylist(items)))
     return _item_dataset(items, work_bytes).map_batches(
         fn, batch_size=1, batch_format="pyarrow")
 
@@ -920,8 +961,6 @@ def bloom_reject_count(out_dir: str, recs: list, eq: dict) -> int:
     ({col: value | [values]}) — header+filter bytes only, mapped over
     the chunks by ``_map_items``. The shared observability probe for the
     CLI scan-stats command and the bloom_pruned_lookup query."""
-    import ray
-
     from ..encode import chunk_bloom_rejects
 
     if not recs:
@@ -934,8 +973,8 @@ def bloom_reject_count(out_dir: str, recs: list, eq: dict) -> int:
         return pa.table({"n": pa.array([n], pa.int64())})
 
     out = _map_items(items, sum(r.chunk_size for r in recs), probe)
-    if isinstance(out, ray.ObjectRef):
-        return sum(ray.get(out).column("n").to_pylist())
+    if isinstance(out, pa.Table):
+        return sum(out.column("n").to_pylist())
     return sum(r["n"] for r in out.take_all())
 
 
@@ -1173,10 +1212,14 @@ def _scan_one(out_dir: str, sources: list[dict], shortcut: bool,
     source wins a partition_id collision, as in ``load_manifest``),
     reconcile them (``effective_records``), check and apply
     ``zone_filter``, order them by ``sort_key``, and when they fit one
-    block by ``blocks`` (the driver's ``_dispatch_blocks``) call ``fn``
-    on each item too. Returns (head, body): head is (ValueError message
-    of the record phase, item count, work bytes, done), body ``fn``'s
-    output table when done, else the items."""
+    block by ``blocks`` (the driver's ``_dispatch_blocks``, which carries
+    the driver's CPU count) call ``fn`` on each item too, into one output
+    block (``_run_items``). Returns (head, body): head is (ValueError
+    message of the record phase, work bytes, the output block's metadata
+    or None), body the output block when the head has its metadata, else
+    the items."""
+    from ray.data._internal.util import get_table_block_metadata_schema
+
     recs: dict = {}
     try:
         for s in sources:
@@ -1188,15 +1231,14 @@ def _scan_one(out_dir: str, sources: list[dict], shortcut: bool,
             validate_zone_bounds(recs, zone_filter)
             recs, _ = zone_prune(out_dir, zone_filter, recs=recs)
     except ValueError as e:
-        return (str(e), 0, 0, False), None
+        return (str(e), 0, None), None
     work = sum(r.chunk_size for r in recs)
     items = pa.Table.from_pylist([_work_item(out_dir, r) for r in recs],
                                  schema=_ITEM_SCHEMA).select(columns)
-    if recs and blocks(len(recs), work) == 1:
-        same, out = _run_items(fn, items)
-        if same:
-            return (None, len(recs), work, True), out
-    return (None, len(recs), work, False), items
+    if not recs or blocks(len(recs), work) == 1:
+        out = _run_items(fn, items)
+        return (None, work, get_table_block_metadata_schema(out)), out
+    return (None, work, None), items
 
 
 def _record_scan(out_dir: str, zone_filter: dict | None,
@@ -1208,11 +1250,11 @@ def _record_scan(out_dir: str, zone_filter: dict | None,
     driver names the sources without reading a record
     (``_record_sources``). Below ``TASK_RECORDS``
     estimated records one plain task (``_scan_one``) does the record
-    work, and ``fn`` too when the survivors fit one block; else the
-    distributed scan runs, sized at ``TASK_RECORDS`` per task. Both raise
-    a clean ``ValueError`` for a bad bound before any chunk is read.
-    Returns None (no item), the ObjectRef of ``fn``'s one output table,
-    or a lazy Dataset.
+    work, and ``fn`` too when the survivors fit one block or are none;
+    else the distributed scan runs, sized at ``TASK_RECORDS`` per task.
+    Both raise a clean ``ValueError`` for a bad bound before any chunk
+    is read. Returns (ObjectRef of ``fn``'s one output block, its block
+    metadata) when the one task ran ``fn``, else a lazy Dataset.
 
     The distributed scan classifies exactly (vs ``effective_records``;
     see ``overlay_reconcile``): a record is CONTESTED iff some
@@ -1241,13 +1283,11 @@ def _record_scan(out_dir: str, zone_filter: dict | None,
         head, body = cached_remote_fn(_scan_one, num_returns=2).remote(
             out_dir, sources, shortcut, zone_filter, columns, fn,
             _dispatch_blocks)
-        err, n, work, done = ray.get(head)
+        err, work, meta = ray.get(head)
         if err is not None:
             raise ValueError(err)
-        if done:
-            return body
-        if not n:
-            return None
+        if meta is not None:
+            return body, meta
         return _item_dataset(ray.get(body).to_pylist(), work).map_batches(
             fn, batch_size=1, batch_format="pyarrow")
 
@@ -1494,11 +1534,13 @@ def decode_dataset(out_dir: str, columns: list[str] | None = None,
     reconciles and zone-prunes the manifest records in Ray tasks.
 
     A small read runs at call time: below ``TASK_RECORDS`` records, when
-    the surviving chunks fit one block (``_dispatch_blocks``), the one
-    task that read the records decodes them all before this returns, and
-    the result is a materialized one-block Dataset (``from_arrow_refs``)
-    in item order. Its errors, such as a typo'd projected column, raise
-    from this call. Larger reads stay lazy and raise when consumed."""
+    the surviving chunks fit one block (``_dispatch_blocks``) or none
+    survives, the one task that read the records decodes them all before
+    this returns, into one block in item order, and computes the block's
+    metadata too. The result is a materialized one-block Dataset over
+    that block (``_one_block``), made with no further Ray task. Its
+    errors, such as a typo'd projected column, raise from this call.
+    Larger reads stay lazy and raise when consumed."""
     from ..encode import read_chunk_file
 
     # equality (lo == hi) and IN-list predicates additionally consult
@@ -1541,17 +1583,9 @@ def decode_dataset(out_dir: str, columns: list[str] | None = None,
     # decode is the ordering-sensitive pipeline (bit-identical round-trip
     # preserves input row order); Ray's streaming executor reorders output
     # blocks unless preserve_order is set — see _preserve_order
-    import ray
-
     with _preserve_order():
         out = _record_scan(out_dir, zone_filter, ["path"], decode_item)
-        if out is None:
-            import pandas as pd
-
-            return ray.data.from_pandas(pd.DataFrame())
-        if isinstance(out, ray.ObjectRef):
-            return ray.data.from_arrow_refs(out)
-        return out
+        return _one_block(*out) if isinstance(out, tuple) else out
 
 
 def cluster_job(input_paths: list[str] | str, out_dir: str,
@@ -1974,12 +2008,12 @@ def verify_job(out_dir: str) -> dict:
 
     res = _record_scan(out_dir, None,
                        ["partition_id", "path", "sources", "num_rows"], check)
-    if res is None:
-        return {"partitions": 0, "ok": 0, "failed": []}
-    if isinstance(res, ray.ObjectRef):
+    if isinstance(res, tuple):
         # one task checked every item: its verdicts are one small table
-        verdicts = ray.get(res)
-        total, bad = verdicts.num_rows, only_failures(verdicts).to_pylist()
+        # (0 columns when the store has no partition)
+        verdicts = ray.get(res[0])
+        total = verdicts.num_rows
+        bad = only_failures(verdicts).to_pylist() if total else []
     else:
         # materialize pins only the TINY verdict rows; the driver then
         # pulls failures alone (at 10^7 partitions a take_all of every

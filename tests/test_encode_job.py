@@ -2240,6 +2240,40 @@ def test_flat_layout_store_decodes_and_verifies(ray_session, tmp_path,
     assert both_sides(lambda: verify_job(out)) == [ok] * 2
 
 
+def test_flat_records_survive_a_sharded_record(ray_session, tmp_path):
+    """A flat-layout store that gains one sharded record (a resumed
+    encode of one more input file, through write_record) keeps its flat
+    records in load_manifest and completed_partitions, and gc keeps
+    their chunks."""
+    from json_to_parquet_ray.manifest import manifest_dir
+    from json_to_parquet_ray.pipelines.encode_job import gc_job
+
+    d = tmp_path / "src"
+    d.mkdir()
+    write_cc_parquet(str(d / "a.parquet"), 600, seed=39, row_group_size=300)
+    out = str(tmp_path / "enc_flat")
+    encode_job(str(d), out, shared_dict_columns=None)
+    mdir = manifest_dir(out)
+    for sd in [os.path.join(mdir, n) for n in os.listdir(mdir)
+               if n.startswith("shard-")]:
+        for name in os.listdir(sd):
+            os.replace(os.path.join(sd, name), os.path.join(mdir, name))
+        os.rmdir(sd)
+    flat = load_manifest(out)
+    assert len(flat) == 2
+
+    write_cc_parquet(str(d / "b.parquet"), 300, seed=40, row_group_size=300)
+    encode_job(str(d), out, shared_dict_columns=None)
+    assert any(n.startswith("shard-") for n in os.listdir(mdir))
+    recs = load_manifest(out)
+    assert len(recs) == 3 and set(flat) < set(recs)
+    assert completed_partitions(out) == set(recs)
+    assert gc_job(out)["chunks_deleted"] == 0
+    for rec in flat.values():
+        assert os.path.exists(os.path.join(out, rec.chunk_file))
+    assert verify_job(out)["ok"] == 3
+
+
 def test_decode_and_verify_read_no_records_on_the_driver(
         ray_session, tmp_path, monkeypatch, both_sides):
     """decode_dataset (full, projected, url point, warc_ts range) and
@@ -3050,9 +3084,9 @@ def test_one_task_decode_keeps_heterogeneous_chunk_schemas(
         ray_session, tmp_path, monkeypatch, both_sides):
     """Chunks that decode to different schemas (an appended encode adds a
     column and widens int32 to int64), read without schema= under the
-    one-block rule: one table cannot hold both, so the read falls back to
-    the map_batches Dataset, does not raise, and returns the record
-    scan's rows."""
+    one-block rule: the one task merges them into its one block as
+    map_batches merges its output blocks, builds no Dataset, does not
+    raise, and returns the record scan's rows."""
     from json_to_parquet_ray.pipelines import encode_job as ej
 
     indir = tmp_path / "in"
@@ -3071,9 +3105,98 @@ def test_one_task_decode_keeps_heterogeneous_chunk_schemas(
     calls = _spy_from_items(monkeypatch)
     monkeypatch.setattr(ej, "_dispatch_blocks", lambda n, w: 1)
     one, scan = both_sides(lambda: decode_dataset(out).take_all())
-    assert len(calls) == 2  # the one task's fallback, then the scan's
+    assert len(calls) == 1  # the scan's source list only
     assert one == scan
     assert [r["id"] for r in one] == list(range(100))
+
+
+def _two_chunk_bloom_store(tmp_path) -> tuple[str, str]:
+    src = str(tmp_path / "cc.parquet")
+    write_cc_parquet(src, 600, seed=47, row_group_size=300)
+    out = str(tmp_path / "enc")
+    encode_job(src, out, shared_dict_columns=None, bloom_columns=["url"])
+    return src, out
+
+
+def test_one_block_reads_launch_no_metadata_task(ray_session, tmp_path,
+                                                 monkeypatch, both_sides):
+    """Sized as one block (a driver that sees 1 CPU), full, projected,
+    url point and warc_ts range decodes of a 2-chunk Bloom store, and a
+    warc_ts range outside every zone, give the same rows with
+    ``ray.data.from_arrow_refs`` and ``from_pandas`` patched to raise on
+    the driver as unpatched, on both shapes of the record scan: the one
+    task's block comes back with its metadata, and an empty result needs
+    no Ray call of its own."""
+    import ray
+
+    from json_to_parquet_ray.pipelines import encode_job as ej
+
+    src, out = _two_chunk_bloom_store(tmp_path)
+    t = pq.read_table(src)
+    ts, url = t.column("warc_ts"), t.column("url")
+    lo, hi = sorted([ts[100].as_py(), ts[400].as_py()])
+    late = max(ts.to_pylist()) + (max(ts.to_pylist()) - min(ts.to_pylist()))
+    reads = {
+        "full": lambda: decode_dataset(out).take_all(),
+        "projected": lambda: decode_dataset(
+            out, columns=["url", "lang"]).take_all(),
+        "point": lambda: decode_dataset(
+            out, zone_filter={"url": [url[450].as_py()]}).take_all(),
+        "range": lambda: decode_dataset(out, zone_filter={
+            "warc_ts": (lo.isoformat(), hi.isoformat())}).take_all(),
+    }
+    monkeypatch.setattr(ej, "_dispatch_blocks", ej._BlockRule(1))
+    want = {k: f() for k, f in reads.items()}
+    assert want["full"] == t.to_pylist()
+    assert want["point"] and want["range"]
+
+    def no_task(*a, **k):
+        raise AssertionError("a Dataset was built from refs or pandas")
+
+    monkeypatch.setattr(ray.data, "from_arrow_refs", no_task)
+    monkeypatch.setattr(ray.data, "from_pandas", no_task)
+    for k, f in reads.items():
+        assert both_sides(f) == [want[k]] * 2, k
+
+    def empty():
+        ds = decode_dataset(out, zone_filter={
+            "warc_ts": (late.isoformat(), None)})
+        return ds.count(), ds.take_all()
+
+    assert both_sides(empty) == [(0, [])] * 2
+
+
+def test_scan_task_sizes_without_a_cluster_query(ray_session, tmp_path,
+                                                 monkeypatch):
+    """The block rule the record scan's task gets carries the driver's
+    CPU count: run in-process with ``ray.cluster_resources`` patched to
+    raise, ``_scan_one`` still decides one block for a 2-chunk store
+    sent from a 1-CPU driver, and returns that block's metadata."""
+    import ray
+    from ray import cloudpickle
+
+    from json_to_parquet_ray.encode import read_chunk_file
+    from json_to_parquet_ray.pipelines import encode_job as ej
+
+    src, out = _two_chunk_bloom_store(tmp_path)
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 1.0})
+    rule = cloudpickle.loads(cloudpickle.dumps(ej._dispatch_blocks))
+
+    def no_query():
+        raise AssertionError("the task queried the cluster")
+
+    monkeypatch.setattr(ray, "cluster_resources", no_query)
+
+    def decode(b: pa.Table) -> pa.Table:
+        return pa.concat_tables([read_chunk_file(p)
+                                 for p in b.column("path").to_pylist()])
+
+    sources, _, _, shortcut = ej._record_sources(out)
+    (err, _, meta), body = ej._scan_one(
+        out, sources, shortcut, None, ["path"], decode, rule)
+    assert err is None and meta is not None
+    assert meta.num_rows == body.num_rows == 600
+    assert body.equals(pq.read_table(src))
 
 
 def test_worker_encoder_cache_keying(ray_session, tmp_path):
@@ -3200,8 +3323,10 @@ def test_filtered_decode_equals_decode_then_filter_on_paged_store(
 def test_filtered_read_decodes_only_selected_pages(paged_cc_store,
                                                    monkeypatch):
     """Late materialization by count: a url hit decodes exactly one page
-    each of html and text, and a chunk where no row is selected decodes
-    no page and no payload but the filter column's."""
+    each of html and text, and reads fewer bytes of the chunk file than
+    the payloads it decodes hold (a paged payload is read only at its
+    schema message and selected page); a chunk where no row is selected
+    decodes no page and no payload but the filter column's."""
     import datetime as dt
     import functools
 
@@ -3216,9 +3341,28 @@ def test_filtered_read_decodes_only_selected_pages(paged_cc_store,
     for p in chunks:
         for c in read_chunk_header(open(p, "rb").read())[0]["columns"]:
             sizes[c["size"]] = c["name"]
-    pages, whole, parts = [], [], []
+    pages, whole, parts, got_bytes = [], [], [], []
     read_page = base.ipc_read_page
     decode_array, decode_rows = encode.decode_array, encode.decode_rows
+    real_open = open
+
+    class CountingFile:
+        def __init__(self, path, mode):
+            self.f = real_open(path, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def seek(self, *a):
+            return self.f.seek(*a)
+
+        def read(self, *a):
+            b = self.f.read(*a)
+            got_bytes.append(len(b))
+            return b
 
     def counting_page(buf, schema, offset):
         pages.append(sizes[buf.size])
@@ -3235,9 +3379,10 @@ def test_filtered_read_decodes_only_selected_pages(paged_cc_store,
     monkeypatch.setattr(base, "ipc_read_page", counting_page)
     monkeypatch.setattr(encode, "decode_array", counting_whole)
     monkeypatch.setattr(encode, "decode_rows", counting_rows)
+    monkeypatch.setattr(encode, "open", CountingFile, raising=False)
 
     def read(path, zf):
-        for seen in (pages, whole, parts):
+        for seen in (pages, whole, parts, got_bytes):
             seen.clear()
         return encode.read_chunk_file(
             path, eq_prune={c: b for c, b in zf.items()
@@ -3253,6 +3398,10 @@ def test_filtered_read_decodes_only_selected_pages(paged_cc_store,
             hits += 1
             assert sorted(pages) == ["html", "text"] and whole == ["url"]
             assert sorted(parts) == ["html", "lang", "text", "warc_ts"]
+            header = read_chunk_header(open(p, "rb").read())[0]
+            decoded = sum(c["size"] for c in header["columns"]
+                          if c["name"] in whole + parts)
+            assert 0 < sum(got_bytes) < decoded, (sum(got_bytes), decoded)
         else:  # a Bloom reject reads no payload at all
             assert pages == parts == [] and whole in ([], ["url"])
     assert hits == 1
