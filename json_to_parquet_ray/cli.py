@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 
@@ -292,6 +293,9 @@ def main(argv: list[str] | None = None) -> int:
             cols = args.columns.split(",") if args.columns else None
             decode_dataset(args.out_dir, columns=cols,
                            zone_filter=zf).write_parquet(args.parquet_out)
+            # a filter matching no row writes no file: still leave the
+            # printed path, as an empty directory
+            os.makedirs(args.parquet_out, exist_ok=True)
             print(json.dumps({"out": args.parquet_out}))
         elif args.cmd == "scan-stats":
             from .pipelines.encode_job import (
@@ -364,11 +368,9 @@ def main(argv: list[str] | None = None) -> int:
             ds = ray.data.read_parquet(args.inputs)
             stats = compute_stats(ds)
             first = args.inputs[0]
-            import os as _os
-
-            if _os.path.isdir(first):
-                first = next((_os.path.join(first, f)
-                              for f in sorted(_os.listdir(first))
+            if os.path.isdir(first):
+                first = next((os.path.join(first, f)
+                              for f in sorted(os.listdir(first))
                               if f.endswith(".parquet")), None)
                 if first is None:
                     raise SystemExit(

@@ -80,9 +80,9 @@ class DictCodec(Codec):
             "cardinality": len(dict_values),
             "values_codec": values_codec,
             "values_meta": vals_meta,
-            # the COLUMN's type, not the dictionary's: a shared dictionary
-            # is built as pa.string() (shuffle.distinct_values_multi), so a
-            # large_string column would otherwise decode as string
+            # the COLUMN's type, not the dictionary's: a shared string
+            # dictionary is pa.string() (encode_job._shared_dictionaries),
+            # so a large_string column would otherwise decode as string
             "type": type_to_b64(arr.type),
         }
         return payload, meta

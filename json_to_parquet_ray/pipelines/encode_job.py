@@ -3,9 +3,9 @@
 Shape (SURVEY.md §3.4):
 
     fragments = parquet row groups of the input            [partition unit]
-    (pass 1)  shared dictionaries (salted distinct over the input) and
-              shared FSST tables (trained on the sampled fragments)
-              for the columns the caller names
+    (pass 1)  shared dictionaries: one distinct pass over the input's
+              row groups, which also decides ``auto``; shared FSST
+              tables are trained on the sampled fragments, no pass
     (plan)    one broadcast per job: the sampled plan (> 16 fragments)
               and each shared column's dictionary/FSST candidates
     (pass 2)  ray Dataset over fragment work items → map_batches tasks,
@@ -50,8 +50,8 @@ from ..manifest import (
     write_record,
 )
 from ..plan import CodecPlan, ColumnPlan, plan_from_stats
-from ..shuffle import distinct_values, distinct_values_multi
-from ..stats import compute_stats, compute_stats_table
+from ..shuffle import distinct_values
+from ..stats import compute_stats_table
 
 SHARED_DICT_MAX_CARD = 1024
 
@@ -657,6 +657,53 @@ class EncodePartition:
         return rec
 
 
+def _shared_dictionaries(frags: list[FragmentRef],
+                         file_schemas: dict[str, pa.Schema],
+                         frag_bytes: dict[str, int],
+                         columns: list[str] | str) -> dict[str, pa.Array]:
+    """{column: its distinct values over the whole input} for the shared
+    dictionary ``columns``, from ONE pass: a work item per row group of
+    ``frags`` reads only the dictionary columns its file has (a file
+    without a column adds nothing to it), and ``distinct_values`` merges
+    them. ``"auto"`` takes every string column whose exact distinct
+    non-null count is in (1, ``SHARED_DICT_MAX_CARD``], counted in the
+    same pass: a batch ships at most ``SHARED_DICT_MAX_CARD + 1`` values
+    of a column, enough to show it is past the cap. A string dictionary
+    is ``pa.string()``, also for large_string input."""
+    auto = columns == "auto"
+    if auto:
+        columns = sorted({fld.name for sch in file_schemas.values()
+                          for fld in sch
+                          if pa.types.is_string(fld.type)
+                          or pa.types.is_large_string(fld.type)})
+    rg_bytes: dict[tuple[str, int], int] = {}
+    for f in frags:  # slices of one row group make one item
+        key = (f.path, f.row_group)
+        rg_bytes[key] = rg_bytes.get(key, 0) + frag_bytes[f.frag_hash]
+    items = []
+    for path, rg in rg_bytes:
+        cols = [c for c in columns if c in file_schemas[path].names]
+        if cols:
+            items.append({"path": path, "row_group": rg, "columns": cols})
+    if not items:
+        return {}
+
+    def read_columns(batch: pa.Table) -> pa.Table:
+        [item] = batch.to_pylist()
+        with pq.ParquetFile(item["path"]) as pf:
+            return pf.read_row_group(item["row_group"],
+                                     columns=item["columns"])
+
+    # sized by whole row groups: the footers give no per-column sizes
+    ds = _item_dataset(items, sum(rg_bytes.values())).map_batches(
+        read_columns, batch_size=1, batch_format="pyarrow")
+    values = distinct_values(
+        ds, columns, batch_cap=SHARED_DICT_MAX_CARD if auto else None)
+    return {c: v.cast(pa.string()) if pa.types.is_large_string(v.type)
+            else v for c, v in values.items()
+            if not auto or 1 < len(v) <= SHARED_DICT_MAX_CARD}
+
+
 def encode_job(
     input_paths: list[str] | str,
     out_dir: str,
@@ -692,11 +739,13 @@ def encode_job(
     whose sample picks are unchanged loads it instead of re-planning.
 
     ``shared_dict_columns`` (list, or "auto") builds one dictionary per
-    column over the whole input, ``shared_fsst_columns`` one FSST table
-    per column from the sampled fragments. Such a column is planned per
-    chunk, with its shared state as candidates that win only on a
-    strictly lower score (``plan_column``); a column no input file has
-    raises ``ValueError`` before any output is touched. Partitions
+    column over the whole input, all in one pass; "auto" picks every
+    string column with more than 1 and at most ``SHARED_DICT_MAX_CARD``
+    distinct non-null values. ``shared_fsst_columns`` builds one FSST
+    table per column from the sampled fragments. Such a column is
+    planned per chunk, with its shared state as candidates that win only
+    on a strictly lower score (``plan_column``); a column no input file
+    has raises ``ValueError`` before any output is touched. Partitions
     encode as plain Ray tasks from one broadcast of the sampled plan and
     the shared candidates.
 
@@ -766,66 +815,9 @@ def encode_job(
         for f in frags
         if f.frag_hash not in done
     ]
-    shared: dict[str, pa.Array] = {}
-    # distinct file list: frags are ROW-GROUP slices, so the raw path
-    # list repeats each file once per slice — read_parquet would re-read
-    # every file that many times (and skew any sample toward
-    # multi-fragment files)
-    frag_paths = sorted({f.path for f in frags})
-    if work and shared_dict_columns:
-        # union of file schemas (already collected from the footers during
-        # _read_footers — no second driver metadata pass): schema
-        # evolution may add a string column in later files
-        str_typed: set[str] = set()
-        col_files: dict[str, list[str]] = {}
-        for p in frag_paths:
-            for fld in file_schemas[p]:
-                col_files.setdefault(fld.name, []).append(p)
-                if (pa.types.is_string(fld.type)
-                        or pa.types.is_large_string(fld.type)):
-                    str_typed.add(fld.name)
-
-        # a column added by schema evolution exists only in SOME files;
-        # ray.data.read_parquet infers its schema from the first fragment
-        # and raises on a projected column the fragment lacks — so every
-        # read below is restricted to the files that HAVE the column
-        # (files without it contribute only nulls anyway). Columns sharing
-        # a file set share one read pass; the no-evolution common case
-        # stays a single full-input read.
-        def _by_fileset(cols: list[str]) -> dict[tuple, list[str]]:
-            groups: dict[tuple, list[str]] = {}
-            for c in cols:
-                groups.setdefault(tuple(col_files[c]), []).append(c)
-            return groups
-
-        if shared_dict_columns == "auto":
-            # prune the candidate-selection stats pass to string columns
-            # only — reading html/text payload bytes to decide that a
-            # dictionary doesn't apply to them is a wasted full scan
-            shared_dict_columns = []
-            for paths_grp, cols in _by_fileset(sorted(str_typed)).items():
-                stats = compute_stats(ray.data.read_parquet(
-                    list(paths_grp), columns=cols))
-                shared_dict_columns.extend(
-                    n for n, st in stats.items()
-                    if st.type_str in ("string", "large_string")
-                    and 1 < st.cardinality <= SHARED_DICT_MAX_CARD
-                )
-        # one pruned read pass per file-set group builds every string
-        # column's distinct set (per-column distinct_values would re-scan
-        # the input once per column — a full pass each at 100 TB);
-        # non-string dict columns (rare, manual callers) keep the
-        # per-column path
-        str_cols = [c for c in shared_dict_columns if c in str_typed]
-        for paths_grp, cols in _by_fileset(str_cols).items():
-            ds_grp = ray.data.read_parquet(list(paths_grp), columns=cols)
-            shared.update(distinct_values_multi(ds_grp, cols))
-        for coln in shared_dict_columns:
-            if coln in shared:
-                continue
-            ds_col = ray.data.read_parquet(col_files.get(coln, frag_paths),
-                                           columns=[coln])
-            shared[coln] = distinct_values(ds_col, coln)
+    shared = (_shared_dictionaries(frags, file_schemas, frag_bytes,
+                                   shared_dict_columns)
+              if work and shared_dict_columns else {})
     # shared state competes in the planner: each shared column keeps
     # per-chunk planning, with its dictionary and FSST table as candidates
     cands: dict[str, list] = {

@@ -212,8 +212,8 @@ def q_heavy_sources(sf_dir: str):
 def q_distinct_lang(sf_dir: str):
     from .shuffle import distinct_values
 
-    vals = distinct_values(_read(sf_dir, "documents", ["lang"]), "lang")
-    return pa.table({"lang": vals})
+    vals = distinct_values(_read(sf_dir, "documents", ["lang"]), ["lang"])
+    return pa.table(vals)
 
 
 # ----------------------------------------------------------------- text ops

@@ -43,18 +43,24 @@ def extract_host(batch: pa.Table, url_col: str = "url",
     return batch.append_column(out_col, pc.utf8_lower(host))
 
 
+def _salts(values: pa.Array, salt_buckets: int) -> pa.Array:
+    """``hash(value) % salt_buckets`` per value, deterministic across
+    processes (pandas' C siphash over the values as objects)."""
+    salts = pd.util.hash_array(
+        np.asarray(values.to_pandas(), dtype=object), categorize=False
+    ) % salt_buckets
+    return pa.array(salts.astype(np.int64), pa.int64())
+
+
 def _partial_counts(batch: pa.Table, col: str, salt_buckets: int) -> pa.Table:
     arr = batch.column(col)
     vc = arr.value_counts()
     values = vc.field("values")
     counts = vc.field("counts")
-    salts = pd.util.hash_array(
-        np.asarray(values.to_pandas(), dtype=object), categorize=False
-    ) % salt_buckets
     return pa.table({
         "value": values,
         "partial_count": counts.cast(pa.int64()),
-        "salt": pa.array(salts.astype(np.int64), pa.int64()),
+        "salt": _salts(values, salt_buckets),
     })
 
 
@@ -470,92 +476,50 @@ def heavy_hitters(ds, col: str, k: int = 20, salt_buckets: int = 8) -> pa.Table:
     return base.empty_table() if base is not None else pa.table({})
 
 
-def distinct_values(ds, col: str, salt_buckets: int = 8,
-                    driver_merge_cap: int = 100_000) -> pa.Array:
-    """Global distinct values of a (low-cardinality) column, deterministic order.
+def distinct_values(ds, cols: list[str], salt_buckets: int = 8,
+                    driver_merge_cap: int = 100_000,
+                    batch_cap: int | None = None) -> dict[str, pa.Array]:
+    """Global distinct values of each of ``cols`` in ONE pass over ``ds``:
+    {column: its non-null values, sorted}, of any Arrow type, the type
+    kept.
 
-    Per-batch unique partials first; if the partial set is small (≤
-    ``driver_merge_cap`` rows — the common case for dictionary columns)
-    they merge on the driver with NO shuffle. Past the cap, the salted
-    groupby dedup runs so the exchange stays bounded by per-batch uniques
-    and no reducer sees a whole hot value.
-    """
+    Each batch ships its uniques long-form, one row per value, typed in
+    that value's own column (the other columns null) with a salt
+    ``hash(value) % salt_buckets``. A batch lacking a column adds
+    nothing to it. If the partials are few (≤ ``driver_merge_cap`` rows
+    — the common case for dictionary columns) they merge on the driver
+    with NO shuffle. Past the cap, a salted groupby dedups them, so the
+    exchange stays bounded by per-batch uniques and no reducer sees a
+    whole hot value. No pandas hop: int exactness and types survive.
 
-    def batch_unique(b: pa.Table) -> pa.Table:
-        u = pc.unique(b.column(col).combine_chunks())
-        salts = pd.util.hash_array(
-            np.asarray(u.to_pandas(), dtype=object), categorize=False
-        ) % salt_buckets
-        return pa.table({"value": u, "salt": pa.array(salts.astype(np.int64))})
-
-    partials = ds.map_batches(batch_unique, batch_format="pyarrow").materialize()
-    if partials.count() <= driver_merge_cap:
-        return _arrow_sorted_unique(partials, "value")
-
-    def group_dedup(t: pa.Table) -> pa.Table:
-        # Arrow-native dedup: a pandas hop here would round-trip
-        # null-bearing int columns through float64 (see _exact_pandas)
-        return pa.table({"value": pc.unique(t.column("value")
-                                            .combine_chunks())})
-
-    deduped = partials.groupby("salt").map_groups(group_dedup,
-                                                 batch_format="pyarrow")
-    return _arrow_sorted_unique(deduped, "value")
-
-
-def _arrow_sorted_unique(ds_or_tbl, col: str) -> pa.Array:
-    """Distinct non-null values of a small Dataset column, sorted,
-    WITHOUT a pandas hop — int exactness and the Arrow type survive."""
-    tbls = list(ds_or_tbl.iter_batches(batch_size=None,
-                                       batch_format="pyarrow"))
-    if not tbls:
-        return pa.array([])
-    merged = pa.concat_tables(tbls).column(col).combine_chunks()
-    u = pc.unique(merged).drop_null()
-    return u.take(pc.array_sort_indices(u))
-
-
-def distinct_values_multi(ds, cols: list[str], salt_buckets: int = 8,
-                          driver_merge_cap: int = 100_000
-                          ) -> dict[str, pa.Array]:
-    """Global distinct sets for SEVERAL string columns in ONE pass over
-    the dataset (``distinct_values`` per column would re-read the input
-    once per column — at 100 TB each extra pass is a full scan).
-
-    Per-batch uniques of every column go out long-form as
-    ``(col, value, salt)``; the driver merge / salted-groupby dedup then
-    mirrors ``distinct_values`` exactly, per column, so results are
-    identical (sorted, null-free). String/large-string columns only —
-    the shared-dictionary case; callers route other types through
-    ``distinct_values``."""
-    if not cols:
-        return {}
+    ``batch_cap`` ships at most ``batch_cap + 1`` uniques per batch and
+    column. A column with at most ``batch_cap`` distinct values then
+    comes back whole; one with more comes back with more than
+    ``batch_cap`` of them, not all."""
 
     def batch_unique(b: pa.Table) -> pa.Table:
-        names: list[pa.Array] = []
-        values: list[pa.Array] = []
+        parts = [pa.table({"salt": pa.array([], pa.int64())})]
         for c in cols:
-            u = pc.unique(b.column(c).combine_chunks()).cast(pa.string())
-            values.append(u)
-            names.append(pa.array([c] * len(u), pa.string()))
-        value = pa.concat_arrays(values)
-        salts = pd.util.hash_array(
-            np.asarray(value.to_pandas(), dtype=object), categorize=False
-        ) % salt_buckets
-        return pa.table({"col": pa.concat_arrays(names), "value": value,
-                         "salt": pa.array(salts.astype(np.int64))})
+            if c not in b.column_names:
+                continue
+            u = pc.unique(b.column(c)).drop_null()
+            if batch_cap is not None:
+                u = u.slice(0, batch_cap + 1)
+            parts.append(pa.table({c: u, "salt": _salts(u, salt_buckets)}))
+        return pa.concat_tables(parts, promote_options="default")
 
-    partials = ds.map_batches(batch_unique, batch_format="pyarrow").materialize()
-    if partials.count() <= driver_merge_cap:
-        df = partials.to_pandas()
-    else:
-        def group_dedup(g: pd.DataFrame) -> pd.DataFrame:
-            return g.drop_duplicates(subset=["col", "value"])[["col", "value"]]
-
-        df = (partials.groupby("salt")
-              .map_groups(group_dedup, batch_format="pandas").to_pandas())
+    partials = ds.map_batches(batch_unique, batch_size=None,
+                              batch_format="pyarrow").materialize()
+    if partials.count() > driver_merge_cap:
+        partials = partials.groupby("salt").map_groups(
+            batch_unique, batch_format="pyarrow")
+    tbls = list(partials.iter_batches(batch_size=None,
+                                      batch_format="pyarrow"))
+    merged = (pa.concat_tables(tbls, promote_options="permissive")
+              if tbls else pa.table({}))
     out: dict[str, pa.Array] = {}
     for c in cols:
-        vals = df.loc[df["col"] == c, "value"].dropna().unique()
-        out[c] = pa.array(sorted(vals), pa.string())
+        u = (pc.unique(merged.column(c)).drop_null()
+             if c in merged.column_names else pa.array([]))
+        out[c] = u.take(pc.array_sort_indices(u))
     return out

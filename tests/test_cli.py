@@ -254,6 +254,25 @@ def test_cli_zone_filter_empty_value_rejected(tmp_path):
     assert "empty value" in (res.stderr + res.stdout)
 
 
+def test_cli_decode_matching_nothing_leaves_empty_dir(tmp_path):
+    """A decode whose zone filter matches no row prints its output path,
+    and that path is a directory holding no parquet file."""
+    import pyarrow as pa
+
+    t = pa.table({"id": list(range(300)),
+                  "url": [f"https://example.org/{i}" for i in range(300)]})
+    src = str(tmp_path / "t.parquet")
+    pq.write_table(t, src, row_group_size=100)
+    enc = str(tmp_path / "enc")
+    run_cli("encode", src, enc)
+    dec = str(tmp_path / "dec")
+    # every url sorts below "zzz": the range is past every zone
+    assert run_cli("decode", enc, dec,
+                   "--zone-filter", "url=zzz,zzzz") == {"out": dec}
+    assert os.path.isdir(dec)
+    assert not [f for f in os.listdir(dec) if f.endswith(".parquet")]
+
+
 def test_cli_dedup_paragraphs(tmp_path):
     """dedup-paragraphs drops cross-doc boilerplate, keeps unique text,
     and reports the total removed from the WRITTEN output."""

@@ -1080,6 +1080,124 @@ def test_encode_job_shared_dict_schema_evolution(ray_session, tmp_path,
     assert dec.column("lang").to_pylist() == [None] * 600 + langs
 
 
+def _spy_dict_pass(monkeypatch) -> tuple[list, list]:
+    """Record the columns of every ``distinct_values`` call an encode job
+    makes, and the work items of every ``_item_dataset`` it builds, on
+    the driver; ``ray.data.read_parquet`` raises."""
+    import ray
+
+    from json_to_parquet_ray.pipelines import encode_job as ej
+
+    calls, item_lists = [], []
+    dv, item_ds = ej.distinct_values, ej._item_dataset
+
+    def spy_dv(ds, cols, **kwargs):
+        calls.append(list(cols))
+        return dv(ds, cols, **kwargs)
+
+    def spy_items(items, work_bytes):
+        item_lists.append(items)
+        return item_ds(items, work_bytes)
+
+    def no_read(*a, **kw):
+        raise AssertionError("read_parquet")
+
+    monkeypatch.setattr(ej, "distinct_values", spy_dv)
+    monkeypatch.setattr(ej, "_item_dataset", spy_items)
+    monkeypatch.setattr(ray.data, "read_parquet", no_read)
+    return calls, item_lists
+
+
+def test_auto_shared_dicts_in_one_pass(ray_session, cc_parquet, tmp_path,
+                                       monkeypatch):
+    """``shared_dict_columns="auto"`` reads the input once, through one
+    ``distinct_values`` call over the string columns, with no
+    ``read_parquet``, and picks lang only (url and text hold more than
+    ``SHARED_DICT_MAX_CARD`` distinct values)."""
+    calls, _ = _spy_dict_pass(monkeypatch)
+    seen = _spy_broadcast(monkeypatch)
+    summary = encode_job(cc_parquet, str(tmp_path / "enc"),
+                         shared_dict_columns="auto")
+    assert calls == [["lang", "text", "url"]]
+    assert summary["shared_dict_columns"] == ["lang"]
+    [(_, shared)] = seen
+    langs = pq.read_table(cc_parquet, columns=["lang"])["lang"]
+    assert (shared["lang"][0][2]["dictionary"].to_pylist()
+            == sorted(set(langs.to_pylist())))
+
+
+def test_auto_picks_by_exact_distinct_count(ray_session, tmp_path,
+                                            monkeypatch):
+    """``auto`` counts a column's distinct values over the whole input,
+    not per row group: with at most 600 per row group, a column of 1,025
+    distinct values is not picked and one of exactly 1,024 is, with all
+    of them in its dictionary. A constant column is not picked."""
+    from json_to_parquet_ray.pipelines.encode_job import SHARED_DICT_MAX_CARD
+
+    assert SHARED_DICT_MAX_CARD == 1024
+    n = 1800
+    t = pa.table({"over": [f"o{i % 1025:04d}" for i in range(n)],
+                  "at": [f"a{i % 1024:04d}" for i in range(n)],
+                  "one": ["x"] * n})
+    src = str(tmp_path / "card.parquet")
+    pq.write_table(t, src, row_group_size=600)
+    seen = _spy_broadcast(monkeypatch)
+    summary = encode_job(src, str(tmp_path / "enc"),
+                         shared_dict_columns="auto")
+    assert summary["shared_dict_columns"] == ["at"]
+    [(_, shared)] = seen
+    assert (shared["at"][0][2]["dictionary"].to_pylist()
+            == [f"a{i:04d}" for i in range(1024)])
+
+
+def test_shared_dict_pass_reads_each_row_group_once(ray_session, cc_parquet,
+                                                    tmp_path, monkeypatch):
+    """Partitions smaller than a row group still give the dictionary pass
+    one work item per row group, reading only the dictionary column."""
+    _, item_lists = _spy_dict_pass(monkeypatch)
+    summary = encode_job(cc_parquet, str(tmp_path / "enc"),
+                         shared_dict_columns=["lang"],
+                         max_rows_per_partition=200)
+    assert summary["partitions_encoded"] == 12
+    [dict_items] = [items for items in item_lists if "columns" in items[0]]
+    assert sorted((i["row_group"], i["columns"]) for i in dict_items) == [
+        (rg, ["lang"]) for rg in range(4)]
+
+
+def test_named_shared_dicts_of_every_type_in_one_pass(ray_session, tmp_path,
+                                                      monkeypatch):
+    """Named binary, int64, string and large_string columns get their
+    dictionaries from one ``distinct_values`` call, each holding the
+    column's sorted non-null distinct values, of the column's own type
+    except that a large_string dictionary is a string one."""
+    import pyarrow.compute as pc
+
+    n = 600
+    t = pa.table({
+        "b": pa.array([bytes([i % 7]) * 4 for i in range(n)], pa.binary()),
+        "i": pa.array([None if i % 5 == 0 else 2**53 + i % 9
+                       for i in range(n)], pa.int64()),
+        "l": pa.array([f"l{i % 13}" for i in range(n)], pa.large_string()),
+        "s": pa.array([f"s{i % 11}" for i in range(n)]),
+    })
+    src = str(tmp_path / "typed.parquet")
+    pq.write_table(t, src, row_group_size=200)
+    calls, _ = _spy_dict_pass(monkeypatch)
+    seen = _spy_broadcast(monkeypatch)
+    out = str(tmp_path / "enc")
+    summary = encode_job(src, out, shared_dict_columns=t.column_names)
+    assert calls == [t.column_names]
+    assert summary["shared_dict_columns"] == t.column_names
+    assert verify_job(out)["failed"] == []
+    [(_, shared)] = seen
+    for c in t.column_names:
+        u = pc.unique(t.column(c)).drop_null()
+        want = u.take(pc.array_sort_indices(u))
+        if c == "l":
+            want = want.cast(pa.string())
+        assert shared[c][0][2]["dictionary"].equals(want), c
+
+
 def test_cluster_job_zone_disjoint_and_verified(ray_session, tmp_path):
     """cluster_job: distributed sort → staged encode makes the cluster
     column's zones disjoint (equality prunes chunks), the store verifies

@@ -46,8 +46,8 @@ def test_distinct_values_sorted_deterministic(ray_session):
     import ray
 
     t = pa.table({"k": pa.array(["b", "a", "b", "c", "a"])})
-    v1 = distinct_values(ray.data.from_arrow(t), "k")
-    v2 = distinct_values(ray.data.from_arrow(t), "k")
+    v1 = distinct_values(ray.data.from_arrow(t), ["k"])["k"]
+    v2 = distinct_values(ray.data.from_arrow(t), ["k"])["k"]
     assert v1.to_pylist() == ["a", "b", "c"]
     assert v1.equals(v2)
 
@@ -351,31 +351,42 @@ def test_keyed_window_bucket_granularity_and_equivalence(ray_session):
         assert (split == 1).all(), split[split > 1]
 
 
-def test_distinct_values_multi_matches_per_column(ray_session):
-    """Fused one-pass multi-column distinct must equal per-column
-    distinct_values exactly (sorted, null-free), on both the driver-merge
-    path and the salted-groupby overflow path."""
+def test_distinct_values_one_pass_over_every_type(ray_session):
+    """One call builds the distinct set of a string column with nulls, a
+    binary column and an int64 column holding 2^53, 2^53+1 and nulls.
+    Each equals its sorted ``pc.unique().drop_null()``, type included,
+    on both the driver-merge path and the salted-groupby path.
+    ``batch_cap`` bounds what one batch ships."""
     import numpy as np
     import pyarrow as pa
+    import pyarrow.compute as pc
     import ray
 
-    from json_to_parquet_ray.shuffle import distinct_values, distinct_values_multi
-
     rng = np.random.default_rng(11)
+    big = 2**53
+    n = 3000
     t = pa.table({
-        "a": pa.array([f"v{int(i)}" for i in rng.integers(0, 40, 3000)]),
-        "b": pa.array([None if i % 17 == 0 else f"u{int(i)}"
-                       for i in rng.integers(0, 9, 3000)]),
+        "s": pa.array([None if i % 17 == 0 else f"u{int(v)}"
+                       for i, v in enumerate(rng.integers(0, 40, n))]),
+        "b": pa.array([bytes([int(v)]) * 3 for v in rng.integers(0, 30, n)],
+                      pa.binary()),
+        "i": pa.array([[big, big + 1, None, int(v)][i % 4]
+                       for i, v in enumerate(rng.integers(0, 9, n))],
+                      pa.int64()),
     })
     ds = ray.data.from_arrow(t).repartition(6)
-    fused = distinct_values_multi(ds, ["a", "b"])
-    for c in ("a", "b"):
-        solo = distinct_values(ray.data.from_arrow(t.select([c])), c)
-        assert fused[c].equals(solo), c
-    # overflow path: cap below the partial count forces the salted dedup
-    fused2 = distinct_values_multi(ds, ["a", "b"], driver_merge_cap=3)
-    for c in ("a", "b"):
-        assert fused2[c].equals(fused[c]), c
+    # a cap of 1 partial row forces the salted dedup
+    for cap in (100_000, 1):
+        got = distinct_values(ds, ["s", "b", "i"], driver_merge_cap=cap)
+        for c in t.column_names:
+            u = pc.unique(t.column(c)).drop_null()
+            assert got[c].equals(u.take(pc.array_sort_indices(u))), (cap, c)
+            assert got[c].type == t.schema.field(c).type
+    assert got["i"].to_pylist()[-2:] == [big, big + 1]
+    # one batch ships batch_cap + 1 uniques of each column
+    capped = distinct_values(ray.data.from_arrow(t), ["s", "b", "i"],
+                             batch_cap=3)
+    assert {c: len(v) for c, v in capped.items()} == {"s": 4, "b": 4, "i": 4}
 
 
 def test_window_queries_null_user_oracle_parity(ray_session, tmp_path):
@@ -451,11 +462,11 @@ def test_distinct_and_heavy_hitters_exact_big_ints(ray_session):
     big = 2**53
     vals = [big, big + 1, None, 7] * 50
     ds = ray.data.from_arrow(pa.table({"k": pa.array(vals, pa.int64())}))
-    d = distinct_values(ds, "k")
+    d = distinct_values(ds, ["k"])["k"]
     assert d.type == pa.int64()
     assert d.to_pylist() == [7, big, big + 1]
     # overflow path (cap forces the salted-groupby dedup)
-    d2 = distinct_values(ds.repartition(4), "k", driver_merge_cap=1)
+    d2 = distinct_values(ds.repartition(4), ["k"], driver_merge_cap=1)["k"]
     assert d2.equals(d)
     top = heavy_hitters(ds, "k", k=4)
     got = {r["value"]: r["count"] for r in top.to_pylist()}

@@ -1,10 +1,16 @@
 """Chunk digest: encode one input and print the sha1 of every chunk file.
 
 Prints one JSON object, ``{"chunks": {relative .rde path: sha1},
-"total_bytes": N, "column_bytes": {column: N}}``, so two code versions
-can be checked for byte-identical output by running this script from
-each checkout on the same input and comparing the printed objects.
-``column_bytes`` sums the manifest's per-column chunk sizes.
+"total_bytes": N, "column_bytes": {column: N}, "shared": {column:
+[[label, sha1]]}}``, so two code versions can be checked for
+byte-identical output by running this script from each checkout on the
+same input and comparing the printed objects. ``column_bytes`` sums the
+manifest's per-column chunk sizes. ``shared`` digests the job's one
+broadcast of shared state, caught on its way through ``ray.put``: per
+column, each candidate's label and the sha1 of its dictionary's Arrow
+IPC bytes (values and type) or of its FSST symbol table. A chunk that
+picks no shared candidate embeds none of it, so ``chunks`` alone cannot
+see a changed dictionary.
 
 The input is either a parquet path (file or directory) or a
 ``--cc ROWS SEED ROW_GROUP_ROWS`` spec: ``fixtures.make_cc_table(ROWS,
@@ -71,6 +77,39 @@ def digest(store: str) -> dict:
             "column_bytes": dict(sorted(columns.items()))}
 
 
+def capture_broadcast() -> list:
+    """Record every (sampled plan, shared candidates) pair an encode job
+    broadcasts through ``ray.put``."""
+    import ray
+
+    from json_to_parquet_ray.plan import CodecPlan
+
+    seen, put = [], ray.put
+
+    def spy(obj, *args, **kwargs):
+        if isinstance(obj, tuple) and isinstance(obj[0], CodecPlan):
+            seen.append(obj)
+        return put(obj, *args, **kwargs)
+
+    ray.put = spy
+    return seen
+
+
+def shared_digest(broadcasts: list) -> dict:
+    from json_to_parquet_ray.codecs.base import ipc_write
+    from json_to_parquet_ray.codecs.fsst import serialize_table
+
+    out = {}
+    for _, cands in broadcasts:
+        for col, entries in sorted(cands.items()):
+            out[col] = [
+                [label, hashlib.sha1(
+                    ipc_write(kw["dictionary"]) if "dictionary" in kw
+                    else serialize_table(kw["encoder"].symbols)).hexdigest()]
+                for label, _, kw in entries]
+    return out
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     src = ap.add_mutually_exclusive_group(required=True)
@@ -96,6 +135,7 @@ def main() -> int:
     shutil.rmtree(store, ignore_errors=True)
     ray.init(address="local", num_cpus=1, include_dashboard=False,
              log_to_driver=False, logging_level=logging.ERROR)
+    broadcasts = capture_broadcast()
     try:
         inp = (cc_input(work, *args.cc) if args.cc
                else os.path.abspath(args.path))
@@ -110,7 +150,8 @@ def main() -> int:
             compact_job(store, min_rows=args.compact)
     finally:
         ray.shutdown()
-    print(json.dumps(digest(store), indent=1))
+    print(json.dumps({**digest(store), "shared": shared_digest(broadcasts)},
+                     indent=1))
     return 0
 
 
