@@ -11,10 +11,14 @@ so this is hand-rolled (SURVEY.md §7.5).
 
 Engineering choices:
 
-- The **trainer** is fully vectorized: each generation parses the sample
-  with the current table, then counts symbol and adjacent-pair
-  frequencies with ``np.bincount`` over the token stream (30-60 ms for a
-  64 KiB sample, 5 generations).
+- The **trainer** has no per-candidate Python loop: each generation
+  parses the sample with the current table, counts symbol and
+  adjacent-pair frequencies over the token stream, and sums and ranks
+  the candidates as (uint64 value, length, gain) arrays. On CC url,
+  text and html (a 1-CPU Xeon host, best of 9, two runs) the
+  planner's quick trial (16 KiB, 3 generations) takes 4-6 ms and a full
+  64 KiB, 5-generation table 14-18 ms; the per-candidate Python loop
+  it replaced took 10-20 ms and 26-30 ms.
 - The **encoder** has two paths: a from-scratch native C hot loop
   (``_fsst_native``, compiled with the system gcc on first use, ~15
   MB/s/core) and a numpy fallback (8-byte window hashes + searchsorted
@@ -29,14 +33,16 @@ Engineering choices:
   numpy paths; any deterministic parse decodes exactly, so the paths are
   freely interchangeable on the same stream.
 
-The per-partition symbol table is trained once per chunk (or shared via
-the encoder actor pool for all chunks of a partition — BASELINE.json
-north_star "FSST symbol tables ... shared across batches of the same
-partition").
+A symbol table is trained once per column chunk, or once per encode job
+for a ``shared_fsst_columns`` column: the driver trains it on shares of
+the sampled fragments and broadcasts it with the job's plan as a
+planner candidate (BASELINE.json north_star "FSST symbol tables ...
+shared across batches of the same partition").
 """
 
 from __future__ import annotations
 
+import functools
 
 import numpy as np
 import pyarrow as pa
@@ -78,61 +84,79 @@ def strided_sample(data: bytes, cap: int = _SAMPLE_CAP, pieces: int = 16) -> byt
 
 def train(sample: bytes, generations: int = _GENERATIONS,
           max_symbols: int = MAX_SYMBOLS) -> list[bytes]:
-    """Train a symbol table on ``sample``. Deterministic and vectorized:
+    """Train a symbol table on ``sample``. Deterministic and loop-free:
     each generation parses the sample with the current table (the same
-    fast encoder used for real data), then counts symbol and
-    concatenated-pair frequencies with ``np.bincount`` over the token
-    stream — the FSST paper's iterative construction, no Python byte loop.
+    fast encoder used for real data), counts symbol and adjacent-pair
+    frequencies over the token stream, and ranks the candidates by
+    gain = frequency x length, ties by bytes — the FSST paper's
+    iterative construction. Candidates live in arrays: a
+    symbol is its bytes left-aligned in a big-endian uint64 plus its
+    length, so ``(value, length)`` both names it and orders it as bytes
+    do (a prefix sorts first).
     """
     sample = strided_sample(sample)
     if not sample:
         return []
+    literal_vals = np.arange(256, dtype=np.uint64) << np.uint64(56)
+    vals = np.zeros(0, np.uint64)  # current table in code order
+    lens = np.zeros(0, np.int64)
     symbols: list[bytes] = []
     for _ in range(generations):
         if symbols:
-            # length-desc order REQUIRED for the parse: the native encoder
-            # scans first-byte buckets in code order and takes the first
-            # match, so shorter codes must not shadow longer ones
-            symbols.sort(key=lambda s: (-len(s), s))
             enc = FsstEncoder(symbols).encode(sample)
             codes = _token_codes(np.frombuffer(enc, np.uint8))
         else:
             # generation 0: every byte is a literal token
             codes = np.frombuffer(sample, np.uint8).astype(np.int64) + 256
-        ext = symbols + [bytes([b]) for b in range(256)]
-        ext_len = np.array([len(s) for s in symbols] + [1] * 256, np.int64)
-        # remap literal codes (256+b) to len(symbols)+b so the code space
-        # is dense: 0..len(symbols)+255
-        dense = np.where(codes >= 256, codes - 256 + len(symbols), codes)
+        # extended code space: the table's codes, then literal byte b at
+        # len(symbols)+b, so it is dense: 0..len(symbols)+255
         n_ext = len(symbols) + 256
-        gains: dict[bytes, int] = {}
+        ext_val = np.concatenate([vals, literal_vals])
+        ext_len = np.concatenate([lens, np.ones(256, np.int64)])
+        dense = np.where(codes >= 256, codes - 256 + len(symbols), codes)
         single = np.bincount(dense, minlength=n_ext)
-        for code in np.flatnonzero(single):
-            s = ext[code]
-            gains[s] = gains.get(s, 0) + int(single[code]) * len(s)
+        hot = np.flatnonzero(single)
+        cand_val, cand_len = [ext_val[hot]], [ext_len[hot]]
+        cand_gain = [single[hot] * ext_len[hot]]
         if len(dense) > 1:
             a, b = dense[:-1], dense[1:]
             ok = (ext_len[a] + ext_len[b]) <= MAX_SYMBOL_LEN
-            keys = a[ok] * n_ext + b[ok]
-            pair_counts = np.bincount(keys)
-            hot = np.flatnonzero(pair_counts)
+            hot, pair_counts = np.unique(a[ok] * n_ext + b[ok],
+                                         return_counts=True)
             # cut to top candidates by GAIN (freq x concatenated length) —
             # a frequency-only cut starves the long, low-frequency
             # candidates that matter most
-            pair_len = ext_len[hot // n_ext] + ext_len[hot % n_ext]
-            score = pair_counts[hot] * pair_len
-            order = hot[np.argsort(-score, kind="stable")][: 8 * max_symbols]
-            for key in order:
-                s = ext[int(key) // n_ext] + ext[int(key) % n_ext]
-                gains[s] = gains.get(s, 0) + int(pair_counts[key]) * len(s)
-        ranked = sorted(gains.items(), key=lambda kv: (-kv[1], kv[0]))
-        new_symbols = [s for s, _ in ranked[:max_symbols]]
+            left, right = hot // n_ext, hot % n_ext
+            pair_len = ext_len[left] + ext_len[right]
+            score = pair_counts * pair_len
+            top = np.argsort(-score, kind="stable")[: 8 * max_symbols]
+            left, right = left[top], right[top]
+            shift = (8 * ext_len[left]).astype(np.uint64)
+            cand_val.append(ext_val[left] | (ext_val[right] >> shift))
+            cand_len.append(pair_len[top])
+            cand_gain.append(score[top])
+        # one candidate per distinct bytes, its gains summed (a pair can
+        # spell a symbol, a literal or another pair)
+        v, ln, g = (np.concatenate(x) for x in (cand_val, cand_len, cand_gain))
+        order = np.lexsort((ln, v))
+        v, ln, g = v[order], ln[order], g[order]
+        first = np.ones(len(v), bool)
+        first[1:] = (v[1:] != v[:-1]) | (ln[1:] != ln[:-1])
+        starts = np.flatnonzero(first)
+        v, ln, g = v[starts], ln[starts], np.add.reduceat(g, starts)
+        ranked = np.lexsort((ln, v, -g))[:max_symbols]
+        v, ln = v[ranked], ln[ranked]
+        # canonical code order: length-desc then bytes. REQUIRED for the
+        # parse — the native encoder scans first-byte buckets in code
+        # order and takes the first match, so shorter codes must not
+        # shadow longer ones — and it fixes the pair keys' tie order
+        order = np.lexsort((v, -ln))
+        v, ln = v[order], ln[order]
+        raw = v.astype(">u8").tobytes()
+        new_symbols = [raw[8 * i: 8 * i + n] for i, n in enumerate(ln.tolist())]
         if set(new_symbols) == set(symbols):
             break
-        symbols = new_symbols
-    # canonical code order: length-desc then bytes — lets the native
-    # encoder scan first-byte buckets longest-first without code remapping
-    symbols.sort(key=lambda s: (-len(s), s))
+        vals, lens, symbols = v, ln, new_symbols
     return symbols
 
 
@@ -195,25 +219,31 @@ class FsstEncoder:
 
     def __init__(self, symbols: list[bytes]):
         self.symbols = symbols
-        # per-length sorted big-endian values + codes
-        self._by_len: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._lut1 = np.full(256, -1, np.int64)
+
+    @functools.cached_property
+    def _fallback_tables(self):
+        """(1-byte code lookup, 2-byte-prefix prefilter, per-length
+        sorted big-endian values + codes) for the numpy encoder, built
+        only when the native kernel is missing."""
+        lut1 = np.full(256, -1, np.int64)
         # 2-byte-prefix prefilter: positions whose next two bytes never start
         # a multi-byte symbol skip all window hashing (the common case)
-        self._pre2 = np.zeros(65536, bool)
-        for code, s in enumerate(symbols):
+        pre2 = np.zeros(65536, bool)
+        by_len: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        for code, s in enumerate(self.symbols):
             if len(s) == 1:
-                self._lut1[s[0]] = code
+                lut1[s[0]] = code
             else:
-                self._pre2[(s[0] << 8) | s[1]] = True
+                pre2[(s[0] << 8) | s[1]] = True
         for L in range(2, MAX_SYMBOL_LEN + 1):
-            group = [(c, s) for c, s in enumerate(symbols) if len(s) == L]
+            group = [(c, s) for c, s in enumerate(self.symbols) if len(s) == L]
             if not group:
                 continue
             vals = np.array([int.from_bytes(s, "big") for _, s in group], np.uint64)
             codes = np.array([c for c, _ in group], np.int64)
             order = np.argsort(vals)
-            self._by_len[L] = (vals[order], codes[order])
+            by_len[L] = (vals[order], codes[order])
+        return lut1, pre2, by_len
 
     def encode(self, data: bytes) -> bytes:
         if not data:
@@ -231,18 +261,19 @@ class FsstEncoder:
     _BLOCK = 1024  # parse-reset granularity; enables block-parallel chaining
 
     def _encode_chunk(self, data: bytes) -> bytes:
+        lut1, pre2, by_len = self._fallback_tables
         a = np.frombuffer(data, np.uint8)
         n = len(a)
         best_len = np.zeros(n, np.int64)
         best_code = np.full(n, -1, np.int64)
-        m1 = self._lut1[a] >= 0
+        m1 = lut1[a] >= 0
         best_len[m1] = 1
-        best_code[m1] = self._lut1[a[m1]]
+        best_code[m1] = lut1[a[m1]]
         a64 = a.astype(np.uint64)
-        if n >= 2 and self._by_len:
+        if n >= 2 and by_len:
             # candidate positions: 2-byte prefix starts some multi-byte symbol
             two = (a64[:-1] << np.uint64(8)) | a64[1:]
-            cand = np.flatnonzero(self._pre2[two.astype(np.int64)])
+            cand = np.flatnonzero(pre2[two.astype(np.int64)])
             if len(cand):
                 # one 8-byte big-endian window per candidate; per-length
                 # values are just shifts of it (no per-length gathers)
@@ -251,7 +282,7 @@ class FsstEncoder:
                 for j in range(8):
                     w8 = (w8 << np.uint64(8)) | a64p[cand + j]
                 for L in range(2, MAX_SYMBOL_LEN + 1):  # ascending → longest wins
-                    entry = self._by_len.get(L)
+                    entry = by_len.get(L)
                     if entry is None or n < L:
                         continue
                     cut = np.searchsorted(cand, n - L + 1)
@@ -273,7 +304,7 @@ class FsstEncoder:
         crossing = (best_len >= 2) & (idx_all + best_len > blk_end)
         best_len[crossing] = 0
         best_code[crossing] = np.where(
-            self._lut1[a[crossing]] >= 0, self._lut1[a[crossing]], -1)
+            lut1[a[crossing]] >= 0, lut1[a[crossing]], -1)
         best_len[crossing] = np.where(best_code[crossing] >= 0, 1, 0)
         step = np.where(best_len > 0, best_len, 1)
         nxt = idx_all + step

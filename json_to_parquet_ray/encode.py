@@ -85,6 +85,8 @@ def encode_table(table: pa.Table, plan: CodecPlan | None = None,
     columns: list[dict] = []
     offset = 0
     for name in table.column_names:
+        # combined even when it is one chunk: encoding a sliced chunk as
+        # it is changes some chunks' bytes
         arr = table.column(name).combine_chunks()
         try:
             payload, meta = _encode_column(table, name, arr,

@@ -23,6 +23,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .stats import binary_view
+
 
 def extract_host(batch: pa.Table, url_col: str = "url",
                  out_col: str = "host") -> pa.Table:
@@ -45,10 +47,11 @@ def extract_host(batch: pa.Table, url_col: str = "url",
 
 def _salts(values: pa.Array, salt_buckets: int) -> pa.Array:
     """``hash(value) % salt_buckets`` per value, deterministic across
-    processes (pandas' C siphash over the values as objects)."""
+    processes (pandas' C siphash over the values as objects, strings
+    through their binary view)."""
     salts = pd.util.hash_array(
-        np.asarray(values.to_pandas(), dtype=object), categorize=False
-    ) % salt_buckets
+        np.asarray(binary_view(values).to_pandas(), dtype=object),
+        categorize=False) % salt_buckets
     return pa.array(salts.astype(np.int64), pa.int64())
 
 
@@ -484,13 +487,14 @@ def distinct_values(ds, cols: list[str], salt_buckets: int = 8,
     kept.
 
     Each batch ships its uniques long-form, one row per value, typed in
-    that value's own column (the other columns null) with a salt
-    ``hash(value) % salt_buckets``. A batch lacking a column adds
-    nothing to it. If the partials are few (≤ ``driver_merge_cap`` rows
-    — the common case for dictionary columns) they merge on the driver
-    with NO shuffle. Past the cap, a salted groupby dedups them, so the
-    exchange stays bounded by per-batch uniques and no reducer sees a
-    whole hot value. No pandas hop: int exactness and types survive.
+    that value's own column (the other columns null). A batch lacking a
+    column adds nothing to it. If the partials are few (≤
+    ``driver_merge_cap`` rows — the common case for dictionary columns)
+    they merge on the driver with NO shuffle. Past the cap, each row
+    gets a salt ``hash(value) % salt_buckets`` and a salted groupby
+    dedups them, so the exchange stays bounded by per-batch uniques and
+    no reducer sees a whole hot value. No pandas hop: int exactness and
+    types survive.
 
     ``batch_cap`` ships at most ``batch_cap + 1`` uniques per batch and
     column. A column with at most ``batch_cap`` distinct values then
@@ -498,21 +502,31 @@ def distinct_values(ds, cols: list[str], salt_buckets: int = 8,
     ``batch_cap`` of them, not all."""
 
     def batch_unique(b: pa.Table) -> pa.Table:
-        parts = [pa.table({"salt": pa.array([], pa.int64())})]
+        parts = [pa.table({})]
         for c in cols:
             if c not in b.column_names:
                 continue
             u = pc.unique(b.column(c)).drop_null()
             if batch_cap is not None:
                 u = u.slice(0, batch_cap + 1)
-            parts.append(pa.table({c: u, "salt": _salts(u, salt_buckets)}))
+            parts.append(pa.table({c: u}))
         return pa.concat_tables(parts, promote_options="default")
+
+    def salted(b: pa.Table) -> pa.Table:
+        salt = np.zeros(b.num_rows, np.int64)
+        for c in cols:  # a row's salt hashes its one non-null value
+            if c in b.column_names:
+                valid = pc.is_valid(b.column(c))
+                values = b.column(c).filter(valid).combine_chunks()
+                salt[valid.to_numpy()] = _salts(values, salt_buckets).to_numpy()
+        return b.append_column("salt", pa.array(salt))
 
     partials = ds.map_batches(batch_unique, batch_size=None,
                               batch_format="pyarrow").materialize()
     if partials.count() > driver_merge_cap:
-        partials = partials.groupby("salt").map_groups(
-            batch_unique, batch_format="pyarrow")
+        partials = partials.map_batches(
+            salted, batch_size=None, batch_format="pyarrow"
+        ).groupby("salt").map_groups(batch_unique, batch_format="pyarrow")
     tbls = list(partials.iter_batches(batch_size=None,
                                       batch_format="pyarrow"))
     merged = (pa.concat_tables(tbls, promote_options="permissive")

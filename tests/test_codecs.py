@@ -256,6 +256,107 @@ def test_fsst_table_roundtrip_and_escapes():
     assert len(e0) == 8
 
 
+def _reference_fsst_train(sample: bytes, generations: int = 5,
+                          max_symbols: int = 255) -> list[bytes]:
+    """Obviously-correct reference trainer: the gains live in a dict
+    keyed by symbol bytes, summed and ranked one candidate at a time."""
+    from json_to_parquet_ray.codecs.fsst import _token_codes, strided_sample
+
+    sample = strided_sample(sample)
+    if not sample:
+        return []
+    symbols: list[bytes] = []
+    for _ in range(generations):
+        if symbols:
+            symbols.sort(key=lambda s: (-len(s), s))
+            enc = FsstEncoder(symbols).encode(sample)
+            codes = _token_codes(np.frombuffer(enc, np.uint8))
+        else:
+            codes = np.frombuffer(sample, np.uint8).astype(np.int64) + 256
+        ext = symbols + [bytes([b]) for b in range(256)]
+        ext_len = np.array([len(s) for s in ext], np.int64)
+        dense = np.where(codes >= 256, codes - 256 + len(symbols), codes)
+        n_ext = len(ext)
+        gains: dict[bytes, int] = {}
+        single = np.bincount(dense, minlength=n_ext)
+        for code in np.flatnonzero(single):
+            s = ext[code]
+            gains[s] = gains.get(s, 0) + int(single[code]) * len(s)
+        if len(dense) > 1:
+            a, b = dense[:-1], dense[1:]
+            ok = (ext_len[a] + ext_len[b]) <= 8
+            pair_counts = np.bincount(a[ok] * n_ext + b[ok])
+            hot = np.flatnonzero(pair_counts)
+            pair_len = ext_len[hot // n_ext] + ext_len[hot % n_ext]
+            score = pair_counts[hot] * pair_len
+            for key in hot[np.argsort(-score, kind="stable")][: 8 * max_symbols]:
+                s = ext[int(key) // n_ext] + ext[int(key) % n_ext]
+                gains[s] = gains.get(s, 0) + int(pair_counts[key]) * len(s)
+        ranked = sorted(gains.items(), key=lambda kv: (-kv[1], kv[0]))
+        new_symbols = [s for s, _ in ranked[:max_symbols]]
+        if set(new_symbols) == set(symbols):
+            break
+        symbols = new_symbols
+    symbols.sort(key=lambda s: (-len(s), s))
+    return symbols
+
+
+def _trainers_agree(data: bytes, native: bool = True):
+    """The trainer equals the reference on ``data`` for the planner's
+    quick call and the default call, with the native kernel or with the
+    numpy fallback encoder parsing each generation."""
+    import contextlib
+    from unittest import mock
+
+    from json_to_parquet_ray.codecs import _fsst_native
+
+    with (contextlib.nullcontext() if native else mock.patch.object(
+            _fsst_native, "native_encode", lambda data, symbols: None)):
+        for sample, kw in ((data[:16384], {"generations": 3}), (data, {})):
+            assert train(sample, **kw) == _reference_fsst_train(sample, **kw), kw
+
+
+TRAIN_INPUTS = {
+    "empty": b"", "one_byte": b"a", "zero_byte": b"\x00",
+    "all_equal": b"z" * 5000, "escapes": b"\xff" * 4000,
+    "escape_runs": (b"\xff" * 7 + b"ab") * 300,  # around real symbols
+    "tied_cycle": b"abcdefgh" * 100,  # every pair of a cycle ties on gain
+    "tied_pairs": b"".join(bytes([i, i + 1]) for i in range(0, 250, 2)) * 20,
+    "strided": bytes(range(256)) * 300,  # > 64 KiB: the strided sample
+    # the numpy encoder's parse, cut at its block edges, spells one
+    # candidate twice: its gains must be summed
+    "twice_spelled": b"".join(
+        [b"ab", b"c", b"d", b"e", b"f", b"g", b"h"][i]
+        for i in np.random.default_rng(81).integers(0, 7, 3000)),
+}
+
+
+@pytest.mark.parametrize("native", [True, False])
+@pytest.mark.parametrize("name", sorted(TRAIN_INPUTS))
+def test_fsst_train_matches_reference_edges(name, native):
+    _trainers_agree(TRAIN_INPUTS[name], native)
+
+
+def test_fsst_train_matches_reference_on_cc_columns():
+    from json_to_parquet_ray.codecs.fsst import _concat_binary
+
+    for seed in (401, 402):
+        t = make_cc_table(500, seed=seed)
+        for col in ("url", "lang", "text"):
+            _trainers_agree(_concat_binary(t.column(col).combine_chunks())[0])
+
+
+@given(st.one_of(
+           st.binary(max_size=3000),
+           st.lists(st.sampled_from([b"\xff", b"\xff\xff", b"a", b"ab", b"ba",
+                                     b"abc", b"http://", b".com/", b"\x00"]),
+                    max_size=800).map(b"".join)),
+       st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_prop_fsst_train_matches_reference(data, native):
+    _trainers_agree(data, native)
+
+
 @given(st.lists(st.one_of(st.none(), st.integers(-(2**63), 2**63 - 1)), max_size=60))
 @settings(max_examples=40, deadline=None)
 def test_prop_int64(vals):

@@ -389,6 +389,40 @@ def test_distinct_values_one_pass_over_every_type(ray_session):
     assert {c: len(v) for c, v in capped.items()} == {"s": 4, "b": 4, "i": 4}
 
 
+def test_distinct_values_salts_only_past_the_merge_cap(ray_session,
+                                                       monkeypatch, tmp_path):
+    """Salts feed only the salted groupby: a driver-merge call never
+    calls ``_salts``, a call past ``driver_merge_cap`` does, and both
+    return the same values. A batch holding none of the columns adds
+    nothing."""
+    import pyarrow.compute as pc
+    import ray
+
+    from json_to_parquet_ray import shuffle
+
+    calls = tmp_path / "salts"
+    real = shuffle._salts
+
+    def spy(values, salt_buckets):  # runs in Ray workers: log to a file
+        with open(calls, "a") as f:
+            f.write(f"{len(values)}\n")
+        return real(values, salt_buckets)
+
+    monkeypatch.setattr(shuffle, "_salts", spy)
+    t = pa.table({"s": pa.array(["é", None, "a", "中文", "a"] * 40),
+                  "b": pa.array([b"\xff", b"", None, b"x", b"x"] * 40)})
+    ds = ray.data.from_arrow([t.slice(0, 100), pa.table({"z": [1, 2]}),
+                              t.slice(100)])
+    got = distinct_values(ds, ["s", "b"])
+    assert not calls.exists()
+    salted = distinct_values(ds, ["s", "b"], driver_merge_cap=1)
+    assert calls.exists()
+    for c in ("s", "b"):
+        u = pc.unique(t.column(c)).drop_null()
+        assert got[c].equals(u.take(pc.array_sort_indices(u)))
+        assert salted[c].equals(got[c])
+
+
 def test_window_queries_null_user_oracle_parity(ray_session, tmp_path):
     """Regression (round-4 review F3): events with NULL user_id must get
     real session counts / running sums — SQL window PARTITION BY and

@@ -1,6 +1,8 @@
 """Unit tests for the stats pass (SURVEY M2: per-stat tests) and the
 codec planner, including the distributed-merge mode."""
 
+import pickle
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -211,6 +213,68 @@ def test_sample_byte_cap_counts_utf8_bytes():
     total = sum(len(v.encode("utf-8")) for v in capped)
     assert total <= SAMPLE_BYTES_CAP + len(cjk.encode("utf-8"))
     assert len(capped) <= SAMPLE_BYTES_CAP // len(cjk.encode("utf-8")) + 1
+
+
+def _reference_partial(col, name: str) -> ColumnStats:
+    """A column's partial stats the obvious way: chunks combined, KMV
+    hashes over ``str`` objects, and the whole stride sample converted
+    before ``_cap_sample`` cuts it."""
+    import pandas as pd
+
+    from json_to_parquet_ray import stats as S
+
+    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    ref = column_stats_partial(arr, name)
+    vals = arr.drop_null().to_pandas()
+    hashes = pd.util.hash_array(np.asarray(vals, dtype=object),
+                                categorize=False) if len(vals) else []
+    ref.kmv = np.unique(np.asarray(hashes, np.uint64))[:S.KMV_K]
+    stride = max(1, len(arr) // S.SAMPLE_CAP)
+    picked = arr.take(pa.array(range(0, len(arr), stride))).to_pylist()
+    ref.sample = S._cap_sample(picked[:S.SAMPLE_CAP])
+    return ref
+
+
+def test_string_stats_equal_the_reference():
+    """Binary-view hashing, a sample converted only as far as the byte
+    cap keeps, and a single chunk used as it is give every field of
+    the obvious computation: on string, large_string and binary columns
+    with multibyte values and nulls, a first sampled value over the cap,
+    a total that reaches the cap exactly before an empty value, a slice
+    at a nonzero offset, and a multi-chunk column."""
+    from json_to_parquet_ray import stats as S
+
+    cap = S.SAMPLE_BYTES_CAP
+    rng = np.random.default_rng(5)
+    words = ["é", "中文", "naïve", "", "x" * 300, "✓✓", None]
+    mixed = [words[i] for i in rng.integers(0, len(words), 3000)]
+    cc = make_cc_table(2500, seed=401)
+    columns = {
+        "string": pa.array(mixed, pa.string()),
+        "large_string": pa.array(mixed, pa.large_string()),
+        "binary": pa.array([None if v is None else v.encode() for v in mixed],
+                           pa.binary()),
+        "first_over_cap": pa.array(["ü" * cap, "a", None] * 300),
+        "binary_over_cap": pa.array([b"\xff" * (cap + 9), None, b"q"] * 5),
+        "exact_cap": pa.array(["x" * (cap - 8), None, "", "y"]),
+        "offset_slice": cc.column("text").slice(777, 1400),
+        "multi_chunk": pa.chunked_array([cc.column("url").chunk(0)[:900],
+                                         pa.array(mixed[:600])]),
+        "cc_url": cc.column("url"),
+        "cc_lang": cc.column("lang"),
+    }
+    fields = ("n", "null_count", "nbytes", "runs", "min_val", "max_val",
+              "char_bytes", "sample", "sorted_batches", "type_str")
+    for name, col in columns.items():
+        ref = _reference_partial(col, name)
+        table = pa.table({name: col})
+        got = [compute_stats_table(table)[name],
+               pickle.loads(S.stats_partial_batch(table)["partial"][0].as_py())]
+        for st in got:
+            for f in fields:
+                assert getattr(st, f) == getattr(ref, f), (name, f)
+            assert st.kmv.tobytes() == ref.kmv.tobytes(), name
+    assert len(_reference_partial(columns["exact_cap"], "e").sample) == 2
 
 
 def test_plan_optimize_size_mode():
