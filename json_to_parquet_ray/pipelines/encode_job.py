@@ -8,12 +8,13 @@ Shape (SURVEY.md §3.4):
               tables are trained on the sampled fragments, no pass
     (plan)    one broadcast per job: the sampled plan (> 16 fragments)
               and each shared column's dictionary/FSST candidates
-    (pass 2)  ray Dataset over fragment work items → map_batches tasks,
-              one cached EncodePartition per worker process (the
+    (pass 2)  plain Ray tasks over contiguous runs of fragment work
+              items, one cached EncodePartition per worker process (the
               broadcast fetched once per worker) → one chunk file + one
-              manifest record per partition (atomic commit)
+              manifest record per partition (atomic commit); each task
+              returns only its run's byte and partition sums
     resume:   completed partitions (manifest ∩ chunk files) are filtered
-              out of the work-item list before the Dataset is built.
+              out of the work-item list before any task is submitted.
 
 Partition = parquet row group so that (a) each encode task reads only its
 own byte range — a distributed read with no central bottleneck, and (b)
@@ -153,24 +154,24 @@ def build_shared_plan(picks: list[FragmentRef],
               "num_rows": f.num_rows, "row_start": f.row_start}
              for f in picks]
 
-    def sample_plan(batch: pa.Table) -> pa.Table:
+    def sample_plan(batch: pa.Table) -> list[str]:
         out = []
         for item in batch.to_pylist():
             t = read_fragment(item["path"], item["row_group"],
                               item["num_rows"], item["row_start"]
                               ).slice(0, PLAN_SAMPLE_ROWS)
-            plan = plan_from_stats(compute_stats_table(t), t.schema,
-                                   optimize=optimize)
-            out.append({"plan": plan.dumps()})
-        return pa.Table.from_pylist(out)
+            out.append(plan_from_stats(compute_stats_table(t), t.schema,
+                                       optimize=optimize).dumps())
+        return out
 
-    # each sample task reads its fragment's whole row group
-    rows = (_item_dataset(items, sum(frag_bytes[f.frag_hash]
-                                     for f in picks))
-            .map_batches(sample_plan, batch_size=1, batch_format="pyarrow")
-            .take_all())  # bounded: one small JSON plan per sampled fragment
+    # each sample task reads its fragment's whole row group; bounded:
+    # one small JSON plan per sampled fragment
+    plans = [p for run in _map_runs(sample_plan, items,
+                                    sum(frag_bytes[f.frag_hash]
+                                        for f in picks))
+             for p in run]
     # sorted: the kept ColumnPlans (est_ratio) must not depend on task order
-    first, *rest = [CodecPlan.loads(p) for p in sorted(r["plan"] for r in rows)]
+    first, *rest = [CodecPlan.loads(p) for p in sorted(plans)]
 
     def agreed(c: str, cp: ColumnPlan) -> bool:
         return cp.codec != "constant" and all(
@@ -238,22 +239,20 @@ def _cluster_cpus() -> int:
 
 
 class _BlockRule:
-    """Block count for a work-item Dataset (one PARTITION per row), as
-    ``_dispatch_blocks(n_items, work_bytes)``.
-
-    ``map_batches(..., batch_size=1)`` calls the UDF once per item
-    regardless of blocking, but Ray dispatches one TASK per block, so
-    the block count is the task count. It is sized by work, not items:
+    """Task count for a list of work items (one PARTITION each), as
+    ``_dispatch_blocks(n_items, work_bytes)``: the runs of ``_map_runs``,
+    or the blocks of a work-item Dataset, where ``map_batches(...,
+    batch_size=1)`` calls the UDF once per item but Ray dispatches one
+    TASK per block. It is sized by work, not items:
     ``ceil(work / TASK_BYTES)`` tasks, never fewer than the CPUs (no
     core idles) nor more than 8 per CPU (8 waves of dynamic load
     balancing absorb partition-size skew at scale; more tasks only add
     dispatch), and never more than the items. ``work`` is the items'
-    byte total, floored at ``ITEM_BYTES`` per item. ``from_items``
-    splits the list into contiguous runs, so packed items keep their
-    order, and manifest records, resume claims and verdicts stay
-    strictly per-partition. Work sized as one block runs as one plain
-    Ray task with no streaming executor (``_map_items`` and the record
-    scan's one task).
+    byte total, floored at ``ITEM_BYTES`` per item. Both split the list
+    into contiguous runs, so packed items keep their order, and manifest
+    records, resume claims and verdicts stay strictly per-partition. A
+    read sized as one block runs as the record scan's one task, with no
+    streaming executor.
 
     The CPU count is the cluster's (a GCS query) unless ``cpus`` is set.
     Pickled, the rule carries the CPU count read where it is pickled: the
@@ -286,13 +285,12 @@ def _item_dataset(items: list[dict], work_bytes: int):
 
 
 def _run_items(fn, items: pa.Table) -> pa.Table:
-    """``fn`` once per item, in item order, in one task (``_map_items``,
-    ``_scan_one``), built into one output block by the builder
-    ``map_batches`` uses for its own output blocks: outputs of different
-    schemas (per-chunk decode under schema evolution without a target
-    schema) are merged as ``map_batches`` merges them, with types
-    promoted and missing columns null. No item gives a 0-column
-    table."""
+    """``fn`` once per item, in item order, in one task (``_scan_one``),
+    built into one output block by the builder ``map_batches`` uses for
+    its own output blocks: outputs of different schemas (per-chunk
+    decode under schema evolution without a target schema) are merged
+    as ``map_batches`` merges them, with types promoted and missing
+    columns null. No item gives a 0-column table."""
     from ray.data._internal.arrow_block import ArrowBlockBuilder
 
     block = ArrowBlockBuilder()
@@ -320,23 +318,36 @@ def _one_block(ref, meta):
         plan, LogicalPlan(FromArrow([ref], [meta]), plan._context))
 
 
-def _map_items(items: list[dict], work_bytes: int, fn):
-    """Map the per-batch UDF ``fn`` over ``items``, one item per call,
-    keeping item order.
+def _run_fn(fn, run: list[dict]):
+    """``fn`` over one run of work items, given as one table."""
+    return fn(pa.Table.from_pylist(run))
 
-    Work that ``_dispatch_blocks`` sizes as one block runs as ONE plain
-    Ray task, with no streaming executor (its start-up was ~85% of a
-    2-chunk point lookup), and returns its one output table
-    (``_run_items``); the task's errors raise here. Otherwise returns
-    the lazy ``map_batches`` Dataset over ``_item_dataset`` blocks."""
+
+def _map_runs(fn, items: list[dict], work_bytes: int) -> list:
+    """``fn`` once per contiguous run of ``items`` (the runs
+    ``from_items`` makes of ``_dispatch_blocks`` blocks), each in one
+    plain Ray task with no Dataset; returns ``fn``'s outputs in item
+    order. For driver jobs whose tasks return a few small rows. The
+    first failed task's error raises here once the other tasks are
+    cancelled or done, so none outlives the call. A broadcast ref must
+    travel inside ``fn`` (a closure): Ray resolves a top-level
+    ``ObjectRef`` argument, and each task would get its own copy."""
     import ray
     from ray.data._internal.remote_fn import cached_remote_fn
 
-    if _dispatch_blocks(len(items), work_bytes) == 1:
-        return ray.get(cached_remote_fn(_run_items).remote(
-            fn, pa.Table.from_pylist(items)))
-    return _item_dataset(items, work_bytes).map_batches(
-        fn, batch_size=1, batch_format="pyarrow")
+    task = cached_remote_fn(_run_fn, scheduling_strategy="SPREAD")
+    k = _dispatch_blocks(len(items), work_bytes)
+    q, r = divmod(len(items), k)
+    bounds = [i * q + min(i, r) for i in range(k + 1)]
+    refs = [task.remote(fn, items[a:b]) for a, b in zip(bounds, bounds[1:])]
+    try:
+        return ray.get(refs)
+    except BaseException:
+        for ref in refs:
+            ray.cancel(ref)
+        # a task that began as it was cancelled runs on: wait it out
+        ray.wait(refs, num_returns=len(refs), fetch_local=False)
+        raise
 
 
 def read_fragment(path: str, row_group: int, num_rows: int,
@@ -856,31 +867,22 @@ def encode_job(
     plan_ref = (ray.put((CodecPlan(job_plan), cands))
                 if job_plan or cands else None)
 
-    summary_rows = []
     # EncodePartition takes the sentinel as a list
     _bc = ["auto"] if bloom_columns == "auto" else bloom_columns
+
+    def encode_run(run: pa.Table) -> tuple[int, int, int]:
+        rows = _worker_encoder(out_dir, plan_ref, _bc, optimize)(run)
+        return (sum(rows.column("input_bytes").to_pylist()),
+                sum(rows.column("chunk_bytes").to_pylist()), rows.num_rows)
+
+    # each task sums its own run, so per-partition rows never reach the
+    # driver (there may be millions at full scale), only one row per task
+    input_bytes = chunk_bytes = encoded_n = 0
     if work:
-        def encode_item(batch: pa.Table) -> pa.Table:
-            return _worker_encoder(out_dir, plan_ref, _bc, optimize)(batch)
-
-        results = _item_dataset(
-            work, sum(frag_bytes[w["partition_id"]] for w in work)
-        ).map_batches(encode_item, batch_size=1, batch_format="pyarrow")
-        # distributed summary aggregation — per-partition rows never
-        # materialize on the driver (there may be millions at full scale)
-        from ray.data.aggregate import Count, Sum
-
-        agg = results.aggregate(
-            Sum("input_bytes", alias_name="input_bytes"),
-            Sum("chunk_bytes", alias_name="chunk_bytes"),
-            Count(alias_name="n"),
-        )
-        summary_rows = [agg] if agg else []
-
+        input_bytes, chunk_bytes, encoded_n = map(sum, zip(*_map_runs(
+            encode_run, work,
+            sum(frag_bytes[w["partition_id"]] for w in work))))
     manifest = load_manifest(out_dir)
-    input_bytes = int(summary_rows[0]["input_bytes"]) if summary_rows else 0
-    chunk_bytes = int(summary_rows[0]["chunk_bytes"]) if summary_rows else 0
-    encoded_n = int(summary_rows[0]["n"]) if summary_rows else 0
     plan_note = {
         "partitions_total": total,
         "partitions_skipped_resume": len(done),
@@ -950,24 +952,21 @@ def validate_zone_bounds_cols(ts_cols: set, zone_filter: dict) -> None:
 
 def bloom_reject_count(out_dir: str, recs: list, eq: dict) -> int:
     """Distributed count of chunks whose Bloom sections reject ``eq``
-    ({col: value | [values]}) — header+filter bytes only, mapped over
-    the chunks by ``_map_items``. The shared observability probe for the
-    CLI scan-stats command and the bloom_pruned_lookup query."""
+    ({col: value | [values]}) — header+filter bytes only, counted by
+    plain Ray tasks over runs of the chunks (``_map_runs``). The shared
+    observability probe for the CLI scan-stats command and the
+    bloom_pruned_lookup query."""
     from ..encode import chunk_bloom_rejects
 
     if not recs:
         return 0
     items = [{"path": os.path.join(out_dir, r.chunk_file)} for r in recs]
 
-    def probe(b: pa.Table) -> pa.Table:
-        n = sum(chunk_bloom_rejects(p, eq)
-                for p in b.column("path").to_pylist())
-        return pa.table({"n": pa.array([n], pa.int64())})
+    def probe(b: pa.Table) -> int:
+        return sum(chunk_bloom_rejects(p, eq)
+                   for p in b.column("path").to_pylist())
 
-    out = _map_items(items, sum(r.chunk_size for r in recs), probe)
-    if isinstance(out, pa.Table):
-        return sum(out.column("n").to_pylist())
-    return sum(r["n"] for r in out.take_all())
+    return sum(_map_runs(probe, items, sum(r.chunk_size for r in recs)))
 
 
 def require_store(out_dir: str) -> None:
@@ -1694,7 +1693,7 @@ def compact_job(out_dir: str, min_rows: int = 100_000,
          "sources": r.source_fragments, "partition_id": r.partition_id}
         for r in g])} for g in groups]
 
-    def merge(batch: pa.Table) -> pa.Table:
+    def merge(batch: pa.Table) -> list[dict]:
         out = []
         for gjson in batch.column("group").to_pylist():
             members = json.loads(gjson)
@@ -1724,11 +1723,11 @@ def compact_job(out_dir: str, min_rows: int = 100_000,
                 pid, {"merged": sources}, merged, t0)
             out.append({"partition_id": pid, "merged_n": len(members),
                         "num_rows": merged.num_rows})
-        return pa.Table.from_pylist(out)
+        return out
 
-    results = _item_dataset(
-        items, sum(r.chunk_size for g in groups for r in g)).map_batches(
-        merge, batch_size=1, batch_format="pyarrow").take_all()
+    results = [row for run in _map_runs(
+        merge, items, sum(r.chunk_size for g in groups for r in g))
+        for row in run]
 
     # all merged chunks durable → retire the old records (JSON delta or
     # consolidated-index resident) and chunk files

@@ -181,9 +181,10 @@ def key_buckets(col: pa.ChunkedArray | pa.Array,
         iv[integral] = a[integral].astype(np.int64)
         bits = np.where(integral, iv.view(np.uint64), a.view(np.uint64))
         h = _avalanche64(bits)
-    else:  # strings/binary: vectorized C hash via pandas (siphash)
+    else:  # strings/binary: pandas' C siphash over bytes objects
         h = pd.util.hash_array(
-            np.asarray(col.to_pandas(), dtype=object), categorize=False)
+            np.asarray(binary_view(col).to_pandas(), dtype=object),
+            categorize=False)
         if col.null_count:
             # ONE null convention across all type paths (int/float fill
             # nulls with 0 pre-hash): a null in a string-typed block

@@ -120,15 +120,16 @@ def _stable_hash(arr: pa.Array) -> np.ndarray:
                               categorize=False)
 
 
-def binary_view(a: pa.Array) -> pa.Array:
-    """``a`` with string values seen as binary (zero-copy), any other
-    type as it is. pandas hashes a str by its UTF-8 bytes, so hashing
-    the view's bytes objects gives the same hash without decoding every
-    value into a str object."""
+def binary_view(a: pa.Array | pa.ChunkedArray
+                ) -> pa.Array | pa.ChunkedArray:
+    """``a`` with string values seen as binary (a zero-copy cast), any
+    other type as it is. pandas hashes a str by its UTF-8 bytes, so
+    hashing the view's bytes objects gives the same hash without
+    decoding every value into a str object."""
     if pa.types.is_string(a.type):
-        return a.view(pa.binary())
+        return a.cast(pa.binary())
     if pa.types.is_large_string(a.type):
-        return a.view(pa.large_binary())
+        return a.cast(pa.large_binary())
     return a
 
 

@@ -3085,6 +3085,124 @@ def test_packed_work_items_keep_per_partition_results(ray_session,
         victim.partition_id]
 
 
+def _chunk_bytes(out: str) -> dict:
+    """{chunk file: its bytes} over a store's manifest records."""
+    chunks = {}
+    for rec in load_manifest(out).values():
+        with open(os.path.join(out, rec.chunk_file), "rb") as f:
+            chunks[rec.chunk_file] = f.read()
+    return chunks
+
+
+def test_driver_jobs_build_no_dataset(ray_session, tmp_path, monkeypatch):
+    """Encode (past ``PLAN_SAMPLE_FRAGS``, so the sample pass runs too),
+    compaction and the Bloom probe run as plain tasks: with
+    ``_item_dataset``, ``ray.data.from_items`` and ``Dataset`` itself
+    raising on the driver they still complete, and the store verifies."""
+    import ray
+
+    from json_to_parquet_ray.manifest import effective_records
+    from json_to_parquet_ray.pipelines import encode_job as ej
+    from json_to_parquet_ray.pipelines.encode_job import compact_job
+
+    src = str(tmp_path / "cc.parquet")
+    write_cc_parquet(src, 1800, seed=19, row_group_size=100)  # 18 frags
+
+    def no_dataset(*a, **k):
+        raise AssertionError("a Ray Data Dataset was built")
+
+    with monkeypatch.context() as m:
+        m.setattr(ej, "_item_dataset", no_dataset)
+        m.setattr(ray.data, "from_items", no_dataset)
+        m.setattr(ray.data.Dataset, "__init__", no_dataset)
+        out = str(tmp_path / "enc")
+        summary = encode_job(src, out, shared_dict_columns=None,
+                             bloom_columns=["url"])
+        assert summary["partitions_encoded"] == 18
+        assert summary["shared_plan"] is not None
+        recs = effective_records(out)
+        miss = "https://no.such.host/absent"
+        assert ej.bloom_reject_count(out, recs, {"url": [miss]}) == 18
+        res = compact_job(out, min_rows=300)
+        assert res["groups"] == 6 and res["chunks_after"] == 6
+    assert verify_job(out)["failed"] == []
+    assert decode_dataset(out).take_all() == pq.read_table(src).to_pylist()
+
+
+def test_multi_run_encode_sums_and_bytes_match_one_run(ray_session, tmp_path,
+                                                       monkeypatch):
+    """Three runs of plain tasks over an 18-fragment input (the sampled
+    plan's broadcast ref reaches every task) give the summary the
+    manifest gives and a one-run encode gives: partitions, input bytes
+    and chunk bytes, with byte-identical chunks. The runs are the
+    contiguous, in-order runs ``from_items`` makes of as many blocks."""
+    import ray
+
+    from json_to_parquet_ray.pipelines import encode_job as ej
+
+    items = [{"i": i} for i in range(10)]
+    monkeypatch.setattr(ej, "_dispatch_blocks", lambda n, w: 3)
+    runs = ej._map_runs(lambda t: t.column("i").to_pylist(), items, 0)
+    assert runs == [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]]
+    blocks = ray.data.from_items(items, override_num_blocks=3)
+    assert [b["i"].tolist() for b in blocks.iter_batches(
+        batch_size=None, batch_format="numpy")] == runs
+
+    src = str(tmp_path / "cc.parquet")
+    write_cc_parquet(src, 1800, seed=23, row_group_size=100)  # 18 frags
+    want_input = sum(
+        ej.read_fragment(f.path, f.row_group, f.num_rows,
+                         f.row_start).nbytes
+        for f in list_fragments(src))
+    got = {}
+    for k in (3, 1):
+        monkeypatch.setattr(ej, "_dispatch_blocks", lambda n, w, k=k: k)
+        out = str(tmp_path / f"enc{k}")
+        got[k] = encode_job(src, out, bloom_columns=["url"])
+        assert got[k]["shared_plan"], "the sampled plan is broadcast"
+        recs = load_manifest(out).values()
+        assert got[k]["partitions_encoded"] == len(recs) == 18
+        assert got[k]["chunk_bytes"] == sum(r.chunk_size for r in recs)
+        assert got[k]["input_bytes"] == want_input
+    keys = ("partitions_encoded", "input_bytes", "chunk_bytes", "ratio")
+    assert [got[3][c] for c in keys] == [got[1][c] for c in keys]
+    assert _chunk_bytes(str(tmp_path / "enc3")) == _chunk_bytes(
+        str(tmp_path / "enc1"))
+
+
+def test_failed_partition_raises_then_resume_completes(ray_session, tmp_path,
+                                                       monkeypatch):
+    """A partition whose chunk cannot be written (a file sits where its
+    shard directory goes) makes ``encode_job`` raise that error; with
+    the file gone, a resume encodes only what is missing, and the store
+    verifies with the chunks of a clean encode."""
+    from json_to_parquet_ray.manifest import shard_of
+    from json_to_parquet_ray.pipelines import encode_job as ej
+
+    src = str(tmp_path / "cc.parquet")
+    write_cc_parquet(src, 1200, seed=29, row_group_size=200)  # 6 frags
+    frags = list_fragments(src)
+    out = str(tmp_path / "enc")
+    os.makedirs(out)
+    blocker = os.path.join(out, shard_of(frags[4].frag_hash))
+    with open(blocker, "w") as f:
+        f.write("not a directory")
+    monkeypatch.setattr(ej, "_dispatch_blocks", lambda n, w: 3)
+    with pytest.raises(OSError):
+        encode_job(src, out, shared_dict_columns=None)
+    done = completed_partitions(out)
+    assert frags[4].frag_hash not in done and len(done) < 6
+
+    os.remove(blocker)
+    summary = encode_job(src, out, shared_dict_columns=None)
+    assert summary["partitions_skipped_resume"] == len(done)
+    assert summary["partitions_encoded"] == 6 - len(done)
+    assert verify_job(out)["failed"] == []
+    ref = str(tmp_path / "ref")
+    encode_job(src, ref, shared_dict_columns=None)
+    assert _chunk_bytes(out) == _chunk_bytes(ref)
+
+
 def _spy_from_items(monkeypatch) -> list:
     """Record every ``ray.data.from_items`` call (the Dataset path)."""
     import ray
@@ -3107,7 +3225,8 @@ def test_one_task_reads_match_block_reads(ray_session, tmp_path,
     warc_ts range, a url IN-list hit, a miss every Bloom filter rejects,
     schema= alignment, the Bloom reject count, and verify verdicts on a
     store with a clobbered magic and a flipped Bloom byte. At one block
-    no from_items Dataset is built."""
+    no from_items Dataset is built; the Bloom probe, plain tasks at any
+    block count, never builds one."""
     import pyarrow.compute as pc
 
     from json_to_parquet_ray.manifest import effective_records
@@ -3159,7 +3278,7 @@ def test_one_task_reads_match_block_reads(ray_session, tmp_path,
         monkeypatch.setattr(ej, "_dispatch_blocks", lambda n, w, b=blocks: b)
         calls.clear()
         got[blocks] = {k: f() for k, f in reads.items()}
-        assert len(calls) == (0 if blocks == 1 else len(reads)), blocks
+        assert len(calls) == (0 if blocks == 1 else len(reads) - 1), blocks
     assert got[1] == got[2]
     assert got[1]["full"] == want.to_pylist()
     assert got[1]["projected"] == want.select(["url", "lang"]).to_pylist()

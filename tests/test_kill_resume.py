@@ -147,7 +147,7 @@ def test_sigkill_encode_worker_mid_job(ray_session, tmp_path):
     deadline = time.time() + 180
     while proc.poll() is None and not killed and time.time() < deadline:
         if completed_partitions(out):
-            for pid in _tasks_under(proc.pid, "MapBatches(encode_item)"):
+            for pid in _tasks_under(proc.pid, "ray::_run_fn"):
                 os.kill(pid, signal.SIGKILL)
                 killed.append(pid)
         time.sleep(0.02)

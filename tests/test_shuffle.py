@@ -525,6 +525,53 @@ def test_key_buckets_uint64_and_float_edges(ray_session):
     assert ((0 <= bf) & (bf < 16)).all()
 
 
+def _reference_key_buckets(col, num_partitions: int):
+    """``key_buckets``' string/binary branch as it hashed before string
+    keys went through ``binary_view``: each value as a Python ``str``."""
+    import numpy as np
+    import pandas as pd
+
+    from json_to_parquet_ray.shuffle import _avalanche64
+
+    h = pd.util.hash_array(
+        np.asarray(col.to_pandas(), dtype=object), categorize=False)
+    if col.null_count:
+        valid = (col.combine_chunks() if isinstance(
+            col, pa.ChunkedArray) else col).is_valid() \
+            .to_numpy(zero_copy_only=False)
+        h = np.where(valid, h, _avalanche64(np.zeros(1, np.uint64))[0])
+    return (h % np.uint64(num_partitions)).astype(np.int64)
+
+
+def test_key_buckets_strings_match_str_reference():
+    """String and binary keys bucket exactly as the str-object reference:
+    CC url and text, multibyte values with nulls, large_string, binary,
+    a multi-chunk column and a nonzero-offset slice."""
+    from json_to_parquet_ray.fixtures import make_cc_table
+    from json_to_parquet_ray.shuffle import key_buckets
+
+    t = make_cc_table(2500, seed=401)
+    multi = ["é", "日本語", None, "", "a\x00b", "🙂" * 40, "x", None] * 50
+    cols = {
+        "url": t.column("url"),
+        "text": t.column("text"),
+        "multibyte": pa.array(multi),
+        "large_string": pa.array(multi, pa.large_string()),
+        "binary": pa.array([None if v is None else v.encode()
+                            for v in multi], pa.binary()),
+        "chunks": pa.chunked_array([pa.array(multi[:7]),
+                                    pa.array([], pa.string()),
+                                    pa.array(multi[7:])]),
+        "slice": pa.array(multi).slice(3, 250),
+        "url_slice": t.column("url").combine_chunks().slice(17, 900),
+    }
+    for name, col in cols.items():
+        for n in (1, 7, 64):
+            got = key_buckets(col, n)
+            assert got.tolist() == _reference_key_buckets(col, n).tolist(), \
+                (name, n)
+
+
 def test_keyed_encode_empty_and_rerun_atomicity(ray_session, tmp_path):
     """Round-4 review: empty input returns a zero summary (no KeyError,
     and the previous generation is REPLACED only at commit time);
