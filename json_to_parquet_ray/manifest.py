@@ -2,9 +2,18 @@
 
 Every partition emits a lineage record — input fragment id (file path +
 row group), codec choice per column, chunk offsets, checksums, row count
-— written atomically (tmp + rename) to ``<out>/_manifest/part-NNNNN.json``
-(BASELINE.json: "every partition emits a lineage record ... so a killed
-job resumes without re-encoding completed partitions").
+— written atomically (tmp + rename) to
+``<out>/_manifest/shard-<h3>/part-<partition_id>.json`` (BASELINE.json:
+"every partition emits a lineage record ... so a killed job resumes
+without re-encoding completed partitions"). ``consolidate`` folds them
+into one parquet index, ``<out>/_manifest/index.parquet``, that later
+JSON records overlay.
+
+One reader serves every consumer: ``_record_sources`` lists where the
+records are without opening one, and ``_records`` reads any run of those
+sources — on the driver (``load_manifest``, ``effective_records``,
+``consolidate``, ``retire_records``) and in the record scan's Ray tasks
+(``encode_job._record_scan``).
 
 The reference has no checkpointing at all (SURVEY.md §4.1: a mid-write
 crash leaves garbage and everything restarts); this module is the
@@ -13,6 +22,8 @@ superseding capability.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import os
 from dataclasses import asdict, dataclass, field
@@ -116,24 +127,6 @@ def index_path(out_dir: str) -> str:
     return os.path.join(manifest_dir(out_dir), "index.parquet")
 
 
-def _load_index(out_dir: str) -> dict[str, PartitionRecord]:
-    """Records from the consolidated parquet index (empty if none).
-
-    An index that EXISTS but cannot be read raises: after consolidation
-    it is the only copy of every covered record, so the torn-JSON policy
-    (skip → re-encode) would silently present a populated store as empty
-    — decode would return 0 rows, verify would pass vacuously, and gc
-    would sweep every live chunk as unreferenced."""
-    p = index_path(out_dir)
-    if not os.path.exists(p):
-        return {}
-    out: dict[str, PartitionRecord] = {}
-    for raw in read_index_rows(p):
-        rec = index_record(p, raw)
-        out[rec.partition_id] = rec
-    return out
-
-
 def index_record(path: str, raw: str) -> PartitionRecord:
     """One 'json' row of index ``path`` as a record. An unparseable row
     raises — same loud-fail policy as the file-level read: the index is
@@ -149,15 +142,27 @@ def index_record(path: str, raw: str) -> PartitionRecord:
             f"EXPLICITLY to fall back to re-encoding") from e
 
 
-def read_index_rows(path: str) -> list[str]:
-    """Read a consolidated index's 'json' rows — ONE loud-fail policy
-    shared by the main and keyed manifests: an index that exists but
-    cannot be read must raise, never read as an empty store."""
+def read_index_rows(path: str, row_groups: list[int] | None = None,
+                    metadata=None) -> list[str]:
+    """Read a consolidated index's 'json' rows — all of them, or those
+    of ``row_groups`` in one read (``metadata``: the footer, when the
+    caller has read it) — under ONE loud-fail policy shared by the main
+    and keyed manifests: an index that exists but cannot be read must
+    raise, never read as an empty store. After consolidation the index
+    is the only copy of every covered record, so the torn-JSON policy
+    (skip → re-encode) would silently present a populated store as
+    empty — decode would return 0 rows, verify would pass vacuously, and
+    gc would sweep every live chunk as unreferenced."""
     import pyarrow.parquet as pq
 
     try:
-        return pq.read_table(path, columns=["json"]).column(
-            "json").to_pylist()
+        with pq.ParquetFile(path, metadata=metadata) as pf:
+            # batches of one index row group (write_index_file's 256):
+            # Arrow holds one batch at a time, not the whole index
+            return [raw for b in pf.iter_batches(
+                        batch_size=256, row_groups=row_groups,
+                        columns=["json"])
+                    for raw in b.column("json").to_pylist()]
     except Exception as e:
         raise _unreadable_index(path, e) from e
 
@@ -171,6 +176,15 @@ def read_index_metadata(path: str):
         return pq.read_metadata(path)
     except Exception as e:
         raise _unreadable_index(path, e) from e
+
+
+@functools.lru_cache(maxsize=1)
+def _index_metadata(path: str, mtime_ns: int, size: int):
+    """The last-read index footer, kept per worker process and keyed by
+    index version. Footers cost ~2.5 KB per 256-record row group (the
+    json column's min/max statistics), so at 10^7 records each is
+    ~100 MB, while each scan task reads only a few row groups."""
+    return read_index_metadata(path)
 
 
 def _unreadable_index(path: str, e: Exception) -> ValueError:
@@ -211,32 +225,75 @@ def _write_index(out_dir: str, json_rows: list[str],
                      {"sealed": "1" if sealed else "0"})
 
 
-def _index_sealed(out_dir: str) -> bool:
-    """True iff a consolidated index exists and was written sealed.
-    Reads only the parquet footer; an unreadable index raises."""
-    p = index_path(out_dir)
-    return os.path.exists(p) and (
-        read_index_metadata(p).metadata or {}).get(b"sealed") == b"1"
+def _json_records_in(d: str):
+    """The ``part-*.json`` dirents of directory ``d``; none when ``d``
+    has vanished (a concurrent gc of an emptied shard) or is not a
+    directory. Any other OSError propagates: swallowing it would
+    silently drop every partition in the shard and let verify pass
+    vacuously."""
+    try:
+        with os.scandir(d) as it:
+            yield from (e for e in it if e.name.startswith("part-")
+                        and e.name.endswith(".json"))
+    except (FileNotFoundError, NotADirectoryError):
+        return
 
 
-def _has_delta_records(out_dir: str) -> bool:
-    """True iff any per-partition JSON record exists alongside the index
-    (deltas overlay — and therefore unseal — the indexed set). Scans
-    both the flat legacy layout and the sharded one, as
-    ``load_delta_records`` reads them; early-exits on the first hit."""
+def _record_sources(out_dir: str) -> tuple[list[dict], bool, bool, object]:
+    """Where the records are, listed without opening one: ``(sources,
+    sealed, shortcut, footer)``. Sources in read order, a later one
+    winning a partition_id collision: the index's row groups
+    (``{"rg": i, "shard": ""}``), then ``_manifest/`` itself (the flat
+    layout) and the ``shard-*`` dirs that hold ``part-*.json`` records
+    (``{"rg": -1, "shard": dir}``; consolidate leaves its shard dirs
+    behind, emptied). ``sealed``: the index was written sealed.
+    ``shortcut``: a sealed index and no JSON record, so the index rows
+    are the effective set, in input order. ``footer``: the index's
+    parquet footer, None without an index; an unreadable one raises."""
     mdir = manifest_dir(out_dir)
     if not os.path.isdir(mdir):
-        return False
-    for d in os.listdir(mdir):
-        if d.startswith("part-") and d.endswith(".json"):
-            return True  # flat legacy layout
-        sd = os.path.join(mdir, d)
-        if not (d.startswith("shard-") and os.path.isdir(sd)):
+        return [], False, False, None
+    ipath = index_path(out_dir)
+    footer = read_index_metadata(ipath) if os.path.exists(ipath) else None
+    sealed = footer is not None and (
+        footer.metadata or {}).get(b"sealed") == b"1"
+    dirs = [mdir] + [os.path.join(mdir, n) for n in sorted(os.listdir(mdir))
+                     if n.startswith("shard-")]
+    dirs = [d for d in dirs if next(_json_records_in(d), None) is not None]
+    sources = [{"rg": rg, "shard": ""}
+               for rg in range(footer.num_row_groups if footer else 0)]
+    sources += [{"rg": -1, "shard": d} for d in dirs]
+    return sources, sealed, sealed and not dirs, footer
+
+
+def _records(out_dir: str, sources: list[dict], footer=None):
+    """The records of ``sources`` (``_record_sources``), in order: each
+    run of index row groups in one read, each directory's ``part-*.json``
+    files by name. ``footer`` is the index's; without it (a scan task)
+    the process's cached one is used. A torn JSON record is skipped (its
+    partition re-encodes); an unreadable index, directory or JSON file
+    and an unparseable index row raise."""
+    ipath = index_path(out_dir)
+    for in_index, run in itertools.groupby(sources, lambda s: s["rg"] >= 0):
+        if in_index:
+            if footer is None:
+                st = os.stat(ipath)
+                footer = _index_metadata(ipath, st.st_mtime_ns, st.st_size)
+            for raw in read_index_rows(ipath, [s["rg"] for s in run],
+                                       footer):
+                yield index_record(ipath, raw)
             continue
-        for name in os.listdir(sd):
-            if name.startswith("part-") and name.endswith(".json"):
-                return True
-    return False
+        for s in run:
+            for name in sorted(e.name for e in _json_records_in(s["shard"])):
+                # open/read errors propagate: an unreadable-but-present
+                # record is not "torn"
+                with open(os.path.join(s["shard"], name)) as f:
+                    raw = f.read()
+                try:
+                    rec = PartitionRecord(**json.loads(raw))
+                except (json.JSONDecodeError, TypeError):
+                    continue  # torn record → partition re-encodes
+                yield rec
 
 
 def overlay_reconcile(out_dir: str,
@@ -265,42 +322,13 @@ def overlay_reconcile(out_dir: str,
         out_dir, manifest={r.partition_id: r for r in contested})
 
 
-def load_delta_records(out_dir: str) -> dict[str, PartitionRecord]:
-    """Only the per-partition JSON records (the post-consolidation
-    deltas; the whole store on a never-consolidated layout): the flat
-    ``_manifest/part-*.json`` ones, then the ``shard-*`` dirs', which win
-    a partition_id collision (the record scan's source order)."""
-    mdir = manifest_dir(out_dir)
-    out: dict[str, PartitionRecord] = {}
-    if not os.path.isdir(mdir):
-        return out
-    shard_dirs = [os.path.join(mdir, d) for d in sorted(os.listdir(mdir))
-                  if d.startswith("shard-")]
-    for sd in [mdir] + shard_dirs:
-        if not os.path.isdir(sd):
-            continue
-        for name in sorted(os.listdir(sd)):
-            if not (name.startswith("part-") and name.endswith(".json")):
-                continue
-            try:
-                with open(os.path.join(sd, name)) as f:
-                    raw = json.load(f)
-                rec = PartitionRecord(**raw)
-            except (json.JSONDecodeError, TypeError):
-                continue  # torn record → partition will be re-encoded
-            out[rec.partition_id] = rec
-    return out
-
-
 def load_manifest(out_dir: str) -> dict[str, PartitionRecord]:
-    """All records: the consolidated index (one parquet file) plus any
-    newer per-partition JSON deltas, which win on partition-id collision.
+    """All records: every ``_record_sources`` source in order — the
+    consolidated index (one parquet file, opened once) plus any newer
+    per-partition JSON deltas, which win on partition-id collision.
     Without consolidation this is the original all-JSON layout."""
-    if not os.path.isdir(manifest_dir(out_dir)):
-        return {}
-    out = _load_index(out_dir)
-    out.update(load_delta_records(out_dir))
-    return out
+    sources, _, _, footer = _record_sources(out_dir)
+    return {r.partition_id: r for r in _records(out_dir, sources, footer)}
 
 
 def consolidate(out_dir: str) -> dict:
@@ -321,16 +349,14 @@ def consolidate(out_dir: str) -> dict:
         raise ValueError(
             f"consolidate: {out_dir!r} has no _manifest — not an encoded "
             f"store")
-    if _index_sealed(out_dir) and not _has_delta_records(out_dir):
+    sources, _, shortcut, footer = _record_sources(out_dir)
+    if shortcut:
         # already consolidated and sealed with nothing to fold in: the
         # rewrite would provably change nothing — at 10^7 records that
         # no-op would be a multi-GB fsync'd rewrite on every resumed run
-        import pyarrow.parquet as pq
-
-        return {"records_indexed":
-                pq.read_metadata(index_path(out_dir)).num_rows,
+        return {"records_indexed": footer.num_rows,
                 "delta_files_removed": 0, "sealed": True}
-    recs = load_manifest(out_dir)
+    recs = {r.partition_id: r for r in _records(out_dir, sources, footer)}
     if not recs:
         return {"records_indexed": 0, "delta_files_removed": 0,
                 "sealed": False}
@@ -370,14 +396,15 @@ def retire_records(out_dir: str, pids: set[str]) -> int:
                 gone.add(pid)
             except OSError:
                 continue
-    idx = _load_index(out_dir)
+    sources, sealed, _, footer = _record_sources(out_dir)
+    idx = {r.partition_id: r for r in _records(
+        out_dir, [s for s in sources if s["rg"] >= 0], footer)}
     hit = pids & idx.keys()
     if hit:
         # retiring records never CREATES overlap, so the seal carries over
         keep = sorted((r for pid, r in idx.items() if pid not in hit),
                       key=lambda r: r.sort_key)
-        _write_index(out_dir, [r.to_json() for r in keep],
-                     sealed=_index_sealed(out_dir))
+        _write_index(out_dir, [r.to_json() for r in keep], sealed=sealed)
         gone |= hit
     return len(gone)
 
@@ -404,10 +431,11 @@ def effective_records(out_dir: str,
     retired, so decoding fails loudly (CRC/size) instead of the rows
     silently vanishing."""
     if manifest is None:
-        if _index_sealed(out_dir) and not _has_delta_records(out_dir):
-            return sorted(_load_index(out_dir).values(),
-                          key=lambda r: r.sort_key)
-        manifest = load_manifest(out_dir)
+        sources, _, shortcut, footer = _record_sources(out_dir)
+        manifest = {r.partition_id: r
+                    for r in _records(out_dir, sources, footer)}
+        if shortcut:
+            return sorted(manifest.values(), key=lambda r: r.sort_key)
     recs = sorted(manifest.values(), key=lambda r: r.sort_key)
 
     # claims are ROW-RANGE intervals per (path, row_group): two records

@@ -41,11 +41,13 @@ from ..encode import decode_table, encode_table, read_chunk_header
 from ..manifest import (
     FragmentRef,
     PartitionRecord,
-    completed_partitions,
+    _json_records_in,
+    _record_sources,
+    _records,
     effective_records,
-    index_path,
-    index_record,
+    is_complete,
     load_manifest,
+    read_index_metadata,
     shard_of,
     write_atomic,
     write_record,
@@ -803,10 +805,11 @@ def encode_job(
     # compaction plans same-mode; the stored plan is keyed on the mode
     record_store_optimize(out_dir, optimize, stored)
     total = len(frags)
+    # the job's one whole-manifest read: resume's input and, with this
+    # job's work ids, the record count of its summary
+    prior = load_manifest(out_dir)
     done: set[str] = set()
     if resume:
-        prior = load_manifest(out_dir)
-        complete = completed_partitions(out_dir)
         # partition ids are content-addressed (FragmentRef.frag_hash), so
         # appending input files never shifts existing ids; a completed
         # partition is reusable iff its FULL recorded fragment matches
@@ -815,11 +818,14 @@ def encode_job(
         # count as done while the merged chunk is intact.
         by_frag = {json.dumps(asdict(f), sort_keys=True): f.frag_hash
                    for f in frags}
-        for pid in complete:
-            for src in prior[pid].source_fragments:
+        for rec in prior.values():
+            if not is_complete(out_dir, rec):
+                continue
+            for src in rec.source_fragments:
                 h = by_frag.get(json.dumps(src, sort_keys=True))
                 if h is not None:
                     done.add(h)
+    prior = set(prior)  # only the ids outlive the resume check
     work = [
         {"partition_id": f.frag_hash, "path": f.path, "row_group": f.row_group,
          "num_rows": f.num_rows, "row_start": f.row_start}
@@ -882,7 +888,6 @@ def encode_job(
         input_bytes, chunk_bytes, encoded_n = map(sum, zip(*_map_runs(
             encode_run, work,
             sum(frag_bytes[w["partition_id"]] for w in work))))
-    manifest = load_manifest(out_dir)
     plan_note = {
         "partitions_total": total,
         "partitions_skipped_resume": len(done),
@@ -899,7 +904,8 @@ def encode_job(
         # deliberately not serialized into the job summary
         "shared_plan": ({c: p.codec for c, p in plan_obj.columns.items()}
                         if plan_obj is not None else None),
-        "manifest_records": len(manifest),
+        # every work item committed its record, or _map_runs raised
+        "manifest_records": len(prior | {w["partition_id"] for w in work}),
     }
     if consolidate_manifest:
         from ..manifest import consolidate, manifest_dir
@@ -1048,15 +1054,6 @@ def _pull(ds, cols: list[str], where) -> set[tuple]:
             ds.map_batches(distinct, batch_format="pyarrow").take_all()}
 
 
-@functools.lru_cache(maxsize=1)
-def _index_metadata(path: str, mtime_ns: int, size: int):
-    """The last-read index footer, kept per worker process and keyed by
-    index version. Footers cost ~2.5 KB per 256-record row group (the
-    json column's min/max statistics), so at 10^7 records each is
-    ~100 MB, while each scan task reads only a few row groups."""
-    return pq.read_metadata(path)
-
-
 _B_SCHEMA = pa.schema([
     ("f0_key", pa.string()), ("f0_rs", pa.int64()),
     ("last_key", pa.string()), ("cm_end", pa.int64()),
@@ -1125,78 +1122,6 @@ def _overlap_keys(items) -> set:
     return out
 
 
-def _records(out_dir: str, rg: int, shard: str):
-    """The records of one record-scan source: index row group ``rg``, or
-    (``rg`` -1) the ``part-*.json`` files of directory ``shard``. Torn
-    JSON records are skipped (the ``load_delta_records`` policy); an
-    unreadable directory, file, index or index row fails loudly."""
-    if rg >= 0:
-        ipath = index_path(out_dir)
-        st = os.stat(ipath)
-        pf = pq.ParquetFile(ipath, metadata=_index_metadata(
-            ipath, st.st_mtime_ns, st.st_size))
-        for raw in pf.read_row_group(rg, columns=["json"]).column(
-                "json").to_pylist():
-            yield index_record(ipath, raw)
-        return
-    try:
-        names = sorted(os.listdir(shard))
-    except FileNotFoundError:
-        # vanished shard dir (concurrent gc of an emptied shard) —
-        # load_delta_records' isdir() guard skips exactly this. Any
-        # OTHER OSError propagates: swallowing it would silently drop
-        # every partition in the shard and let verify pass vacuously.
-        return
-    for name in names:
-        if not (name.startswith("part-") and name.endswith(".json")):
-            continue
-        # open/read errors propagate: an unreadable-but-present
-        # record is not "torn"
-        with open(os.path.join(shard, name)) as f:
-            raw = f.read()
-        try:
-            rec = PartitionRecord(**json.loads(raw))
-        except (json.JSONDecodeError, TypeError):
-            continue  # torn record → partition re-encodes
-        yield rec
-
-
-def _record_sources(out_dir: str) -> tuple[list[dict], int, bool, bool]:
-    """The record scan's sources, listed on the driver without opening a
-    record: ``(sources, estimated records, sealed, shortcut)``. Sources
-    are the index row groups, then ``_manifest/`` itself and the
-    ``shard-*`` dirs that hold ``part-*.json`` records (consolidate
-    leaves its shard dirs behind, emptied). The estimate adds the index
-    footer's row count and those dirents, sampled past 64 dirs.
-    ``shortcut``: a sealed index with no JSON records, whose rows are the
-    effective set in input order."""
-    from ..manifest import manifest_dir, read_index_metadata
-
-    def records_in(d: str):
-        try:
-            with os.scandir(d) as it:
-                yield from (e for e in it if e.name.startswith("part-")
-                            and e.name.endswith(".json"))
-        except FileNotFoundError:
-            return  # removed by a concurrent gc
-
-    ipath = index_path(out_dir)
-    meta = read_index_metadata(ipath) if os.path.exists(ipath) else None
-    n_rg = meta.num_row_groups if meta else 0
-    sealed = n_rg > 0 and (meta.metadata or {}).get(b"sealed") == b"1"
-    mdir = manifest_dir(out_dir)
-    dirs = [mdir] + [os.path.join(mdir, n) for n in sorted(os.listdir(mdir))
-                     if n.startswith("shard-")]
-    dirs = [d for d in dirs if next(records_in(d), None) is not None]
-    sample = dirs[::max(1, len(dirs) // 64)][:64]
-    est = sum(sum(1 for _ in records_in(d)) for d in sample)
-    est = est * len(dirs) // max(1, len(sample)) + (
-        meta.num_rows if meta else 0)
-    sources = [{"rg": rg, "shard": ""} for rg in range(n_rg)]
-    sources += [{"rg": -1, "shard": d} for d in dirs]
-    return sources, est, sealed, sealed and not dirs
-
-
 def _scan_one(out_dir: str, sources: list[dict], shortcut: bool,
               zone_filter: dict | None, columns: list[str], fn, blocks):
     """The record scan's one task: read every source's records (a later
@@ -1211,11 +1136,8 @@ def _scan_one(out_dir: str, sources: list[dict], shortcut: bool,
     the items."""
     from ray.data._internal.util import get_table_block_metadata_schema
 
-    recs: dict = {}
     try:
-        for s in sources:
-            for rec in _records(out_dir, s["rg"], s["shard"]):
-                recs[rec.partition_id] = rec
+        recs = {r.partition_id: r for r in _records(out_dir, sources)}
         recs = (sorted(recs.values(), key=lambda r: r.sort_key) if shortcut
                 else effective_records(out_dir, manifest=recs))
         if zone_filter:
@@ -1239,10 +1161,11 @@ def _record_scan(out_dir: str, zone_filter: dict | None,
     over the ``_ITEM_SCHEMA`` ``columns`` of the effective records that
     survive ``zone_filter`` (unread columns cost ~0.4 ms per item). The
     driver names the sources without reading a record
-    (``_record_sources``). Below ``TASK_RECORDS``
-    estimated records one plain task (``_scan_one``) does the record
-    work, and ``fn`` too when the survivors fit one block or are none;
-    else the distributed scan runs, sized at ``TASK_RECORDS`` per task.
+    (``manifest._record_sources``); the tasks read them with the
+    manifest's one reader (``manifest._records``). Below
+    ``TASK_RECORDS`` estimated records one plain task (``_scan_one``)
+    does the record work, and ``fn`` too when the survivors fit one
+    block or are none; else the distributed scan runs, sized at ``TASK_RECORDS`` per task.
     Both raise a clean ``ValueError`` for a bad bound before any chunk
     is read. Returns (ObjectRef of ``fn``'s one output block, its block
     metadata) when the one task ran ``fn``, else a lazy Dataset.
@@ -1266,10 +1189,23 @@ def _record_scan(out_dir: str, zone_filter: dict | None,
     import ray
     from ray.data._internal.remote_fn import cached_remote_fn
 
-    from ..manifest import manifest_dir, overlay_reconcile, record_path
+    from ..manifest import (
+        index_path,
+        manifest_dir,
+        overlay_reconcile,
+        record_path,
+    )
 
     require_store(out_dir)
-    sources, est, sealed, shortcut = _record_sources(out_dir)
+    sources, sealed, shortcut, footer = _record_sources(out_dir)
+    # the estimate: the index footer's row count plus the JSON dirs'
+    # record dirents, sampled past 64 dirs
+    dirs = [s["shard"] for s in sources if s["rg"] < 0]
+    sample = dirs[::max(1, len(dirs) // 64)][:64]
+    est = sum(sum(1 for _ in _json_records_in(d)) for d in sample)
+    est = est * len(dirs) // max(1, len(sample)) + (
+        footer.num_rows if footer else 0)
+    footer = None  # ~2.5 KB per index row group: not held through the scan
     if est < TASK_RECORDS:
         head, body = cached_remote_fn(_scan_one, num_returns=2).remote(
             out_dir, sources, shortcut, zone_filter, columns, fn,
@@ -1281,8 +1217,6 @@ def _record_scan(out_dir: str, zone_filter: dict | None,
             return body, meta
         return _item_dataset(ray.get(body).to_pylist(), work).map_batches(
             fn, batch_size=1, batch_format="pyarrow")
-
-    ipath = index_path(out_dir)
 
     def zone_facts(zones: list) -> tuple:
         if not zone_filter:
@@ -1298,7 +1232,7 @@ def _record_scan(out_dir: str, zone_filter: dict | None,
         rows, carried = [], set()
         for rg, shard in zip(b.column("rg").to_pylist(),
                              b.column("shard").to_pylist()):
-            for rec in _records(out_dir, rg, shard):
+            for rec in _records(out_dir, [{"rg": rg, "shard": shard}]):
                 alive, zts, zerr = zone_facts(rec.columns)
                 if shortcut and not alive:
                     # nothing to classify: drop pruned records, keeping
@@ -1378,9 +1312,9 @@ def _record_scan(out_dir: str, zone_filter: dict | None,
             rgs = sorted({src for pid, src in hits
                           if src >= 0 and pid not in in_json})
             if rgs:
-                for raw in pq.ParquetFile(ipath).read_row_groups(
-                        rgs, columns=["json"]).column("json").to_pylist():
-                    rec = index_record(ipath, raw)
+                for rec in _records(
+                        out_dir, [{"rg": g, "shard": ""} for g in rgs],
+                        read_index_metadata(index_path(out_dir))):
                     if (rec.partition_id in contested
                             and rec.partition_id not in in_json):
                         recs.append(rec)

@@ -416,53 +416,15 @@ def _cap_sample(vals: list) -> list:
     return out
 
 
-# per-worker-process batch counters for sample_gate, one per job epoch so
-# (a) a reused Ray worker process never carries a counter from a PREVIOUS
-# stats job into this one, and (b) TWO stats jobs interleaving batches on
-# the same worker each keep their own counter — a single shared slot would
-# reset on every epoch flip and disable gating for both. Bounded at
-# _GATE_MAX_EPOCHS (insertion-ordered eviction) so worker-lifetime growth
-# stays O(1). Within one job, batch→worker assignment still varies run to
-# run, so the raw-value sample is deterministic only in AGGREGATE
-# GUARANTEES (every gate-th batch per worker, first kept) — exact stats
-# (cardinality, min/max, runs) are unaffected; only the advisory sample
-# varies.
-_GATE_CTRS: dict = {}
-_GATE_MAX_EPOCHS = 64
-
-
-def stats_partial_batch(batch: pa.Table, columns: list[str] | None = None,
-                        sample_gate: int = 1,
-                        gate_epoch: str | None = None) -> pa.Table:
-    """map_batches fn: emit one pickled partial per column (tiny output).
-
-    ``sample_gate`` > 1 keeps the raw-value sample on exactly every
-    gate-th batch THIS WORKER PROCESS sees (round-robin counter, first
-    batch always kept) so the total partial volume stays bounded at
-    extreme batch counts while cardinality/min-max/runs remain exact.
-    A content hash is NOT used: on a near-constant column every batch
-    hashes identically, so the gate would keep all samples or none."""
+def stats_partial_batch(batch: pa.Table,
+                        columns: list[str] | None = None) -> pa.Table:
+    """map_batches fn: emit one pickled partial per column (tiny output)."""
     cols = columns or batch.column_names
-    keep_sample = True
-    if sample_gate > 1 and batch.num_rows:
-        k = _GATE_CTRS.pop(gate_epoch, 0)
-        # delete+reinsert keeps dict insertion order = LRU order, so
-        # eviction removes the LEAST-RECENTLY-TOUCHED epoch — a long job
-        # still streaming batches is never evicted by newer jobs unless
-        # >64 epochs are all more recent than its last batch
-        _GATE_CTRS[gate_epoch] = k + 1
-        while len(_GATE_CTRS) > _GATE_MAX_EPOCHS:
-            stale = next(e for e in _GATE_CTRS if e != gate_epoch)
-            del _GATE_CTRS[stale]
-        keep_sample = (k % sample_gate) == 0
-    partials = []
-    for c in cols:
-        st = column_stats_partial(_one_array(batch.column(c)), c)
-        if not keep_sample:
-            st.sample = []
-        partials.append(pickle.dumps(st))
+    partials = [column_stats_partial(_one_array(batch.column(c)), c)
+                for c in cols]
     return pa.table({"column": pa.array(cols, pa.string()),
-                     "partial": pa.array(partials, pa.binary())})
+                     "partial": pa.array([pickle.dumps(p) for p in partials],
+                                         pa.binary())})
 
 
 def _one_array(col: pa.ChunkedArray) -> pa.Array:
@@ -480,15 +442,9 @@ def merge_partials(rows: list[bytes]) -> dict[str, ColumnStats]:
 
 
 def compute_stats(ds, columns: list[str] | None = None,
-                  distributed_merge: bool = False,
-                  sample_gate: int = 1,
                   batch_size: int = 4096) -> dict[str, ColumnStats]:
-    """Distributed stats: map_batches partials → merge.
-
-    Default: partials stream to a driver-side merge (fine up to ~10^5
-    batches). ``distributed_merge=True`` adds a ``groupby(column)`` merge
-    stage so the driver only ever sees one merged partial per column —
-    the shape required at 10^12-document scale (pair with sample_gate).
+    """Distributed stats: map_batches partials stream to a driver-side
+    merge (fine up to ~10^5 batches).
 
     ``batch_size`` bounds both per-task heap (a 16k-row CC batch is
     ~260 MB of text — 4k rows ≈ 65 MB) and, more importantly,
@@ -498,22 +454,8 @@ def compute_stats(ds, columns: list[str] | None = None,
     per-block batches on the same input). Partial merge is batch-layout
     invariant, so any size is correct.
     """
-    import uuid
-
-    epoch = uuid.uuid4().hex  # fresh per job: reused workers reset counters
-    parts = ds.map_batches(
-        lambda b: stats_partial_batch(b, columns, sample_gate, epoch),
-        batch_format="pyarrow", batch_size=batch_size,
-    )
-    if distributed_merge:
-        def merge_group(df: pd.DataFrame) -> pd.DataFrame:
-            merged = merge_partials(list(df["partial"]))
-            (name, st), = merged.items()
-            return pd.DataFrame({"column": [name],
-                                 "partial": [pickle.dumps(st)]})
-
-        parts = parts.groupby("column").map_groups(merge_group,
-                                                   batch_format="pandas")
+    parts = ds.map_batches(lambda b: stats_partial_batch(b, columns),
+                           batch_format="pyarrow", batch_size=batch_size)
     raws: list[bytes] = []
     for b in parts.iter_batches(batch_size=4096, batch_format="pyarrow"):
         raws.extend(b.column("partial").to_pylist())

@@ -1602,8 +1602,7 @@ def test_sealed_index_fast_path(ray_session, cc_parquet, tmp_path,
     returns the identical effective set; any delta or conflict unseals."""
     from json_to_parquet_ray.manifest import (
         PartitionRecord,
-        _has_delta_records,
-        _index_sealed,
+        _record_sources,
         consolidate,
         effective_records,
         record_path,
@@ -1616,7 +1615,8 @@ def test_sealed_index_fast_path(ray_session, cc_parquet, tmp_path,
 
     res = consolidate(out)
     assert res["sealed"] is True
-    assert _index_sealed(out) and not _has_delta_records(out)
+    _, sealed, shortcut, _ = _record_sources(out)
+    assert sealed and shortcut
     # fast path (manifest=None) == full reconciliation result
     assert [r.to_json() for r in effective_records(out)] == slow
 
@@ -1633,7 +1633,8 @@ def test_sealed_index_fast_path(ray_session, cc_parquet, tmp_path,
     write_atomic(os.path.join(out, stale.chunk_file), b"abc")
     write_atomic(record_path(out, stale.partition_id),
                  stale.to_json().encode())
-    assert _has_delta_records(out)
+    _, sealed, shortcut, _ = _record_sources(out)
+    assert sealed and not shortcut
     # reconciliation still wins: the conflicting delta is dropped
     assert [r.to_json() for r in effective_records(out)] == slow
     # re-consolidating with the conflict folded in must NOT seal
@@ -1691,8 +1692,7 @@ def test_unsealed_overlay_streamed_decode_and_verify(ray_session, tmp_path,
     delta shapes: (A) plain append deltas, (B) a crashed compaction's
     merged delta superseding index-resident plain records."""
     from json_to_parquet_ray.manifest import (
-        _has_delta_records,
-        _index_sealed,
+        _record_sources,
         consolidate,
         index_path,
     )
@@ -1709,7 +1709,8 @@ def test_unsealed_overlay_streamed_decode_and_verify(ray_session, tmp_path,
     write_cc_parquet(str(d / "b.parquet"), 500, seed=6, row_group_size=250)
     encode_job(str(d), out, shared_dict_columns=None)
     # the overlay shape: a sealed index with JSON deltas over it
-    assert _index_sealed(out) and _has_delta_records(out)
+    _, sealed, shortcut, _ = _record_sources(out)
+    assert sealed and not shortcut
 
     slow, fast = both_sides(lambda: _table(decode_dataset(out)))
     assert fast.equals(slow)             # values AND row order
@@ -2101,7 +2102,6 @@ def test_unsealed_streamed_parity_fuzz(ray_session, tmp_path, both_sides):
         PartitionRecord,
         consolidate,
         effective_records,
-        load_delta_records,
         manifest_dir,
         shard_of,
         write_record,
@@ -2128,7 +2128,7 @@ def test_unsealed_streamed_parity_fuzz(ray_session, tmp_path, both_sides):
                         os.path.join(side, r.chunk_file))
         write_record(side, r)
     assert compact_job(side, min_rows=10_000)["groups"] == 1
-    (merged,) = load_delta_records(side).values()
+    (merged,) = load_manifest(side).values()
     os.makedirs(os.path.dirname(os.path.join(out, merged.chunk_file)),
                 exist_ok=True)
     shutil.copyfile(os.path.join(side, merged.chunk_file),
@@ -2421,8 +2421,22 @@ def test_decode_and_verify_read_no_records_on_the_driver(
         "verify": lambda: verify_job(out),
     }
 
-    def no_records(*a, **k):
-        raise AssertionError("the driver read manifest records")
+    driver = os.getpid()
+
+    def driver_only_fails(real):
+        # a scan task's closure pickles the patched name by value; in a
+        # worker process it reads as it does unpatched
+        def reader(*a, **k):
+            if os.getpid() == driver:
+                raise AssertionError("the driver read manifest records")
+            return real(*a, **k)
+        return reader
+
+    patched = {manifest: ("effective_records", "load_manifest", "_records"),
+               ej: ("effective_records", "load_manifest", "_records")}
+    for mod, names in patched.items():
+        for name in names:
+            assert hasattr(mod, name), (mod.__name__, name)
 
     for shape in ("unsealed", "sealed"):
         if shape == "sealed":
@@ -2430,11 +2444,10 @@ def test_decode_and_verify_read_no_records_on_the_driver(
         want = {k: f() for k, f in reads.items()}
         assert want["point"] and want["range"], shape
         with monkeypatch.context() as m:
-            for mod in (manifest, ej):
-                for name in ("effective_records", "load_manifest",
-                             "_load_index", "load_delta_records"):
-                    if hasattr(mod, name):
-                        m.setattr(mod, name, no_records)
+            for mod, names in patched.items():
+                for name in names:
+                    m.setattr(mod, name,
+                              driver_only_fails(getattr(mod, name)))
             for k, f in reads.items():
                 assert both_sides(f) == [want[k]] * 2, (shape, k)
 
@@ -2473,8 +2486,7 @@ def test_flat_layout_records_consolidate_and_retire(ray_session, tmp_path):
     reach them too."""
     from json_to_parquet_ray.manifest import (
         PartitionRecord,
-        _has_delta_records,
-        _index_sealed,
+        _record_sources,
         consolidate,
         effective_records,
         retire_records,
@@ -2496,14 +2508,16 @@ def test_flat_layout_records_consolidate_and_retire(ray_session, tmp_path):
                      rec.to_json().encode())
         recs.append(rec)
     assert len(load_manifest(out)) == 3
-    assert _has_delta_records(out)
+    sources, sealed, shortcut, _ = _record_sources(out)
+    assert sources == [{"rg": -1, "shard": os.path.join(out, "_manifest")}]
+    assert not sealed and not shortcut
 
     res = consolidate(out)
     assert res["records_indexed"] == 3
     assert res["delta_files_removed"] == 3
     assert res["sealed"] is True
-    assert not _has_delta_records(out)     # flat JSONs actually gone
-    assert _index_sealed(out)
+    _, sealed, shortcut, _ = _record_sources(out)
+    assert sealed and shortcut             # flat JSONs actually gone
 
     retire_records(out, {recs[0].partition_id})
     assert {r.partition_id for r in effective_records(out)} == \
@@ -3413,6 +3427,7 @@ def test_scan_task_sizes_without_a_cluster_query(ray_session, tmp_path,
     from ray import cloudpickle
 
     from json_to_parquet_ray.encode import read_chunk_file
+    from json_to_parquet_ray.manifest import _record_sources
     from json_to_parquet_ray.pipelines import encode_job as ej
 
     src, out = _two_chunk_bloom_store(tmp_path)
@@ -3428,7 +3443,7 @@ def test_scan_task_sizes_without_a_cluster_query(ray_session, tmp_path,
         return pa.concat_tables([read_chunk_file(p)
                                  for p in b.column("path").to_pylist()])
 
-    sources, _, _, shortcut = ej._record_sources(out)
+    sources, _, shortcut, _ = _record_sources(out)
     (err, _, meta), body = ej._scan_one(
         out, sources, shortcut, None, ["path"], decode, rule)
     assert err is None and meta is not None

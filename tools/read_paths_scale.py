@@ -13,7 +13,9 @@ one manifest record. Three stores come from that encode:
 
 For each shape it prints the median wall time of a full decode
 (``decode_dataset(...).count()``), a url point decode (IN-list zone
-filter on one url) and ``verify_job``, plus the driver's peak RSS.
+filter on one url), ``verify_job``, and the driver-side whole-manifest
+reads ``load_manifest`` and ``effective_records``, plus the driver's
+peak RSS.
 Each shape is measured in a child process of its own, with its own Ray
 session, so that process's VmHWM covers only that shape's reads.
 
@@ -76,8 +78,7 @@ def crash_compaction(store: str, scratch: str) -> None:
     merged record committed: the merged JSON record and chunk exist, the
     plain records it covers are still live (index-resident here)."""
     from json_to_parquet_ray.manifest import (effective_records,
-                                              load_delta_records,
-                                              write_record)
+                                              load_manifest, write_record)
     from json_to_parquet_ray.pipelines.encode_job import compact_job
 
     victims = effective_records(store)[:COMPACT_RECORDS]
@@ -87,7 +88,7 @@ def crash_compaction(store: str, scratch: str) -> None:
         shutil.copyfile(os.path.join(store, r.chunk_file), dst)
         write_record(scratch, r)
     compact_job(scratch, min_rows=COMPACT_RECORDS)
-    for r in load_delta_records(scratch).values():
+    for r in load_manifest(scratch).values():
         if "merged" in r.fragment:
             dst = os.path.join(store, r.chunk_file)
             os.makedirs(os.path.dirname(dst), exist_ok=True)
@@ -127,7 +128,11 @@ def build(work: str, records: int, deltas: int, seed: int) -> dict:
     return built
 
 
+OPS = ("decode_s", "point_s", "verify_s", "manifest_s", "effective_s")
+
+
 def measure(store: str, url: str, rows: int, reps: int) -> dict:
+    from json_to_parquet_ray.manifest import effective_records, load_manifest
     from json_to_parquet_ray.pipelines.encode_job import (decode_dataset,
                                                           verify_job)
 
@@ -143,8 +148,9 @@ def measure(store: str, url: str, rows: int, reps: int) -> dict:
         assert v["failed"] == [], v["failed"][:3]
 
     out = {}
-    for name, op in (("decode_s", decode), ("point_s", point),
-                     ("verify_s", verify)):
+    for name, op in zip(OPS, (decode, point, verify,
+                              lambda: load_manifest(store),
+                              lambda: effective_records(store))):
         walls = []
         for _ in range(reps):
             t0 = time.perf_counter()
@@ -177,14 +183,13 @@ def main() -> int:
         else:
             built = in_child(args.cpus, build, work, args.records,
                              args.deltas, args.seed)
-        print(f"{'shape':10s} {'decode_s':>9s} {'point_s':>9s} "
-              f"{'verify_s':>9s} {'driver_peak_rss_MB':>19s}")
+        print(f"{'shape':10s}" + "".join(f" {op:>11s}" for op in OPS)
+              + f" {'driver_peak_rss_MB':>19s}")
         for shape, store in built["stores"].items():
             m = in_child(args.cpus, measure, store, built["url"],
                          built["rows"][shape], args.reps)
-            print(f"{shape:10s} {m['decode_s']:9.3f} {m['point_s']:9.3f} "
-                  f"{m['verify_s']:9.3f} {m['driver_peak_rss_MB']:19.1f}",
-                  flush=True)
+            print(f"{shape:10s}" + "".join(f" {m[op]:11.3f}" for op in OPS)
+                  + f" {m['driver_peak_rss_MB']:19.1f}", flush=True)
     finally:
         if args.work is None:
             shutil.rmtree(work, ignore_errors=True)
