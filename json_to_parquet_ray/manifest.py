@@ -500,8 +500,3 @@ def is_complete(out_dir: str, rec: PartitionRecord) -> bool:
         return os.path.getsize(p) == rec.chunk_size
     except OSError:
         return False
-
-
-def completed_partitions(out_dir: str) -> set[str]:
-    return {pid for pid, rec in load_manifest(out_dir).items()
-            if is_complete(out_dir, rec)}

@@ -291,166 +291,87 @@ def minhash_band_rows(batch: pa.Table, col: str = "text", key: str = "doc_id",
     })
 
 
-class _ShardedBroadcast:
-    """id-keyed lookup broadcast as N object-store shards instead of one
-    giant ``ray.put`` object: pathological duplication (every doc an LSH
-    candidate) can then never create a single plasma object the size of
-    the corpus. Shards are fetched lazily and cached per task process, so
-    a task touching few ids deserializes few shards."""
+class _CandidateBlocks:
+    """id → payload lookup over the blocks of one materialized filter pass
+    (``_candidate_blocks``), the shape ``paragraph_dedup`` keeps its
+    duplicate-hash set in: the candidate rows stay in the object store as
+    the blocks the filter tasks wrote, and the driver holds only their
+    refs. No driver copy, no actor, no shuffle, so the driver's cost does
+    not grow with how much of the corpus is a candidate.
 
-    def __init__(self, items: dict, max_per_shard: int = 100_000):
-        import ray
+    Pickled into a task, the lookup carries the refs only. The first
+    ``take`` there ``ray.get``s the blocks (zero-copy from the object
+    store) and sorts their ids, once per task. The driver copy also keeps
+    the materialized Dataset: a lazy result whose map function holds this
+    lookup keeps the blocks alive until it is consumed."""
 
-        n = max(1, -(-len(items) // max_per_shard))
-        shards: list[dict] = [dict() for _ in range(n)]
-        for k, v in items.items():
-            shards[int(k) % n][k] = v
-        self.n = n
-        self.refs = [ray.put(s) for s in shards]
-        self._cache: dict = {}
+    def __init__(self, mat):
+        self._mat = mat
+        self.refs = [r for bundle in mat.iter_internal_ref_bundles()
+                     for r in bundle.block_refs]
+        self._index = None
 
-    def get(self, k, default=None):
-        import ray
+    def _load(self):
+        if self._index is None:
+            import ray
 
-        i = int(k) % self.n
-        s = self._cache.get(i)
-        if s is None:
-            s = ray.get(self.refs[i])
-            self._cache[i] = s
-        return s.get(k, default)
+            segs = [rb for block in ray.get(self.refs)
+                    for rb in block.to_batches() if rb.num_rows]
+            lens = np.array([rb.num_rows for rb in segs], np.int64)
+            starts = np.concatenate([[0], np.cumsum(lens)]).astype(np.int64)
+            ids = (np.concatenate([rb.column(0).to_numpy() for rb in segs])
+                   if segs else np.zeros(0, np.int64))
+            pos = np.argsort(ids, kind="stable")
+            self._index = (segs, starts, ids[pos], pos)
+        return self._index
+
+    def take(self, ids) -> pa.Array:
+        """Payloads of ``ids``, in their order. An id held by several rows
+        reads the last of them in block order; a missing id raises
+        ``KeyError`` (a neighbour's payload would be a wrong answer)."""
+        segs, starts, sid, pos = self._load()
+        ids = np.asarray(ids, np.int64)
+        i = np.searchsorted(sid, ids, side="right") - 1
+        bad = (i < 0) | (sid[np.maximum(i, 0)] != ids) if len(sid) else \
+            np.ones(len(ids), bool)
+        if bad.any():
+            raise KeyError(f"ids not among the candidate rows: "
+                           f"{ids[bad][:5].tolist()}...")
+        p = pos[i]
+        seg = np.searchsorted(starts, p, side="right") - 1
+        row = p - starts[seg]
+        by_seg = np.argsort(seg, kind="stable")
+        runs = np.split(by_seg, np.flatnonzero(np.diff(seg[by_seg])) + 1)
+        got = pa.concat_arrays([segs[seg[r[0]]].column(1).take(row[r])
+                                for r in runs])
+        return got.take(np.argsort(by_seg))
 
     def __getstate__(self):
-        return {"n": self.n, "refs": self.refs}
+        return {"refs": self.refs}
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self._cache = {}
+        self._mat = None
+        self._index = None
 
 
-def _shard_owner_actor():
-    """The registry actor for shards built INSIDE Ray Data tasks.
-
-    ``ray.put`` inside a ``map_groups`` task creates an object OWNED by
-    that short-lived worker; smuggling the ref out as cloudpickle bytes
-    hides it from Ray's distributed ref counting, so the object can be
-    GC'd (worker's last tracked ref drops at task return) or lost with
-    the worker. Fix: the task puts with ``_owner=<this actor>`` (object
-    survives the creating worker) and registers the ref here (actor-held
-    refs ARE tracked). The driver reads the refs back through a normal
-    ``ray.get`` — a tracked borrow — and keeps the actor handle alive for
-    the lifetime of the lookup structure."""
+def _candidate_blocks(ds, cand_ids: list, key: str, col: str,
+                      payload) -> _CandidateBlocks:
+    """One filter pass over ``ds`` keeps the candidate rows as (id,
+    ``payload(col values)``) and materializes them; the candidate-id set
+    ships once via ``ray.put``. Returns the lookup over those blocks."""
     import ray
 
-    @ray.remote(num_cpus=0)
-    class _ShardOwner:
-        def __init__(self):
-            self._refs: dict = {}
+    ids_ref = ray.put(pa.array(cand_ids, pa.int64()))
 
-        def register(self, shard: int, ref_in_list: list) -> None:
-            # the ref arrives wrapped in a list so Ray passes the REF,
-            # not the dereferenced value
-            self._refs[int(shard)] = ref_in_list[0]
+    def fetch(b: pa.Table) -> pa.Table:
+        sel = b.select([key, col]).filter(
+            pc.is_in(b.column(key), value_set=ray.get(ids_ref)))
+        return pa.table({"id": sel.column(key).cast(pa.int64()),
+                         "payload": payload(sel.column(col))})
 
-        def refs(self) -> dict:
-            return dict(self._refs)
-
-    # default max_concurrency=1: registers are microsecond dict inserts,
-    # and single-threaded execution means refs()'s dict copy can never
-    # race a concurrent insert
-    return _ShardOwner.options(scheduling_strategy="SPREAD").remote()
-
-
-class _ShardedVectors:
-    """Sharded broadcast of an id → float-vector lookup with VECTORIZED
-    bulk gets: each shard holds (sorted ids, row-aligned matrix), lookups
-    are one ``np.searchsorted`` per touched shard — no per-row Python."""
-
-    def __init__(self, ids: np.ndarray, mat: np.ndarray,
-                 max_per_shard: int = 100_000):
-        import ray
-
-        ids = np.asarray(ids, np.int64)
-        n = max(1, -(-len(ids) // max_per_shard))
-        self.n = n
-        self._owner = None  # driver-owned puts need no registry actor
-        self.refs = []
-        part = (ids % n) if n > 1 else np.zeros(len(ids), np.int64)
-        for i in range(n):
-            m = part == i
-            sid = ids[m]
-            order = np.argsort(sid, kind="mergesort")
-            self.refs.append(ray.put((sid[order], mat[m][order])))
-        self._cache: dict = {}
-
-    @classmethod
-    def from_refs(cls, n: int, refs_by_shard: dict,
-                  owner=None) -> "_ShardedVectors":
-        """Assemble from shards ALREADY ``ray.put`` inside tasks (the
-        distributed build path: groupby shard → one put per shard) — the
-        driver only ever holds object refs, never the vectors. ``owner``
-        is the ``_shard_owner_actor`` handle that owns those objects; it
-        is pinned here (and in every serialized copy) so the objects
-        outlive the workers that created them. A residue class with no
-        candidates gets an empty placeholder; touching it still fails
-        loudly in get_many."""
-        import ray
-
-        self = cls.__new__(cls)
-        self.n = n
-        self._owner = owner
-        empty_ref = None
-        refs = []
-        for i in range(n):
-            r = refs_by_shard.get(i)
-            if r is None:
-                if empty_ref is None:
-                    empty_ref = ray.put((np.empty(0, np.int64),
-                                         np.empty((0, 1), np.float64)))
-                r = empty_ref
-            refs.append(r)
-        self.refs = refs
-        self._cache = {}
-        return self
-
-    def _shard(self, i: int):
-        import ray
-
-        s = self._cache.get(i)
-        if s is None:
-            s = ray.get(self.refs[i])
-            self._cache[i] = s
-        return s
-
-    def get_many(self, ids: np.ndarray) -> np.ndarray:
-        ids = np.asarray(ids, np.int64)
-        out = None
-        for i in (np.unique(ids % self.n) if self.n > 1 else (0,)):
-            sid, smat = self._shard(int(i))
-            m = (ids % self.n) == i if self.n > 1 else np.ones(len(ids), bool)
-            idx = np.searchsorted(sid, ids[m])
-            # fail loudly on a missing id — searchsorted would otherwise
-            # silently hand back a neighbor's vector
-            clipped = np.minimum(idx, max(len(sid) - 1, 0))
-            bad = ((idx >= len(sid)) | (sid[clipped] != ids[m])
-                   if len(sid) else np.ones(int(m.sum()), bool))
-            if bad.any():
-                raise KeyError(f"ids not in sharded vector store: "
-                               f"{ids[m][bad][:5].tolist()}...")
-            if out is None:
-                out = np.empty((len(ids), smat.shape[1]), smat.dtype)
-            out[m] = smat[idx]
-        return out
-
-    def __getstate__(self):
-        # the owner handle travels with every copy: actor-handle refs keep
-        # the owner (and therefore the shard objects it owns) alive in
-        # downstream task closures
-        return {"n": self.n, "refs": self.refs,
-                "_owner": getattr(self, "_owner", None)}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._cache = {}
+    return _CandidateBlocks(
+        ds.map_batches(fetch, batch_format="pyarrow").materialize())
 
 
 def _candidate_ids(pairs_ds, key: str) -> list:
@@ -491,27 +412,6 @@ def _collision_rows(rows_ds, col: str):
     return hot, filtered
 
 
-def _collect_candidate_texts(ds, cand_ids: list, col: str,
-                             key: str) -> "_ShardedBroadcast | dict":
-    """Broadcast semi-join: ship the candidate-id set once via ``ray.put``,
-    filter every batch distributed (``pc.is_in``), and materialize ONLY the
-    candidate rows (provably small after LSH banding) on the driver. The
-    result is re-broadcast SHARDED so extreme duplication (all docs
-    candidates) can't create one giant object."""
-    import ray
-
-    if not cand_ids:
-        return {}
-    ids_ref = ray.put(pa.array(cand_ids))
-
-    def filt(b: pa.Table) -> pa.Table:
-        keep = pc.is_in(b.column(key), value_set=ray.get(ids_ref))
-        return b.select([key, col]).filter(keep)
-
-    rows = ds.map_batches(filt, batch_format="pyarrow").take_all()
-    return _ShardedBroadcast({r[key]: (r[col] or "") for r in rows})
-
-
 def _shingle_set(a: str, k: int = SHINGLE) -> frozenset:
     return frozenset(a[i : i + k] for i in range(max(len(a) - k + 1, 1)))
 
@@ -547,42 +447,43 @@ def _shingle_hash_array(t: str, k: int = SHINGLE) -> np.ndarray:
     return np.unique(h)
 
 
-def _verify_pairs_ds(pairs_ds, texts, threshold: float):
+def _verify_pairs_ds(ds, pairs_ds, col: str, key: str, threshold: float):
     """Distributed exact-Jaccard verification of a candidate-pair Dataset.
 
-    ``texts`` is a ``_ShardedBroadcast`` (or plain dict for tests): raw
-    candidate texts live in the object store sharded; per-doc sorted
-    shingle-hash arrays are built lazily per task (one vectorized rolling
-    hash per doc, cached across batches) and each pair's intersection is
-    ONE ``searchsorted`` kernel — no per-pair Python set ops; pair
-    batches stream through ``map_batches``."""
-    lookup = texts.get
+    The candidate texts (null read as "") come from ``ds`` through one
+    filter pass into ``_CandidateBlocks``, so no text reaches the driver.
+    Per task, each pair batch looks its uncached ids up in one ``take``
+    and builds their sorted shingle-hash arrays (one vectorized rolling
+    hash per doc, cached across batches); each pair's intersection is ONE
+    ``searchsorted`` kernel — no per-pair Python set ops."""
+    texts = _candidate_blocks(
+        ds, _candidate_ids(pairs_ds, key), key, col,
+        lambda t: t.cast(pa.large_string()).fill_null(""))
 
     _cache: dict = {}
     _CACHE_CAP = 65_536  # hash arrays are doc-sized: an UNBOUNDED cache
     # in a task that sees every batch of a pathological-duplication pair
-    # block would hold millions of them — the very load _ShardedBroadcast
-    # keeps off the workers. FIFO eviction: pair blocks are sorted-ish by
-    # id, so recent entries are the ones the next batch reuses.
+    # block would hold millions of them. FIFO eviction: pair blocks are
+    # sorted-ish by id, so recent entries are the ones the next batch
+    # reuses.
 
-    def _sh(k):
-        s = _cache.get(k)
-        if s is None:
-            t = lookup(k)
-            if t is None:  # collect stores '' for null texts, so None = bug
-                raise KeyError(f"candidate text missing for id {k}")
-            s = _shingle_hash_array(t)
-            if len(_cache) >= _CACHE_CAP:
-                _cache.pop(next(iter(_cache)))
-            _cache[k] = s
-        return s
+    def shingles(ids: list) -> dict:
+        sh = {k: _cache[k] for k in ids if k in _cache}
+        miss = [k for k in ids if k not in sh]
+        if miss:
+            for k, t in zip(miss, texts.take(miss).to_pylist()):
+                if len(_cache) >= _CACHE_CAP:
+                    _cache.pop(next(iter(_cache)))
+                sh[k] = _cache[k] = _shingle_hash_array(t)
+        return sh
 
     def check(batch: pd.DataFrame) -> pd.DataFrame:
         a_ids = batch["a"].to_numpy()
         b_ids = batch["b"].to_numpy()
+        sh = shingles(np.unique(np.concatenate([a_ids, b_ids])).tolist())
         jac = np.empty(len(a_ids), np.float64)
-        for i in range(len(a_ids)):
-            sa, sb = _sh(a_ids[i]), _sh(b_ids[i])
+        for i, (a, b) in enumerate(zip(a_ids.tolist(), b_ids.tolist())):
+            sa, sb = sh[a], sh[b]
             if len(sa) > len(sb):  # binary-search the smaller set
                 sa, sb = sb, sa
             pos = np.searchsorted(sb, sa)
@@ -603,13 +504,14 @@ def ngram_jaccard_pairs(ds, col: str = "text", key: str = "doc_id",
     """Verified (a, b, jaccard) pairs: MinHash-LSH candidates → exact
     n-gram Jaccard ≥ threshold. The standalone n-gram-Jaccard operator.
 
-    Returns a DATASET — candidates stay in the object store through
-    verification, and the verified pair list itself never lands on the
-    driver either (on a mirror-heavy crawl even the TRUE pair list can
-    exceed driver heap). Cross-band duplicate pairs are dropped by a
-    bucketed shuffle on ``a`` (one vectorized ``drop_duplicates`` per
-    hash bucket, never per pair); ``jaccard`` is floored to 6 decimals
-    for stable cross-engine comparison."""
+    Returns a DATASET — candidate pairs and texts stay in the object store
+    through verification (``_verify_pairs_ds``; the text blocks live as
+    long as the returned lazy Dataset), and the verified pair list itself
+    never lands on the driver either (on a mirror-heavy crawl even the
+    TRUE pair list can exceed driver heap). Cross-band duplicate pairs
+    are dropped by a bucketed shuffle on ``a`` (one vectorized
+    ``drop_duplicates`` per hash bucket, never per pair); ``jaccard`` is
+    floored to 6 decimals for stable cross-engine comparison."""
     import ray
 
     bands = ds.map_batches(
@@ -622,9 +524,7 @@ def ngram_jaccard_pairs(ds, col: str = "text", key: str = "doc_id",
     if pairs_ds.count() == 0:
         return ray.data.from_pandas(empty)
 
-    cand_ids = _candidate_ids(pairs_ds, key)
-    texts = _collect_candidate_texts(ds, cand_ids, col, key)
-    verified = _verify_pairs_ds(pairs_ds, texts, threshold)
+    verified = _verify_pairs_ds(ds, pairs_ds, col, key, threshold)
     return _dedup_pairs_ds(verified, floor_col="jaccard")
 
 
@@ -860,18 +760,24 @@ def cluster_min_label(edges_ds, max_iters: int = 50,
     return labels
 
 
+DISTRIBUTED_PAIR_THRESHOLD = 100_000  # verified pairs past which
+# minhash_dedup clusters with cluster_min_label instead of a driver
+# union-find
+
+
 def minhash_dedup(ds, col: str = "text", key: str = "doc_id",
-                  threshold: float = 0.8, cluster_mode: str = "auto",
-                  distributed_pair_threshold: int = 100_000):
+                  threshold: float = 0.8):
     """Near-dup removal. Returns (kept Dataset, dropped id set).
 
     Candidate discovery is distributed (band groupby; pathological buckets
     degrade to O(n) star pairs); verification runs distributed over the
-    candidate pairs; clustering is driver union-find for small verified
-    sets and distributed min-label propagation (``cluster_min_label``)
-    past ``distributed_pair_threshold`` — the driver then materializes
-    only the DROPPED ids (bounded by the duplicate count), never the
-    pairs. ``cluster_mode``: "auto" | "driver" | "distributed".
+    candidate pairs, with the candidate texts read in the workers from the
+    blocks of one filter pass (``_verify_pairs_ds``), never on the driver;
+    clustering is driver union-find for small verified sets and
+    distributed min-label propagation (``cluster_min_label``) past
+    ``DISTRIBUTED_PAIR_THRESHOLD`` verified pairs — the driver then
+    materializes only the DROPPED ids (bounded by the duplicate count),
+    never the pairs.
     """
     import ray
 
@@ -885,18 +791,11 @@ def minhash_dedup(ds, col: str = "text", key: str = "doc_id",
     if pairs_ds.count() == 0:
         return ds, set()
 
-    # candidate-id set for the text fetch: per-block distinct (vectorized)
-    # then a driver set-union — avoids a full aggregate shuffle; the result
-    # is bounded by docs in collision buckets, not by pairs
-    cand_ids = _candidate_ids(pairs_ds, key)
-    texts = _collect_candidate_texts(ds, cand_ids, col, key)
-    verified_ds = _verify_pairs_ds(pairs_ds, texts, threshold).materialize()
+    verified_ds = _verify_pairs_ds(ds, pairs_ds, col, key,
+                                   threshold).materialize()
     n_verified = verified_ds.count()
 
-    use_distributed = (cluster_mode == "distributed" or
-                       (cluster_mode == "auto" and
-                        n_verified > distributed_pair_threshold))
-    if use_distributed and n_verified:
+    if n_verified > DISTRIBUTED_PAIR_THRESHOLD:
         labels = cluster_min_label(verified_ds)
         # only the DROPPED ids reach the driver (bounded by dup count)
         dropped = labels.map_batches(
@@ -1130,6 +1029,15 @@ def _empty_df(cols: dict[str, str]) -> pd.DataFrame:
     return pd.DataFrame({c: pd.Series(dtype=t) for c, t in cols.items()})
 
 
+def _vec_matrix(vec: pa.Array) -> np.ndarray:
+    """(n, dim) float64 view of the equal-width vector bytes that
+    ``embedding_near_dup_pairs`` stores per candidate."""
+    offs = np.frombuffer(vec.buffers()[1], np.int64, len(vec) + 1,
+                         vec.offset * 8)
+    data = np.frombuffer(vec.buffers()[2], np.uint8)[offs[0]:offs[-1]]
+    return data.view(np.float64).reshape(len(vec), -1)
+
+
 def embedding_near_dup_pairs(ds, vec_col: str = "embedding", key: str = "vec_id",
                              threshold: float = 0.95, planes: int = 8,
                              tables: int = 16, seed: int = 7,
@@ -1145,9 +1053,12 @@ def embedding_near_dup_pairs(ds, vec_col: str = "embedding", key: str = "vec_id"
     exact, and duplicates across tables are dropped at the end.
 
     Scale shape: the bucket shuffle moves TWO int64s per (vector, table)
-    — never the vectors themselves. Collision-bucket members' vectors are
-    fetched by a broadcast semi-join (sharded ``ray.put``, vectorized
-    shard lookups). Buckets over ``bucket_cap`` are NOT dropped: they are
+    — never the vectors themselves. Collision-bucket members' unit vectors
+    stay in the object store as the blocks of one filter pass
+    (``_CandidateBlocks``); each bucket task looks its members up there
+    with one vectorized ``take``, so no vector reaches the driver and no
+    actor or shuffle holds them. The blocks live as long as the returned
+    lazy Dataset. Buckets over ``bucket_cap`` are NOT dropped: they are
     deterministically sub-split with extra hyperplanes (a pair split here
     still has ``tables-1`` other chances), and a sub-split that cannot
     shrink (identical-vector mega-cluster) degrades to O(n) star pairs
@@ -1190,7 +1101,8 @@ def embedding_near_dup_pairs(ds, vec_col: str = "embedding", key: str = "vec_id"
             "embedding_near_dup: %d LSH buckets exceed bucket_cap=%d; "
             "sub-splitting with extra hyperplanes (star-pair fallback for "
             "unsplittable clusters)", n_over, bucket_cap)
-    # distinct collision-bucket members → broadcast semi-join vector fetch
+    # distinct collision-bucket members → one filter pass keeps their
+    # unit vectors in the object store (_CandidateBlocks)
     def members(b: pa.Table) -> pa.Table:
         u = np.unique(b.column(key).to_numpy(zero_copy_only=False))
         return pa.table({key: pa.array(u, pa.int64())})
@@ -1199,72 +1111,26 @@ def embedding_near_dup_pairs(ds, vec_col: str = "embedding", key: str = "vec_id"
         members, batch_format="pyarrow").take_all()})
     if not cand_ids:
         return ray.data.from_pandas(empty)
-    ids_ref = ray.put(pa.array(cand_ids))
 
-    def fetch(b: pa.Table) -> pa.Table:
-        keep = pc.is_in(b.column(key), value_set=ray.get(ids_ref))
-        sel = b.select([key, vec_col]).filter(keep)
-        if sel.num_rows == 0:
-            # a candidate-free batch must emit a typed empty block — a
+    def unit_vectors(emb: pa.ChunkedArray) -> pa.Array:
+        if len(emb) == 0:
+            # a candidate-free batch must emit a typed empty column — a
             # FixedSizeListArray of size 0 raises ArrowInvalid
-            return pa.table({key: pa.array([], pa.int64()),
-                             "vec": pa.array([], pa.large_binary())})
-        emb = embedding_matrix(sel.column(vec_col))
+            return pa.array([], pa.large_binary())
+        emb = embedding_matrix(emb)
         emb = emb / np.maximum(np.linalg.norm(emb, axis=1, keepdims=True),
                                1e-12)
         n, dim = emb.shape
         # int64 offsets + large_binary: int32 offsets silently wrap
         # negative once a batch's payload passes 2 GiB (40k rows of
-        # dim-8192 float64 vectors) and the shard would hold garbage
+        # dim-8192 float64 vectors) and the lookup would hold garbage
         offs = (np.arange(n + 1, dtype=np.int64) * dim * 8)
-        vec = pa.Array.from_buffers(
+        return pa.Array.from_buffers(
             pa.large_binary(), n,
             [None, pa.py_buffer(offs.tobytes()),
              pa.py_buffer(np.ascontiguousarray(emb, np.float64).tobytes())])
-        return pa.table({key: sel.column(key).cast(pa.int64()), "vec": vec})
 
-    # build the sharded vector store DISTRIBUTED: candidate (id, vec)
-    # rows shuffle by residue shard, each shard task sorts its slice and
-    # ray.puts it — the driver receives one ObjectRef per shard, never a
-    # vector (under pathological duplication the old take_all() pulled
-    # the whole corpus onto the driver)
-    n_shards = max(1, -(-len(cand_ids) // 100_000))
-
-    def tag_shard(b: pa.Table) -> pa.Table:
-        ids = b.column(key).to_numpy(zero_copy_only=False).astype(np.int64)
-        return b.append_column("shard", pa.array(ids % n_shards, pa.int64()))
-
-    # objects put inside map_groups tasks must outlive their workers and
-    # stay visible to ref counting: put with _owner=<registry actor> and
-    # register the ref there (see _shard_owner_actor)
-    owner = _shard_owner_actor()
-    # ray.put(_owner=...) needs a LIVE owner; actor creation is lazy, so
-    # block on a no-op call before the build stage can race it
-    ray.get(owner.refs.remote())
-
-    def build_shard(g: pd.DataFrame) -> pd.DataFrame:
-        sid = g[key].to_numpy().astype(np.int64)
-        # equal-width binary payloads: one C-speed join + reshape
-        mat = np.frombuffer(b"".join(g["vec"].tolist()),
-                            np.float64).reshape(len(sid), -1)
-        order = np.argsort(sid, kind="mergesort")
-        shard = int(g["shard"].iloc[0])
-        ref = ray.put((sid[order], np.ascontiguousarray(mat[order])),
-                      _owner=owner)
-        # block until registered: the driver reads the registry right
-        # after this stage drains
-        ray.get(owner.register.remote(shard, [ref]))
-        return pd.DataFrame({"shard": [shard], "rows": [len(sid)]})
-
-    shard_rows = (ds.map_batches(fetch, batch_format="pyarrow")
-                    .map_batches(tag_shard, batch_format="pyarrow")
-                    .groupby("shard")
-                    .map_groups(build_shard, batch_format="pandas")
-                    .take_all())
-    if not shard_rows:
-        return ray.data.from_pandas(empty)
-    vecs = _ShardedVectors.from_refs(
-        n_shards, ray.get(owner.refs.remote()), owner=owner)
+    vecs = _candidate_blocks(ds, cand_ids, key, vec_col, unit_vectors)
 
     def _exact_block(ids: np.ndarray, V: np.ndarray) -> pd.DataFrame:
         S = V @ V.T
@@ -1309,7 +1175,7 @@ def embedding_near_dup_pairs(ds, vec_col: str = "embedding", key: str = "vec_id"
         ids = np.unique(np.asarray(g[key].to_numpy(), np.int64))
         if len(ids) < 2:
             return empty
-        V = vecs.get_many(ids)
+        V = _vec_matrix(vecs.take(ids))
         blocks = _split_pairs(ids, V, int(g["bucket"].iloc[0]), 0)
         blocks = [b for b in blocks if len(b)]
         return pd.concat(blocks, ignore_index=True) if blocks else empty

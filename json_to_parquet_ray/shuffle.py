@@ -480,8 +480,11 @@ def heavy_hitters(ds, col: str, k: int = 20, salt_buckets: int = 8) -> pa.Table:
     return base.empty_table() if base is not None else pa.table({})
 
 
+DRIVER_MERGE_CAP = 100_000  # partial rows distinct_values merges on the
+# driver; past it they dedup in a salted groupby
+
+
 def distinct_values(ds, cols: list[str], salt_buckets: int = 8,
-                    driver_merge_cap: int = 100_000,
                     batch_cap: int | None = None) -> dict[str, pa.Array]:
     """Global distinct values of each of ``cols`` in ONE pass over ``ds``:
     {column: its non-null values, sorted}, of any Arrow type, the type
@@ -490,7 +493,7 @@ def distinct_values(ds, cols: list[str], salt_buckets: int = 8,
     Each batch ships its uniques long-form, one row per value, typed in
     that value's own column (the other columns null). A batch lacking a
     column adds nothing to it. If the partials are few (≤
-    ``driver_merge_cap`` rows — the common case for dictionary columns)
+    ``DRIVER_MERGE_CAP`` rows — the common case for dictionary columns)
     they merge on the driver with NO shuffle. Past the cap, each row
     gets a salt ``hash(value) % salt_buckets`` and a salted groupby
     dedups them, so the exchange stays bounded by per-batch uniques and
@@ -524,7 +527,7 @@ def distinct_values(ds, cols: list[str], salt_buckets: int = 8,
 
     partials = ds.map_batches(batch_unique, batch_size=None,
                               batch_format="pyarrow").materialize()
-    if partials.count() > driver_merge_cap:
+    if partials.count() > DRIVER_MERGE_CAP:
         partials = partials.map_batches(
             salted, batch_size=None, batch_format="pyarrow"
         ).groupby("salt").map_groups(batch_unique, batch_format="pyarrow")

@@ -1,6 +1,15 @@
 import pytest
 
 
+def completed_partitions(out: str) -> set[str]:
+    """Ids of the partitions of the store at ``out`` whose chunk file is
+    on disk with its recorded size."""
+    from json_to_parquet_ray.manifest import is_complete, load_manifest
+
+    return {pid for pid, r in load_manifest(out).items()
+            if is_complete(out, r)}
+
+
 @pytest.fixture(scope="session")
 def ray_session():
     import ray

@@ -10,13 +10,14 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from conftest import completed_partitions
 from json_to_parquet_ray.encode import (
     decode_table,
     encode_table,
     read_chunk_header,
 )
 from json_to_parquet_ray.fixtures import make_cc_table, stress_tables, write_cc_parquet
-from json_to_parquet_ray.manifest import completed_partitions, load_manifest
+from json_to_parquet_ray.manifest import load_manifest
 from json_to_parquet_ray.pipelines.encode_job import (
     decode_dataset,
     encode_job,
@@ -323,7 +324,7 @@ def test_manifest_torn_record_skipped(tmp_path):
     import os
 
     from json_to_parquet_ray.manifest import (
-        PartitionRecord, completed_partitions, load_manifest, write_record,
+        PartitionRecord, load_manifest, write_record,
     )
 
     from json_to_parquet_ray.manifest import record_path

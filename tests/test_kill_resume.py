@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from conftest import completed_partitions
 from json_to_parquet_ray.fixtures import write_cc_parquet
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -29,8 +30,6 @@ def test_kill9_mid_encode_then_resume(tmp_path):
     # wait until at least one partition committed, then SIGKILL the job
     deadline = time.time() + 180
     committed = 0
-    from json_to_parquet_ray.manifest import completed_partitions
-
     while time.time() < deadline:
         committed = len(completed_partitions(out))
         if committed >= 2:
@@ -131,7 +130,6 @@ def test_sigkill_encode_worker_mid_job(ray_session, tmp_path):
     record has committed: Ray retries the task, the driver's job
     finishes, the store verifies, and every chunk equals an
     uninterrupted run's byte for byte."""
-    from json_to_parquet_ray.manifest import completed_partitions
     from json_to_parquet_ray.pipelines.encode_job import (
         encode_job, verify_job,
     )

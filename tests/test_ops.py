@@ -587,24 +587,31 @@ def test_minhash_signature_batch_purity():
             assert (sig[i] == solo[d]).all()
 
 
-def test_minhash_dedup_planted_mega_cluster(ray_session):
-    """A 10^4-member duplicate cluster: star-pair fallback keeps candidate
-    volume O(n), pairs stay in the object store, and distributed min-label
-    propagation clusters without driver-side pair materialization."""
+def _mega_cluster_corpus(n_dup: int = 10_000, n_bg: int = 200):
+    """10^4 copies of one text plus distinct background docs, in 512-row
+    batches."""
     import ray
 
-    n_dup, n_bg = 10_000, 200
-    rng = __import__("numpy").random.default_rng(3)
+    rng = np.random.default_rng(3)
     bg = [" ".join(rng.choice(list("abcdefgh"), 30)) + f" unique{i}" * 3
           for i in range(n_bg)]
     dup_text = "identical duplicate document body repeated many times " * 4
     texts = [dup_text] * n_dup + bg
     tbl = pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
                     "text": pa.array(texts)})
-    ds = ray.data.from_arrow(tbl).map_batches(lambda b: b, batch_size=512,
-                                              batch_format="pyarrow")
-    kept, drop = dedup.minhash_dedup(ds, threshold=0.8,
-                                     cluster_mode="distributed")
+    return ray.data.from_arrow(tbl).map_batches(lambda b: b, batch_size=512,
+                                                batch_format="pyarrow")
+
+
+def test_minhash_dedup_planted_mega_cluster(ray_session, monkeypatch):
+    """A 10^4-member duplicate cluster: star-pair fallback keeps candidate
+    volume O(n), pairs stay in the object store, and distributed min-label
+    propagation clusters without driver-side pair materialization."""
+    n_dup = 10_000
+    # every verified pair is past the threshold: the distributed path
+    monkeypatch.setattr(dedup, "DISTRIBUTED_PAIR_THRESHOLD", 0)
+    kept, drop = dedup.minhash_dedup(_mega_cluster_corpus(n_dup),
+                                     threshold=0.8)
     kept_ids = set(kept.to_pandas()["doc_id"])
     # exactly one survivor of the clique: the min id (0)
     assert 0 in kept_ids
@@ -711,19 +718,153 @@ def test_embedding_near_dup_oversized_bucket_not_dropped(ray_session):
     assert not any(n in p for p in got)
 
 
-def test_sharded_broadcast_lookup(ray_session):
-    items = {i: f"t{i}" for i in range(2500)}
-    sb = dedup._ShardedBroadcast(items, max_per_shard=1000)
-    assert sb.n == 3
-    assert all(sb.get(i) == f"t{i}" for i in (0, 999, 1000, 2499))
-    assert sb.get(99999) is None
+def test_candidate_blocks_lookup(ray_session):
+    """The candidate lookup over materialized blocks: several blocks, one
+    of them empty and one of two chunks, for texts and vectors alike.
+    Ids drawn from different blocks come back in the asked order, a
+    missing id raises KeyError, and the lookup works the same after being
+    pickled into a Ray task."""
+    import ray
+
+    def lookup(ids: list, payloads: pa.Array, cuts: list):
+        t = pa.table({"id": pa.array(ids, pa.int64()), "payload": payloads})
+        blocks = [t.slice(a, b - a) for a, b in zip(cuts, cuts[1:])]
+        blocks[1] = pa.concat_tables([blocks[1].slice(0, 2),
+                                      blocks[1].slice(2)])
+        blocks.insert(2, t.slice(0, 0))
+        return dedup._CandidateBlocks(ray.data.from_arrow(blocks)
+                                      .materialize())
+
+    ids = [40, 3, 17, 8, 99, 21, 5, 60, 12]
+    texts = pa.array([f"t{i}" for i in ids], pa.large_string())
     rng = np.random.default_rng(0)
-    ids = np.arange(500, dtype=np.int64)
-    mat = rng.standard_normal((500, 8))
-    sv = dedup._ShardedVectors(ids[::-1].copy(), mat[::-1].copy(),
-                               max_per_shard=100)
-    want = np.array([7, 123, 499, 0])
-    np.testing.assert_allclose(sv.get_many(want), mat[want])
+    mat = rng.standard_normal((len(ids), 8))
+    vec = pa.array([row.tobytes() for row in mat], pa.large_binary())
+    want = [5, 40, 60, 3, 12]  # from the first, second and last block
+    rows = [ids.index(i) for i in want]
+
+    @ray.remote
+    def remote_take(lk, ask):
+        return lk.take(ask)
+
+    for payloads in (texts, vec):
+        lk = lookup(ids, payloads, [0, 2, 6, 9])
+        assert len(lk.refs) == 4
+        for got in (lk.take(want), ray.get(remote_take.remote(lk, want))):
+            if payloads is texts:
+                assert got.to_pylist() == [f"t{i}" for i in want]
+            else:
+                np.testing.assert_array_equal(dedup._vec_matrix(got),
+                                              mat[rows])
+        with pytest.raises(KeyError):
+            lk.take([3, 7])
+        with pytest.raises(KeyError):
+            ray.get(remote_take.remote(lk, [1000]))
+
+
+def test_ngram_jaccard_pairs_matches_brute_force(ray_session):
+    """Every pair of a small planted corpus (near-dups, exact dups, a null
+    and an empty text) at exact n-gram Jaccard >= threshold, with its
+    floored ``jaccard``, at 1 and 7 input blocks. The near-dups sit far
+    above the threshold and the rest far below, so MinHash-LSH recall is
+    ~1 and any difference is the operator's. The result is consumed after
+    a garbage collection: the candidate blocks outlive the lazy result's
+    builder."""
+    import gc
+    import itertools
+
+    import ray
+
+    rng = np.random.default_rng(21)
+    words = [f"w{i}" for i in range(60)]
+    texts = []
+    for i in range(12):
+        base = " ".join(rng.choice(words, 40))
+        texts += [base, base, base + f" tail{i}"]
+    texts += [" ".join(rng.choice(words, 40)) + f" solo{i}" for i in range(6)]
+    texts += [None, ""]
+    tbl = pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
+                    "text": pa.array(texts)})
+    want = set()
+    for (i, a), (j, b) in itertools.combinations(enumerate(texts), 2):
+        jac = dedup.ngram_jaccard(a or "", b or "")
+        if jac >= 0.5:
+            want.add((i, j, np.floor(jac * 1e6) / 1e6))
+    assert (len(texts) - 2, len(texts) - 1, 1.0) in want  # null ~ empty
+    for parts in (1, 7):
+        pairs = dedup.ngram_jaccard_pairs(
+            ray.data.from_arrow(tbl).repartition(parts), threshold=0.5)
+        gc.collect()
+        got = pairs.to_pandas()
+        assert set(zip(got["a"], got["b"], got["jaccard"])) == want, parts
+        assert len(got) == len(want)
+
+
+_PAYLOAD_COLUMNS = {"text", "embedding", "payload", "vec"}
+
+
+def _payload_columns(obj) -> set:
+    """Payload column names found in what the driver received."""
+    if isinstance(obj, (pa.Table, pa.RecordBatch)):
+        return set(obj.column_names) & _PAYLOAD_COLUMNS
+    if isinstance(obj, pd.DataFrame):
+        return set(obj.columns) & _PAYLOAD_COLUMNS
+    if isinstance(obj, dict):
+        return set(obj) & _PAYLOAD_COLUMNS
+    if isinstance(obj, (list, tuple)):
+        return set().union(*map(_payload_columns, obj)) if obj else set()
+    return set()
+
+
+def test_near_dup_payloads_stay_off_the_driver(ray_session, monkeypatch):
+    """No candidate text or vector reaches the driver: a spy over every
+    driver-side Dataset consumption and ``ray.get`` sees no payload
+    column while minhash_dedup runs on the planted 10^4-copy corpus,
+    ngram_jaccard_pairs and embedding_near_dup_pairs build their pairs."""
+    import ray
+    from ray.data import Dataset
+
+    seen: list = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            if name.startswith("iter_"):
+                return (seen.append((name, _payload_columns(x))) or x
+                        for x in out)
+            seen.append((name, _payload_columns(out)))
+            return out
+        return wrapped
+
+    monkeypatch.setattr(ray, "get", spy("ray.get", ray.get))
+    for name in ("take_all", "take", "take_batch", "to_pandas", "to_arrow",
+                 "iter_rows", "iter_batches", "to_pandas_refs"):
+        if hasattr(Dataset, name):
+            monkeypatch.setattr(Dataset, name,
+                                spy(name, getattr(Dataset, name)))
+
+    dedup.minhash_dedup(_mega_cluster_corpus(), threshold=0.8)
+    texts = pa.table({"doc_id": pa.array(range(6), pa.int64()),
+                      "text": pa.array(["a b c d e f g h i j"] * 2
+                                       + ["a b c d e f g h i k", None, "",
+                                          "zzzz"])})
+    jac = dedup.ngram_jaccard_pairs(ray.data.from_arrow(texts),
+                                    threshold=0.5).materialize()
+    rng = np.random.default_rng(1)
+    base = rng.standard_normal(16)
+    emb = np.vstack([base, base + 1e-4 * rng.standard_normal(16),
+                     rng.standard_normal(16)])
+    vecs = pa.table({
+        "vec_id": pa.array(range(3), pa.int64()),
+        "embedding": pa.array(list(emb), pa.list_(pa.float64()))})
+    cos = dedup.embedding_near_dup_pairs(ray.data.from_arrow(vecs),
+                                         threshold=0.99).materialize()
+    monkeypatch.undo()
+
+    assert {n for n, _ in seen} >= {"take_all", "ray.get"}
+    assert not [(n, c) for n, c in seen if c], \
+        [(n, c) for n, c in seen if c]
+    assert len(jac.to_pandas()) == 4 and len(cos.to_pandas()) == 1
 
 
 def test_ivf_stratified_sample_on_drifting_corpus(ray_session, tmp_path):

@@ -351,7 +351,7 @@ def test_keyed_window_bucket_granularity_and_equivalence(ray_session):
         assert (split == 1).all(), split[split > 1]
 
 
-def test_distinct_values_one_pass_over_every_type(ray_session):
+def test_distinct_values_one_pass_over_every_type(ray_session, monkeypatch):
     """One call builds the distinct set of a string column with nulls, a
     binary column and an int64 column holding 2^53, 2^53+1 and nulls.
     Each equals its sorted ``pc.unique().drop_null()``, type included,
@@ -361,6 +361,8 @@ def test_distinct_values_one_pass_over_every_type(ray_session):
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray
+
+    from json_to_parquet_ray import shuffle
 
     rng = np.random.default_rng(11)
     big = 2**53
@@ -377,12 +379,14 @@ def test_distinct_values_one_pass_over_every_type(ray_session):
     ds = ray.data.from_arrow(t).repartition(6)
     # a cap of 1 partial row forces the salted dedup
     for cap in (100_000, 1):
-        got = distinct_values(ds, ["s", "b", "i"], driver_merge_cap=cap)
+        monkeypatch.setattr(shuffle, "DRIVER_MERGE_CAP", cap)
+        got = distinct_values(ds, ["s", "b", "i"])
         for c in t.column_names:
             u = pc.unique(t.column(c)).drop_null()
             assert got[c].equals(u.take(pc.array_sort_indices(u))), (cap, c)
             assert got[c].type == t.schema.field(c).type
     assert got["i"].to_pylist()[-2:] == [big, big + 1]
+    monkeypatch.undo()
     # one batch ships batch_cap + 1 uniques of each column
     capped = distinct_values(ray.data.from_arrow(t), ["s", "b", "i"],
                              batch_cap=3)
@@ -392,7 +396,7 @@ def test_distinct_values_one_pass_over_every_type(ray_session):
 def test_distinct_values_salts_only_past_the_merge_cap(ray_session,
                                                        monkeypatch, tmp_path):
     """Salts feed only the salted groupby: a driver-merge call never
-    calls ``_salts``, a call past ``driver_merge_cap`` does, and both
+    calls ``_salts``, a call past ``DRIVER_MERGE_CAP`` does, and both
     return the same values. A batch holding none of the columns adds
     nothing."""
     import pyarrow.compute as pc
@@ -415,7 +419,8 @@ def test_distinct_values_salts_only_past_the_merge_cap(ray_session,
                               t.slice(100)])
     got = distinct_values(ds, ["s", "b"])
     assert not calls.exists()
-    salted = distinct_values(ds, ["s", "b"], driver_merge_cap=1)
+    monkeypatch.setattr(shuffle, "DRIVER_MERGE_CAP", 1)
+    salted = distinct_values(ds, ["s", "b"])
     assert calls.exists()
     for c in ("s", "b"):
         u = pc.unique(t.column(c)).drop_null()
@@ -485,12 +490,13 @@ def test_extract_host_edge_forms():
         "mixed.case.net", "not a url"]
 
 
-def test_distinct_and_heavy_hitters_exact_big_ints(ray_session):
+def test_distinct_and_heavy_hitters_exact_big_ints(ray_session, monkeypatch):
     """Round-4 review: null-bearing int64 columns must survive the
     driver merge WITHOUT a float64 round-trip — 2^53 and 2^53+1 stay
     distinct and the output type stays int64."""
     import ray
 
+    from json_to_parquet_ray import shuffle
     from json_to_parquet_ray.shuffle import distinct_values, heavy_hitters
 
     big = 2**53
@@ -500,7 +506,8 @@ def test_distinct_and_heavy_hitters_exact_big_ints(ray_session):
     assert d.type == pa.int64()
     assert d.to_pylist() == [7, big, big + 1]
     # overflow path (cap forces the salted-groupby dedup)
-    d2 = distinct_values(ds.repartition(4), ["k"], driver_merge_cap=1)["k"]
+    monkeypatch.setattr(shuffle, "DRIVER_MERGE_CAP", 1)
+    d2 = distinct_values(ds.repartition(4), ["k"])["k"]
     assert d2.equals(d)
     top = heavy_hitters(ds, "k", k=4)
     got = {r["value"]: r["count"] for r in top.to_pylist()}
