@@ -374,20 +374,20 @@ def _candidate_blocks(ds, cand_ids: list, key: str, col: str,
         ds.map_batches(fetch, batch_format="pyarrow").materialize())
 
 
-def _candidate_ids(pairs_ds, key: str) -> list:
-    """Distinct endpoint ids of a candidate-pair Dataset: per-block
-    vectorized unique → small driver set-union (bounded by docs in
-    collision buckets, never by pairs). Shared by every dedup operator
-    that fetches candidate payloads."""
+def _candidate_ids(ds, cols: list) -> list:
+    """Distinct ids held in ``cols`` of ``ds`` (a candidate-pair Dataset's
+    endpoints, or collision-bucket members): per-block vectorized unique
+    → small driver set-union (bounded by docs in collision buckets, never
+    by pairs). Shared by every dedup operator that fetches candidate
+    payloads."""
 
-    def endpoints(b: pa.Table) -> pa.Table:
+    def distinct(b: pa.Table) -> pa.Table:
         u = np.unique(np.concatenate(
-            [b.column("a").to_numpy(zero_copy_only=False),
-             b.column("b").to_numpy(zero_copy_only=False)]))
-        return pa.table({key: pa.array(u, pa.int64())})
+            [b.column(c).to_numpy(zero_copy_only=False) for c in cols]))
+        return pa.table({"id": pa.array(u, pa.int64())})
 
-    return sorted({r[key] for r in pairs_ds.map_batches(
-        endpoints, batch_format="pyarrow").take_all()})
+    return sorted({r["id"] for r in ds.map_batches(
+        distinct, batch_format="pyarrow").take_all()})
 
 
 def _collision_rows(rows_ds, col: str):
@@ -457,7 +457,7 @@ def _verify_pairs_ds(ds, pairs_ds, col: str, key: str, threshold: float):
     hash per doc, cached across batches); each pair's intersection is ONE
     ``searchsorted`` kernel — no per-pair Python set ops."""
     texts = _candidate_blocks(
-        ds, _candidate_ids(pairs_ds, key), key, col,
+        ds, _candidate_ids(pairs_ds, ["a", "b"]), key, col,
         lambda t: t.cast(pa.large_string()).fill_null(""))
 
     _cache: dict = {}
@@ -1103,12 +1103,7 @@ def embedding_near_dup_pairs(ds, vec_col: str = "embedding", key: str = "vec_id"
             "unsplittable clusters)", n_over, bucket_cap)
     # distinct collision-bucket members → one filter pass keeps their
     # unit vectors in the object store (_CandidateBlocks)
-    def members(b: pa.Table) -> pa.Table:
-        u = np.unique(b.column(key).to_numpy(zero_copy_only=False))
-        return pa.table({key: pa.array(u, pa.int64())})
-
-    cand_ids = sorted({r[key] for r in hot_rows.map_batches(
-        members, batch_format="pyarrow").take_all()})
+    cand_ids = _candidate_ids(hot_rows, [key])
     if not cand_ids:
         return ray.data.from_pandas(empty)
 

@@ -768,8 +768,8 @@ def test_ngram_jaccard_pairs_matches_brute_force(ray_session):
     floored ``jaccard``, at 1 and 7 input blocks. The near-dups sit far
     above the threshold and the rest far below, so MinHash-LSH recall is
     ~1 and any difference is the operator's. The result is consumed after
-    a garbage collection: the candidate blocks outlive the lazy result's
-    builder."""
+    a garbage collection: the candidate blocks outlive the call that
+    returned the lazy result."""
     import gc
     import itertools
 
@@ -837,11 +837,9 @@ def test_near_dup_payloads_stay_off_the_driver(ray_session, monkeypatch):
         return wrapped
 
     monkeypatch.setattr(ray, "get", spy("ray.get", ray.get))
-    for name in ("take_all", "take", "take_batch", "to_pandas", "to_arrow",
-                 "iter_rows", "iter_batches", "to_pandas_refs"):
-        if hasattr(Dataset, name):
-            monkeypatch.setattr(Dataset, name,
-                                spy(name, getattr(Dataset, name)))
+    for name in ("take_all", "take", "take_batch", "to_pandas", "iter_rows",
+                 "iter_batches"):
+        monkeypatch.setattr(Dataset, name, spy(name, getattr(Dataset, name)))
 
     dedup.minhash_dedup(_mega_cluster_corpus(), threshold=0.8)
     texts = pa.table({"doc_id": pa.array(range(6), pa.int64()),
