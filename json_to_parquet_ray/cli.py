@@ -186,9 +186,9 @@ def main(argv: list[str] | None = None) -> int:
 
     gcp = sub.add_parser(
         "gc", help="reclaim orphaned store bytes: chunks no manifest "
-                   "record claims (compaction crash windows, keyed "
-                   "re-encodes), torn write temps, stale staging "
-                   "manifests. Run offline — no concurrent writer.")
+                   "record claims (compaction crash windows), keyed "
+                   "generations the _keyed.json pointer does not name, "
+                   "torn write temps. Run offline — no concurrent writer.")
     gcp.add_argument("out_dir")
     gcp.add_argument("--dry-run", action="store_true",
                      help="report what would be reclaimed, delete nothing")

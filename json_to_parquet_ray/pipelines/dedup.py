@@ -46,17 +46,33 @@ def add_content_hash(batch: pa.Table, col: str = "text",
     return t.rename_columns([out if n == "fp_fnv" else n for n in t.column_names])
 
 
+def _exact_partials(ds, col: str, key: str):
+    """The rows ``exact_dedup`` shuffles: each batch's min-``key`` row per
+    exact ``col`` value (a combiner, as ``paragraph_dedup`` counts per
+    batch), with its content hash. A text repeated in every batch sends
+    one row per batch into the shuffle, not one per copy."""
+    def first_rows(b: pa.Table) -> pa.Table:
+        b = b.take(pc.sort_indices(b, [(key, "ascending")]))
+        first = (pa.table({"v": b.column(col),
+                           "i": pa.array(np.arange(b.num_rows))})
+                 .group_by("v").aggregate([("i", "min")]))
+        return add_content_hash(
+            b.take(np.sort(first.column("i_min").to_numpy())), col)
+
+    return ds.map_batches(first_rows, batch_format="pyarrow")
+
+
 def exact_dedup(ds, col: str = "text", key: str = "doc_id"):
     """Keep the min-``key`` row per distinct ``col`` value. Returns Dataset.
 
-    Hash-partitioned shuffle on the vectorized content hash; the per-group
-    step dedups on the exact ``col`` value (collision-safe)."""
-    hashed = ds.map_batches(lambda b: add_content_hash(b, col), batch_format="pyarrow")
-
+    Hash-partitioned shuffle on the vectorized content hash of each
+    batch's distinct values (``_exact_partials``); the per-group step
+    dedups on the exact ``col`` value (collision-safe)."""
     def keep_first(g: pd.DataFrame) -> pd.DataFrame:
         return g.sort_values(key).drop_duplicates(subset=col, keep="first")
 
-    kept = hashed.groupby("content_hash").map_groups(keep_first, batch_format="pandas")
+    kept = _exact_partials(ds, col, key).groupby("content_hash").map_groups(
+        keep_first, batch_format="pandas")
     return kept.drop_columns(["content_hash"])
 
 

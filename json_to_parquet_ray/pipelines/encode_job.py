@@ -62,6 +62,9 @@ SHARED_DICT_MAX_CARD = 1024
 # the sample is a fixed number of fragments regardless of input scale.
 PLAN_SAMPLE_FRAGS = 16
 PLAN_SAMPLE_ROWS = 4096
+# Fragment path prefix of a keyed store's partitions (``keyed_store``):
+# their rows come from a shuffle, not from an input file verify can read.
+PKEY_PATH = "_pkey/"
 
 
 def _store_optimize_path(out_dir: str) -> str:
@@ -169,8 +172,7 @@ def build_shared_plan(picks: list[FragmentRef],
     # each sample task reads its fragment's whole row group; bounded:
     # one small JSON plan per sampled fragment
     plans = [p for run in _map_runs(sample_plan, items,
-                                    sum(frag_bytes[f.frag_hash]
-                                        for f in picks))
+                                    [frag_bytes[f.frag_hash] for f in picks])
              for p in run]
     # sorted: the kept ColumnPlans (est_ratio) must not depend on task order
     first, *rest = [CodecPlan.loads(p) for p in sorted(plans)]
@@ -325,22 +327,39 @@ def _run_fn(fn, run: list[dict]):
     return fn(pa.Table.from_pylist(run))
 
 
-def _map_runs(fn, items: list[dict], work_bytes: int) -> list:
-    """``fn`` once per contiguous run of ``items`` (the runs
-    ``from_items`` makes of ``_dispatch_blocks`` blocks), each in one
-    plain Ray task with no Dataset; returns ``fn``'s outputs in item
-    order. For driver jobs whose tasks return a few small rows. The
-    first failed task's error raises here once the other tasks are
-    cancelled or done, so none outlives the call. A broadcast ref must
-    travel inside ``fn`` (a closure): Ray resolves a top-level
-    ``ObjectRef`` argument, and each task would get its own copy."""
+def _run_bounds(item_bytes: list[int]) -> list[int]:
+    """Bounds of the ``_dispatch_blocks`` contiguous, non-empty runs of
+    items whose work is ``item_bytes``, each floored at ``ITEM_BYTES``:
+    run ``j`` of ``k`` ends at the first item where the work's prefix sum
+    reaches ``j / k`` of the total. No item, no run."""
+    n = len(item_bytes)
+    k = min(n, _dispatch_blocks(n, sum(item_bytes)))
+    prefix = np.cumsum(np.maximum(np.asarray(item_bytes, np.int64),
+                                  ITEM_BYTES))
+    bounds = [0]
+    for j in range(1, k):
+        c = int(np.searchsorted(prefix, prefix[-1] * j / k)) + 1
+        # at least one item per run, and one left for each later run
+        bounds.append(min(max(c, bounds[-1] + 1), n - (k - j)))
+    return bounds + [n] if n else bounds
+
+
+def _map_runs(fn, items: list[dict], item_bytes: list[int]) -> list:
+    """``fn`` once per contiguous run of ``items``, each in one plain Ray
+    task with no Dataset; returns ``fn``'s outputs in item order. There
+    are ``_dispatch_blocks`` runs (``_run_bounds``), cut at the prefix
+    sums of ``item_bytes``, the items' work, so a run of heavy items is
+    not as long as a run of light ones. For driver jobs whose tasks
+    return a few small rows. The first failed task's error raises here
+    once the other tasks are cancelled or done, so none outlives the
+    call. A broadcast ref must travel inside ``fn`` (a closure): Ray
+    resolves a top-level ``ObjectRef`` argument, and each task would get
+    its own copy."""
     import ray
     from ray.data._internal.remote_fn import cached_remote_fn
 
     task = cached_remote_fn(_run_fn, scheduling_strategy="SPREAD")
-    k = _dispatch_blocks(len(items), work_bytes)
-    q, r = divmod(len(items), k)
-    bounds = [i * q + min(i, r) for i in range(k + 1)]
+    bounds = _run_bounds(item_bytes)
     refs = [task.remote(fn, items[a:b]) for a, b in zip(bounds, bounds[1:])]
     try:
         return ray.get(refs)
@@ -887,7 +906,7 @@ def encode_job(
     if work:
         input_bytes, chunk_bytes, encoded_n = map(sum, zip(*_map_runs(
             encode_run, work,
-            sum(frag_bytes[w["partition_id"]] for w in work))))
+            [frag_bytes[w["partition_id"]] for w in work])))
     plan_note = {
         "partitions_total": total,
         "partitions_skipped_resume": len(done),
@@ -972,7 +991,7 @@ def bloom_reject_count(out_dir: str, recs: list, eq: dict) -> int:
         return sum(chunk_bloom_rejects(p, eq)
                    for p in b.column("path").to_pylist())
 
-    return sum(_map_runs(probe, items, sum(r.chunk_size for r in recs)))
+    return sum(_map_runs(probe, items, [r.chunk_size for r in recs]))
 
 
 def require_store(out_dir: str) -> None:
@@ -1660,7 +1679,7 @@ def compact_job(out_dir: str, min_rows: int = 100_000,
         return out
 
     results = [row for run in _map_runs(
-        merge, items, sum(r.chunk_size for g in groups for r in g))
+        merge, items, [sum(r.chunk_size for r in g) for g in groups])
         for row in run]
 
     # all merged chunks durable → retire the old records (JSON delta or
@@ -1685,39 +1704,16 @@ def store_stats(out_dir: str) -> dict:
     per-column codec distribution and encoded bytes, plus chunk/row
     totals and recorded encode wall time — the 'metrics' half of the
     north rule's per-partition lineage + metrics. Works on JSON-delta
-    and consolidated-index manifests alike. A keyed store (a
-    ``_keyed_manifest``) reports per-key chunk/row totals (keyed records
-    carry no per-column codec metadata); a dir holding BOTH manifests —
-    valid, gc handles it — reports the keyed side under ``keyed``."""
+    and consolidated-index manifests alike; for a keyed store, pass its
+    live generation (``keyed_store.live_generation``)."""
     from ..manifest import manifest_dir
-    from .keyed_store import _manifest_dir as _keyed_mdir
-    from .keyed_store import keyed_manifest
 
-    has_main = os.path.isdir(manifest_dir(out_dir))
-    has_keyed = os.path.isdir(_keyed_mdir(out_dir))
-    if not (has_main or has_keyed):
+    if not os.path.isdir(manifest_dir(out_dir)):
         # same guard as gc/consolidate: a typo'd path must not read as a
         # healthy empty store
         raise ValueError(
             f"store-stats: {out_dir!r} has no _manifest — not an "
             f"encoded store")
-    keyed_out = None
-    if has_keyed:
-        krecs = keyed_manifest(out_dir)
-        keys: dict[str, dict] = {}
-        for r in krecs:
-            st = keys.setdefault(r["key"], {"chunks": 0, "rows": 0,
-                                            "chunk_bytes": 0})
-            st["chunks"] += 1
-            st["rows"] += int(r["num_rows"])
-            st["chunk_bytes"] += int(r["chunk_size"])
-        keyed_out = {"chunks": len(krecs),
-                     "rows": sum(int(r["num_rows"]) for r in krecs),
-                     "chunk_bytes": sum(int(r["chunk_size"])
-                                        for r in krecs),
-                     "keys": dict(sorted(keys.items()))}
-        if not has_main:
-            return keyed_out
     recs = effective_records(out_dir)
     cols: dict[str, dict] = {}
     for rec in recs:
@@ -1731,115 +1727,88 @@ def store_stats(out_dir: str) -> dict:
         st["pct_of_store"] = round(100 * st["encoded_bytes"]
                                    / max(total_bytes, 1), 2)
         st["codecs"] = dict(sorted(st["codecs"].items()))
-    out = {"chunks": len(recs),
-           "rows": sum(r.num_rows for r in recs),
-           "chunk_bytes": total_bytes,
-           "encode_wall_s": round(sum(r.wall_time_s for r in recs), 3),
-           "columns": dict(sorted(cols.items()))}
-    if keyed_out is not None:
-        out["keyed"] = keyed_out
-    return out
+    return {"chunks": len(recs),
+            "rows": sum(r.num_rows for r in recs),
+            "chunk_bytes": total_bytes,
+            "encode_wall_s": round(sum(r.wall_time_s for r in recs), 3),
+            "columns": dict(sorted(cols.items()))}
 
 
 def gc_job(out_dir: str, dry_run: bool = False) -> dict:
-    """Reclaim orphaned bytes from an encoded store (main or keyed).
+    """Reclaim orphaned bytes from an encoded store or a keyed store.
 
-    Orphans arise from three crash/rewrite windows, none of which affect
-    READ correctness (``effective_records`` / the keyed manifest already
-    refuse to decode the losers) but all of which strand chunk bytes:
+    Orphans arise from crash/rewrite windows, none of which affect READ
+    correctness (``effective_records`` and the keyed pointer already
+    keep the losers out of reads) but all of which strand bytes:
 
     * ``compact_job`` killed between committing merged records and
       retiring the old ones — the superseded plain records lose manifest
       reconciliation but their records + chunks stay on disk;
-    * ``keyed_encode`` re-encodes — each encode writes its chunks under
-      a fresh ``gen-N`` dir and the manifest swap points reads at the
-      new generation only (keyed_store.py), so the previous
-      generation's chunks become unreferenced; a keyed_encode killed
-      mid-run also leaves an uncommitted ``_keyed_manifest.new``
-      staging dir (its partial gen dir is unreferenced too);
+    * ``keyed_encode`` — each encode writes a fresh ``gen-N`` store and
+      commits it by rewriting the ``_keyed.json`` pointer, so the
+      previous generation, and a partial one from an encode killed
+      before its commit, are named by no pointer;
     * torn ``write_atomic`` temps (``*.tmp.<pid>``) from a killed task.
 
-    Deletes, in order: manifest records that lost reconciliation, then
-    every ``*.rde`` under ``out_dir`` no surviving record claims, every
-    atomic-write temp, stale keyed staging manifests, and now-empty
-    shard dirs. OFFLINE operation: run with no concurrent writer —
-    encode commits chunk bytes BEFORE the manifest record, so gc racing
-    a live job would reclaim a chunk about to be committed.
+    On a keyed store, deletes every ``gen-*`` directory the pointer does
+    not name (its chunks and bytes count in ``chunks_deleted`` and
+    ``bytes_reclaimed``), then sweeps the live generation as below.
+    On an encoded store, deletes in order: manifest records that lost
+    reconciliation, then every ``*.rde`` under ``out_dir`` no surviving
+    record claims, every atomic-write temp, and now-empty shard dirs.
+    OFFLINE operation: run with no concurrent writer — encode commits
+    chunk bytes BEFORE the manifest record, so gc racing a live job
+    would reclaim a chunk about to be committed.
 
-    ``dry_run`` reports the same counts/bytes without deleting anything
-    (records, chunks, temps, and staging dirs all stay in place).
+    ``dry_run`` reports the same counts/bytes without deleting anything.
     """
     from ..manifest import manifest_dir, retire_records
-    from .keyed_store import _manifest_dir as _keyed_mdir
-    from .keyed_store import keyed_manifest
+    from .keyed_store import _pointer, live_generation
 
-    has_main = os.path.isdir(manifest_dir(out_dir))
-    has_keyed = os.path.isdir(_keyed_mdir(out_dir))
-    if not has_keyed and os.path.isdir(_keyed_mdir(out_dir) + ".old"):
-        # keyed_encode killed between its two commit renames: .old (the
-        # previous complete generation) exists and the committed dir is
-        # gone, so NO keyed chunk would enter the live set and the sweep
-        # would delete a real generation. Refuse — recovery is one
-        # rename: .new if present (complete by construction — the swap
-        # only starts after the encode finishes, and only the swap
-        # removes the committed dir), else .old. A lone PARTIAL .new
-        # without .old (job killed mid-encode, nothing committed) is NOT
-        # this case: it is uncommitted staging, swept below.
+    if os.path.exists(_pointer(out_dir)):
+        import shutil
+
+        live_gen = live_generation(out_dir)
+        res = gc_job(live_gen, dry_run)
+        for name in sorted(os.listdir(out_dir)):
+            p = os.path.join(out_dir, name)
+            if ".tmp." in name:  # a torn pointer write
+                res["tmps_deleted"] += 1
+                res["bytes_reclaimed"] += os.path.getsize(p)
+                if not dry_run:
+                    os.remove(p)
+            elif name.startswith("gen-") and p != live_gen:
+                for root, _, files in os.walk(p):
+                    for f in files:
+                        res["chunks_deleted"] += f.endswith(".rde")
+                        res["bytes_reclaimed"] += os.path.getsize(
+                            os.path.join(root, f))
+                if not dry_run:
+                    shutil.rmtree(p)
+        return res
+    if not os.path.isdir(manifest_dir(out_dir)):
         raise ValueError(
-            f"gc: {out_dir!r} has a torn keyed-manifest swap "
-            f"(_keyed_manifest missing but .old present) — rename "
-            f"_keyed_manifest.new (or .old) to _keyed_manifest first")
-    if not (has_main or has_keyed):
-        raise ValueError(
-            f"gc: {out_dir!r} has neither _manifest nor _keyed_manifest — "
+            f"gc: {out_dir!r} has neither _manifest nor _keyed.json — "
             f"refusing to sweep a directory that is not an encoded store")
 
+    # ONE manifest scan feeds both reconciliation and the stale set
+    m = load_manifest(out_dir)
+    eff = {r.partition_id for r in effective_records(out_dir, manifest=m)}
     live: set[str] = set()
-    records_retired = 0
-    if has_main:
-        # ONE manifest scan feeds both reconciliation and the stale set
-        m = load_manifest(out_dir)
-        eff = {r.partition_id for r in effective_records(out_dir,
-                                                         manifest=m)}
-        stale: set[str] = set()
-        for pid, rec in m.items():
-            if pid in eff:
-                live.add(os.path.normpath(rec.chunk_file))
-            else:
-                # lost reconciliation (stale generation / torn merge):
-                # retire the record; its chunk falls to the sweep below
-                stale.add(pid)
-        records_retired = (len(stale) if dry_run
-                           else retire_records(out_dir, stale)) if stale \
-            else 0
-    staging_removed = 0
-    if has_keyed:
-        live |= {os.path.normpath(r["chunk_file"])
-                 for r in keyed_manifest(out_dir)}
-    # stale staging manifests are removed whether or not a committed
-    # keyed manifest exists (a mixed main+keyed dir can hold a lone
-    # partial .new from a first keyed_encode killed mid-run); the
-    # torn-swap guard above already excluded the dangerous .old case
-    staging_roots: list[str] = []
-    for suffix in (".new", ".old"):
-        stale = _keyed_mdir(out_dir) + suffix
-        if os.path.isdir(stale):
-            if not dry_run:
-                import shutil
-
-                shutil.rmtree(stale, ignore_errors=True)
-            staging_removed += 1
-            staging_roots.append(stale)
+    stale: set[str] = set()
+    for pid, rec in m.items():
+        if pid in eff:
+            live.add(os.path.normpath(rec.chunk_file))
+        else:
+            # lost reconciliation (stale generation / torn merge): retire
+            # the record; its chunk falls to the sweep below
+            stale.add(pid)
+    records_retired = (len(stale) if dry_run
+                       else retire_records(out_dir, stale)) if stale else 0
 
     chunks_deleted = tmps_deleted = 0
     bytes_reclaimed = 0
     for root, dirs, files in os.walk(out_dir, topdown=False):
-        # staging dirs are accounted under staging_dirs_removed; in a
-        # dry run they still exist — skip their contents so the report
-        # matches what the real run (rmtree before the walk) reports
-        if any(root == s or root.startswith(s + os.sep)
-               for s in staging_roots):
-            continue
         for name in files:
             p = os.path.join(root, name)
             rel = os.path.normpath(os.path.relpath(p, out_dir))
@@ -1860,10 +1829,8 @@ def gc_job(out_dir: str, dry_run: bool = False) -> dict:
                     chunks_deleted += 1
                 else:
                     tmps_deleted += 1
-        # drop shard/generation dirs the sweep emptied (topdown=False:
-        # children first, so an emptied gen-N goes after its shards)
-        if not dry_run and os.path.basename(root).startswith(
-                ("shard-", "gen-")):
+        # drop shard dirs the sweep emptied
+        if not dry_run and os.path.basename(root).startswith("shard-"):
             try:
                 os.rmdir(root)
             except OSError:
@@ -1872,7 +1839,6 @@ def gc_job(out_dir: str, dry_run: bool = False) -> dict:
             "bytes_reclaimed": bytes_reclaimed,
             "records_retired": records_retired,
             "tmps_deleted": tmps_deleted,
-            "staging_dirs_removed": staging_removed,
             "chunks_live": len(live),
             "dry_run": dry_run}
 
@@ -1880,6 +1846,8 @@ def gc_job(out_dir: str, dry_run: bool = False) -> dict:
 def verify_job(out_dir: str) -> dict:
     """Distributed bit-identical verification: decode every chunk and compare
     against its recorded input fragment. Returns {partitions, ok, failed:[...]}.
+    A keyed generation's chunk has no input fragment (``PKEY_PATH``): it
+    is checked by its CRCs and its recorded row count.
 
     Work items come from the record scan, as for decode_dataset
     (``_record_scan``). Only FAILURES ever reach the driver — totals
@@ -1909,14 +1877,17 @@ def verify_job(out_dir: str) -> dict:
                         if zlib.crc32(fb) != c["bloom_crc32"]:
                             raise IOError(
                                 f"bloom CRC mismatch for column {c['name']}")
-                parts = []
-                for src in json.loads(item["sources"]):
-                    parts.append(read_fragment(
+                sources = json.loads(item["sources"])
+                if sources[0]["path"].startswith(PKEY_PATH):
+                    # a keyed partition: no input file to compare with,
+                    # so the CRCs above and the row count are the check
+                    ok = decoded.num_rows == item["num_rows"]
+                else:
+                    original = pa.concat_tables([read_fragment(
                         src["path"], src["row_group"], src["num_rows"],
-                        src.get("row_start", 0)))
-                original = pa.concat_tables(parts)
-                ok = decoded.equals(original.cast(decoded.schema)
-                                    .combine_chunks())
+                        src.get("row_start", 0)) for src in sources])
+                    ok = decoded.equals(original.cast(decoded.schema)
+                                        .combine_chunks())
                 err = None if ok else "decoded rows differ from source"
             except (ValueError, IOError, OSError, pa.ArrowInvalid) as e:
                 ok, err = False, f"{type(e).__name__}: {e}"

@@ -11,10 +11,13 @@ This is the north rule's skew handling applied at the storage layer
    rows spread over several reducers/chunks instead of one giant group,
 3. ``groupby(_pkey)`` co-locates each partition; the group encodes as
    one chunk (rows sorted by ``salt_col`` for byte-deterministic
-   retries) with its own manifest record carrying the key value.
+   retries) committed by ``EncodePartition.commit`` with a record whose
+   fragment carries the key value.
 
-Reads prune at the manifest: ``keyed_read(out_dir, keys=[...])`` opens
-ONLY the requested keys' chunks.
+Each encode writes a standard encoded store, ``out_dir/gen-N``, and
+commits it by writing the pointer ``out_dir/_keyed.json`` last. Reads
+prune at the manifest: ``keyed_read(out_dir, keys=[...])`` opens ONLY
+the requested keys' chunks of the generation the pointer names.
 """
 
 from __future__ import annotations
@@ -22,19 +25,38 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import time
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..encode import decode_table, encode_table
-from ..manifest import write_atomic
+from ..encode import read_chunk_file
+from ..manifest import (
+    consolidate,
+    effective_records,
+    manifest_dir,
+    write_atomic,
+)
+from .encode_job import PKEY_PATH, EncodePartition
 
 _SALT_MUL = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _manifest_dir(out_dir: str) -> str:
-    return os.path.join(out_dir, "_keyed_manifest")
+def _pointer(out_dir: str) -> str:
+    return os.path.join(out_dir, "_keyed.json")
+
+
+def live_generation(out_dir: str) -> str:
+    """The committed generation's store directory, as the pointer names
+    it. A directory without a pointer is not a keyed store."""
+    try:
+        with open(_pointer(out_dir)) as f:
+            gen = json.load(f)["generation"]
+    except FileNotFoundError:
+        raise ValueError(f"{out_dir!r} is not a keyed store (no "
+                         f"_keyed.json)") from None
+    return os.path.join(out_dir, gen)
 
 
 def keyed_encode(ds, out_dir: str, key_col: str, salt_col: str,
@@ -49,7 +71,6 @@ def keyed_encode(ds, out_dir: str, key_col: str, salt_col: str,
     from ..shuffle import salted_group_count
 
     import pyarrow.compute as pc
-    import shutil
 
     if "_pkey" in ds.schema().names:
         # append_column would create a DUPLICATE _pkey; the groupby then
@@ -57,29 +78,24 @@ def keyed_encode(ds, out_dir: str, key_col: str, salt_col: str,
         # silently losing the user's column from every chunk
         raise ValueError("input dataset already has a '_pkey' column — "
                          "rename it before keyed_encode")
+    if os.path.isdir(manifest_dir(out_dir)):
+        raise ValueError(f"{out_dir!r} holds an encoded store (_manifest) "
+                         f"— keyed_encode needs a directory of its own")
 
-    # a RE-encode into an existing dir must not leave the previous
-    # generation's records readable: partition ids derive from pkeys, so
-    # changed data/hot-keys produce a different id set and keyed_read
-    # would otherwise return both generations (orphaned chunk bytes are
-    # harmless — reads go through the manifest). The new generation is
-    # written to a STAGING manifest dir and swapped in only after the
-    # encode completes — a job killed mid-encode leaves the previous
-    # generation fully readable instead of a silent partial store.
-    new_mdir = _manifest_dir(out_dir) + ".new"
-    shutil.rmtree(new_mdir, ignore_errors=True)
-    os.makedirs(new_mdir, exist_ok=True)
-
-    # every generation gets its own gen-N chunk dir: partition ids derive
-    # from pkeys alone, so a re-encode with the SAME key set would
-    # otherwise overwrite live chunks in place BEFORE the manifest swap —
-    # a mid-encode crash would leave the committed old manifest pointing
-    # at new-generation bytes. Old-gen chunks become unreferenced after
-    # the swap; `gc_job` reclaims them.
+    # every encode writes a fresh gen-N store and the pointer names it
+    # only once the store is complete: partition ids derive from pkeys
+    # alone, so writing into the live generation would overwrite its
+    # chunks and mix two generations' records; a job killed mid-encode
+    # leaves the previous generation live and readable. `gc_job` reclaims
+    # the generations the pointer does not name.
     gens = [int(d[4:]) for d in os.listdir(out_dir)
             if d.startswith("gen-") and d[4:].isdigit()] \
         if os.path.isdir(out_dir) else []
-    gen_dir = f"gen-{max(gens, default=-1) + 1}"
+    gen = f"gen-{max(gens, default=-1) + 1}"
+    gen_dir = os.path.join(out_dir, gen)
+    # an empty input commits an empty store, not a missing one
+    os.makedirs(manifest_dir(gen_dir))
+    commit = EncodePartition(gen_dir).commit
 
     counts = salted_group_count(ds, key_col)
     # filter to HOT keys distributed: the driver sees at most
@@ -149,37 +165,23 @@ def keyed_encode(ds, out_dir: str, key_col: str, salt_col: str,
         key = str(g.column(key_col)[0].as_py())
         body = (g.drop_columns(["_pkey"])
                 .sort_by([(salt_col, "ascending")]).combine_chunks())
-        blob, header = encode_table(body)
         pid = hashlib.sha1(pkey.encode()).hexdigest()[:16]
-        chunk_file = os.path.join(gen_dir, f"shard-{pid[:3]}",
-                                  f"part-{pid}.rde")
-        write_atomic(os.path.join(out_dir, chunk_file), blob)
-        rec = {"partition_id": pid, "key": key, "pkey": pkey,
-               "num_rows": body.num_rows, "chunk_file": chunk_file,
-               "chunk_size": len(blob)}
-        write_atomic(os.path.join(new_mdir, f"{pid}.json"),
-                     json.dumps(rec, sort_keys=True).encode())
-        return pa.table({"pkey": pa.array([pkey]),
-                         "num_rows": pa.array([body.num_rows], pa.int64()),
-                         "chunk_bytes": pa.array([len(blob)], pa.int64())})
+        # the fragment names no input file: each pkey claims a key of its
+        # own, and records sort in pkey order
+        rec = commit(pid, {"path": PKEY_PATH + pkey, "row_group": 0,
+                           "row_start": 0, "num_rows": body.num_rows,
+                           "key": key}, body, time.time())
+        return pa.table({"num_rows": pa.array([body.num_rows], pa.int64()),
+                         "chunk_bytes": pa.array([rec.chunk_size],
+                                                 pa.int64())})
 
     summary = keyed.groupby("_pkey").map_groups(
         encode_group, batch_format="pyarrow").to_pandas()
-    # consolidate the generation BEFORE the swap: encode tasks committed
-    # one JSON per partition (atomic, distributed); folding them into one
-    # parquet index here is free of races (this writer owns new_mdir) and
-    # keeps keyed_read to ONE metadata open at 10^6+ keys
-    _consolidate_dir(new_mdir)
-    # commit: swap the completed generation in (two renames — the only
-    # window without a readable manifest is between them; a crash
-    # anywhere earlier leaves the OLD generation fully intact)
-    mdir = _manifest_dir(out_dir)
-    trash = mdir + ".old"
-    shutil.rmtree(trash, ignore_errors=True)
-    if os.path.isdir(mdir):
-        os.rename(mdir, trash)
-    os.rename(new_mdir, mdir)
-    shutil.rmtree(trash, ignore_errors=True)
+    # no two records claim one key, so the index comes out sealed: reads
+    # of the generation open one parquet file at 10^6+ keys
+    consolidate(gen_dir)
+    # the commit: one small object names the complete generation
+    write_atomic(_pointer(out_dir), json.dumps({"generation": gen}).encode())
     empty = len(summary) == 0  # empty input: zero partitions, no crash
     return {"partitions": len(summary),
             "hot_keys": hot,
@@ -187,103 +189,39 @@ def keyed_encode(ds, out_dir: str, key_col: str, salt_col: str,
             "chunk_bytes": 0 if empty else int(summary["chunk_bytes"].sum())}
 
 
-def _consolidate_dir(mdir: str) -> None:
-    """Fold a generation's per-partition JSON records into ONE parquet
-    index inside ``mdir`` (same format + fsync'd commit as the main
-    manifest's, via ``manifest.write_index_file``), then drop the
-    JSONs. Caller must be the generation's sole writer."""
-    from ..manifest import write_index_file
-
-    recs: list[tuple[str, str]] = []
-    for name in sorted(os.listdir(mdir)):
-        if not name.endswith(".json"):
-            continue
-        try:
-            with open(os.path.join(mdir, name)) as f:
-                raw = f.read()
-            json.loads(raw)  # only well-formed records index
-        except (OSError, json.JSONDecodeError):
-            continue
-        recs.append((name, raw))
-    if not recs:
-        return
-    write_index_file(os.path.join(mdir, "index.parquet"),
-                     [r for _, r in recs])
-    for name, _ in recs:
-        try:
-            os.remove(os.path.join(mdir, name))
-        except OSError:
-            pass
-
-
-def keyed_manifest(out_dir: str) -> list[dict]:
-    """All records of the committed generation: the consolidated index
-    (written by keyed_encode before its swap) plus any per-partition
-    JSONs (e.g. a pre-index-era store)."""
-    mdir = _manifest_dir(out_dir)
-    if not os.path.isdir(mdir):
-        return []
-    # dedup by partition id, JSONs overlaying the index: if
-    # _consolidate_dir's cleanup failed to remove a JSON (EACCES, NFS
-    # hiccup) the record exists in BOTH — returning it twice would make
-    # keyed_read silently decode that chunk twice
-    by_pid: dict[str, dict] = {}
-    idx = os.path.join(mdir, "index.parquet")
-    if os.path.exists(idx):
-        from ..manifest import read_index_rows
-
-        for r in read_index_rows(idx):
-            rec = json.loads(r)
-            by_pid[rec["partition_id"]] = rec
-    for name in sorted(os.listdir(mdir)):
-        if not name.endswith(".json"):
-            continue
-        try:
-            with open(os.path.join(mdir, name)) as f:
-                rec = json.load(f)
-        except json.JSONDecodeError:
-            continue  # torn record → that partition is simply absent
-        by_pid[rec["partition_id"]] = rec
-    return list(by_pid.values())
-
-
 def keyed_read(out_dir: str, keys: list | None = None):
-    """Ray Dataset over the store; with ``keys`` given, only those keys'
-    chunks are OPENED (manifest-level pruning). Returns (dataset, io)."""
+    """Ray Dataset over the live generation; with ``keys`` given, only
+    those keys' chunks are OPENED (manifest-level pruning). Returns
+    (dataset, io)."""
     import ray
 
-    all_manifest = keyed_manifest(out_dir)
-    recs = all_manifest
-    total = len(recs)
+    gen_dir = live_generation(out_dir)
+    all_recs = effective_records(gen_dir)  # in pkey order
+    recs = all_recs
     if keys is not None:
         want = {str(k) for k in keys}
-        recs = [r for r in recs if r["key"] in want]
-    items = [{"path": os.path.join(out_dir, r["chunk_file"])}
-             for r in sorted(recs, key=lambda r: r["pkey"])]
+        recs = [r for r in recs if r.fragment["key"] in want]
+    items = [{"path": os.path.join(gen_dir, r.chunk_file)} for r in recs]
+    io = {"chunks_read": len(items), "chunks_total": len(all_recs)}
 
     def decode_item(batch: pa.Table) -> pa.Table:
-        tables = []
-        for path in batch.column("path").to_pylist():
-            with open(path, "rb") as f:
-                tables.append(decode_table(f.read(), verify_crc=True))
-        return pa.concat_tables(tables)
+        return pa.concat_tables(
+            [read_chunk_file(p, verify_crc=True)
+             for p in batch.column("path").to_pylist()])
 
     if not items:
-        all_recs = all_manifest  # already loaded — no second index read
         if all_recs:
             # no key matched, but the store has a schema: return a TYPED
             # empty dataset (from any chunk's header — a few bytes) so
             # callers can still select/union the store's columns
             from ..encode import _read_header, schema_from_b64
 
-            p = os.path.join(out_dir, all_recs[0]["chunk_file"])
-            with open(p, "rb") as f:
+            with open(os.path.join(gen_dir, all_recs[0].chunk_file),
+                      "rb") as f:
                 hdr, _ = _read_header(f)
             sch = schema_from_b64(hdr["schema"])
-            return ray.data.from_arrow(sch.empty_table()), {
-                "chunks_read": 0, "chunks_total": total}
-        return ray.data.from_pandas(pd.DataFrame()), {
-            "chunks_read": 0, "chunks_total": total}
+            return ray.data.from_arrow(sch.empty_table()), io
+        return ray.data.from_pandas(pd.DataFrame()), io
     ds = ray.data.from_items(items).map_batches(
         decode_item, batch_size=1, batch_format="pyarrow")
-    return ds, {"chunks_read": len(items), "chunks_total": total}
+    return ds, io

@@ -17,7 +17,7 @@ from json_to_parquet_ray.encode import (
     read_chunk_header,
 )
 from json_to_parquet_ray.fixtures import make_cc_table, stress_tables, write_cc_parquet
-from json_to_parquet_ray.manifest import load_manifest
+from json_to_parquet_ray.manifest import effective_records, load_manifest
 from json_to_parquet_ray.pipelines.encode_job import (
     decode_dataset,
     encode_job,
@@ -704,10 +704,11 @@ def test_keyed_store_salting_pruning_determinism(ray_session, tmp_path):
                                  hot_threshold=300, salt_buckets=4)
     assert s["hot_keys"] == ["en"]
     assert s["rows"] == n
-    recs = keyed_store.keyed_manifest(out)
-    en_chunks = [r for r in recs if r["key"] == "en"]
+    gen = keyed_store.live_generation(out)
+    recs = effective_records(gen)
+    en_chunks = [r for r in recs if r.fragment["key"] == "en"]
     assert len(en_chunks) == 4          # salted across 4 sub-chunks
-    assert len([r for r in recs if r["key"] == "de"]) == 1
+    assert len([r for r in recs if r.fragment["key"] == "de"]) == 1
 
     sub, io = keyed_store.keyed_read(out, keys=["de"])
     got = sub.to_pandas()
@@ -720,9 +721,10 @@ def test_keyed_store_salting_pruning_determinism(ray_session, tmp_path):
     keyed_store.keyed_encode(ray.data.from_arrow(t), out2,
                              key_col="lang", salt_col="doc_id",
                              hot_threshold=300, salt_buckets=4)
+    gen2 = keyed_store.live_generation(out2)
     for r in recs:
-        a = open(os.path.join(out, r["chunk_file"]), "rb").read()
-        b = open(os.path.join(out2, r["chunk_file"]), "rb").read()
+        a = open(os.path.join(gen, r.chunk_file), "rb").read()
+        b = open(os.path.join(gen2, r.chunk_file), "rb").read()
         assert a == b
 
 
@@ -808,7 +810,7 @@ def test_keyed_store_literal_salt_suffix_key_no_collision(ray_session, tmp_path)
     import ray
 
     from json_to_parquet_ray.pipelines.keyed_store import (
-        keyed_encode, keyed_manifest, keyed_read,
+        keyed_encode, keyed_read, live_generation,
     )
 
     n_hot = 400
@@ -823,10 +825,12 @@ def test_keyed_store_literal_salt_suffix_key_no_collision(ray_session, tmp_path)
     # exact mixed-key corruption the injective pkey prevents
     from json_to_parquet_ray.encode import decode_table
 
-    for rec in keyed_manifest(out):
-        with open(os.path.join(out, rec["chunk_file"]), "rb") as f:
+    gen = live_generation(out)
+    for rec in effective_records(gen):
+        with open(os.path.join(gen, rec.chunk_file), "rb") as f:
             body = decode_table(f.read())
-        assert set(body.column("lang").to_pylist()) == {rec["key"]}, rec
+        assert set(body.column("lang").to_pylist()) == \
+            {rec.fragment["key"]}, rec
     ds, _ = keyed_read(out, keys=["en#s3"])
     got = ds.to_pandas()
     assert set(got["lang"]) == {"en#s3"} and len(got) == 5
@@ -1357,9 +1361,9 @@ def test_gc_job_reclaims_orphans(ray_session, cc_parquet, tmp_path):
 
 
 def test_gc_job_keyed_store_re_encode(ray_session, tmp_path):
-    """gc on a keyed store: a re-encode's previous generation (chunks no
-    manifest record claims) and an uncommitted staging manifest are
-    reclaimed; the current generation stays readable."""
+    """gc on a keyed store: a re-encode's previous generation (a gen-N
+    dir the pointer does not name) is reclaimed, chunks and bytes
+    counted; the current generation stays readable."""
     import ray
 
     from json_to_parquet_ray.pipelines import keyed_store
@@ -1369,19 +1373,20 @@ def test_gc_job_keyed_store_re_encode(ray_session, tmp_path):
     t1 = pa.table({"id": pa.array(range(100), pa.int64()),
                    "k": pa.array(["a"] * 50 + ["b"] * 50)})
     keyed_store.keyed_encode(ray.data.from_arrow(t1), out, "k", "id")
-    gen1 = {r["chunk_file"] for r in keyed_store.keyed_manifest(out)}
+    g1 = keyed_store.live_generation(out)
+    gen1 = {os.path.join(g1, r.chunk_file) for r in effective_records(g1)}
     assert len(gen1) == 2
 
     t2 = pa.table({"id": pa.array(range(100), pa.int64()),
                    "k": pa.array(["c"] * 50 + ["d"] * 50)})
     keyed_store.keyed_encode(ray.data.from_arrow(t2), out, "k", "id")
-    os.makedirs(keyed_store._manifest_dir(out) + ".new", exist_ok=True)
 
+    gen1_bytes = sum(os.path.getsize(p) for p in gen1)
+    dry = gc_job(out, dry_run=True)
     res = gc_job(out)
-    assert res["chunks_deleted"] == len(gen1)
-    assert res["staging_dirs_removed"] == 1
-    for cf in gen1:
-        assert not os.path.exists(os.path.join(out, cf))
+    assert res["chunks_deleted"] == dry["chunks_deleted"] == len(gen1)
+    assert res["bytes_reclaimed"] == dry["bytes_reclaimed"] > gen1_bytes
+    assert not os.path.exists(g1)
     ds, _ = keyed_store.keyed_read(out)
     got = ds.to_pandas()
     assert len(got) == 100
@@ -1510,35 +1515,10 @@ def test_corrupt_index_fails_loudly_and_gc_refuses(ray_session, cc_parquet,
     both_sides(unreadable)
 
 
-def test_gc_refuses_torn_keyed_swap(ray_session, tmp_path):
-    """A RE-encode killed between its two commit renames leaves .old
-    (the previous complete generation) with no committed dir — gc must
-    refuse instead of sweeping a real generation. (A lone partial .new
-    with no .old is the mid-encode crash, swept as staging — covered by
-    test_gc_sweeps_lone_partial_keyed_staging.)"""
-    import ray
-
-    from json_to_parquet_ray.pipelines import keyed_store
-    from json_to_parquet_ray.pipelines.encode_job import gc_job
-
-    out = str(tmp_path / "ks_torn")
-    t = pa.table({"id": pa.array(range(10), pa.int64()),
-                  "k": pa.array(["a"] * 10)})
-    keyed_store.keyed_encode(ray.data.from_arrow(t), out, "k", "id")
-    mdir = keyed_store._manifest_dir(out)
-    os.rename(mdir, mdir + ".old")  # crash after the swap's FIRST rename
-    with pytest.raises(ValueError, match="torn keyed-manifest swap"):
-        gc_job(out)
-    os.rename(mdir + ".old", mdir)  # the recovery the error names
-    assert gc_job(out)["chunks_deleted"] == 0
-    ds, _ = keyed_store.keyed_read(out)
-    assert len(ds.to_pandas()) == 10
-
-
 def test_keyed_reencode_same_keys_fresh_generation(ray_session, tmp_path):
     """Re-encoding the SAME key set with changed data writes a fresh
-    gen-N dir — live chunks are never overwritten before the manifest
-    swap; gc reclaims the superseded generation afterwards."""
+    gen-N dir — live chunks are never overwritten before the pointer
+    write; gc reclaims the superseded generation afterwards."""
     import ray
 
     from json_to_parquet_ray.pipelines import keyed_store
@@ -1548,13 +1528,18 @@ def test_keyed_reencode_same_keys_fresh_generation(ray_session, tmp_path):
     t1 = pa.table({"id": pa.array(range(20), pa.int64()),
                    "k": pa.array(["a", "b"] * 10),
                    "v": pa.array([1] * 20, pa.int64())})
+    def chunk_files() -> set:
+        gen = keyed_store.live_generation(out)
+        return {os.path.relpath(os.path.join(gen, r.chunk_file), out)
+                for r in effective_records(gen)}
+
     keyed_store.keyed_encode(ray.data.from_arrow(t1), out, "k", "id")
-    gen1 = {r["chunk_file"] for r in keyed_store.keyed_manifest(out)}
+    gen1 = chunk_files()
     assert gen1 and all(cf.startswith("gen-0/") for cf in gen1)
 
     t2 = t1.set_column(2, "v", pa.array([2] * 20, pa.int64()))
     keyed_store.keyed_encode(ray.data.from_arrow(t2), out, "k", "id")
-    gen2 = {r["chunk_file"] for r in keyed_store.keyed_manifest(out)}
+    gen2 = chunk_files()
     assert all(cf.startswith("gen-1/") for cf in gen2)
     assert gen1.isdisjoint(gen2)
     for cf in gen1:  # old bytes intact until gc (crash-window safety)
@@ -2453,31 +2438,76 @@ def test_decode_and_verify_read_no_records_on_the_driver(
                 assert both_sides(f) == [want[k]] * 2, (shape, k)
 
 
-def test_gc_sweeps_lone_partial_keyed_staging(ray_session, cc_parquet,
-                                              tmp_path):
-    """A first-ever keyed_encode killed mid-run leaves ONLY a partial
-    _keyed_manifest.new (no .old, nothing committed): on a mixed dir gc
-    must sweep it as uncommitted staging, not raise torn-swap."""
-    from json_to_parquet_ray.pipelines.encode_job import gc_job
-    from json_to_parquet_ray.pipelines.keyed_store import _manifest_dir
+def test_keyed_crash_before_pointer_write(ray_session, tmp_path):
+    """An encode killed before its pointer write leaves a partial
+    gen-(N+1), a record and its chunk: reads stay on generation N, and
+    gc deletes the partial generation."""
+    import time
 
-    out = str(tmp_path / "enc_mix")
-    encode_job(cc_parquet, out, shared_dict_columns=None)
-    staging = _manifest_dir(out) + ".new"
-    os.makedirs(staging)
-    with open(os.path.join(staging, "deadbeef.json"), "w") as f:
-        f.write('{"partial": true')       # mid-write record
-    orphan = os.path.join(out, "gen-0", "shard-abc", "part-abc.rde")
-    os.makedirs(os.path.dirname(orphan))
-    with open(orphan, "wb") as f:
-        f.write(b"x" * 64)                # the partial generation's chunk
+    import ray
 
+    from json_to_parquet_ray.pipelines.encode_job import (
+        EncodePartition, gc_job)
+    from json_to_parquet_ray.pipelines.keyed_store import (
+        keyed_encode, keyed_read, live_generation)
+
+    out = str(tmp_path / "ks_crash")
+    t = pa.table({"id": pa.array(range(30), pa.int64()),
+                  "k": pa.array(["a", "b", "c"] * 10)})
+    keyed_encode(ray.data.from_arrow(t), out, "k", "id")
+    assert live_generation(out) == os.path.join(out, "gen-0")
+    partial = os.path.join(out, "gen-1")
+    EncodePartition(partial).commit(
+        "0123456789abcdef", {"path": "_pkey/1:a", "row_group": 0,
+                             "row_start": 0, "num_rows": 2, "key": "a"},
+        t.slice(0, 2), time.time())
+
+    ds, io = keyed_read(out, keys=["a"])
+    assert sorted(ds.to_pandas()["id"]) == list(range(0, 30, 3))
+    assert io == {"chunks_read": 1, "chunks_total": 3}
+    torn = os.path.join(out, "_keyed.json.tmp.999")  # a torn pointer write
+    with open(torn, "w") as f:
+        f.write('{"generation": "ge')
     res = gc_job(out)
-    assert res["staging_dirs_removed"] == 1
-    assert res["chunks_deleted"] == 1
-    assert not os.path.isdir(staging)
-    assert not os.path.exists(orphan)
-    assert verify_job(out)["failed"] == []
+    assert res["chunks_deleted"] == 1 and res["chunks_live"] == 3
+    assert res["tmps_deleted"] == 1
+    assert not os.path.exists(partial) and not os.path.exists(torn)
+    assert keyed_read(out)[0].count() == 30
+    # the next encode still gets a fresh generation
+    keyed_encode(ray.data.from_arrow(t), out, "k", "id")
+    assert live_generation(out) == os.path.join(out, "gen-1")
+
+
+def test_keyed_null_none_and_int_keys(ray_session, tmp_path):
+    """Null keys and the literal string "None" share the "None" key, as
+    keyed_read has always answered; int keys read back by str() or
+    int."""
+    import ray
+
+    from json_to_parquet_ray.pipelines.keyed_store import (
+        keyed_encode, keyed_read)
+
+    out = str(tmp_path / "ks_none")
+    t = pa.table({"id": pa.array(range(9), pa.int64()),
+                  "k": pa.array(["x", None, "None"] * 3)})
+    keyed_encode(ray.data.from_arrow(t), out, "k", "id")
+    got = keyed_read(out, keys=[None])[0].to_pandas()
+    assert sorted(got["id"]) == [1, 2, 4, 5, 7, 8]
+    assert keyed_read(out, keys=["None"])[0].count() == 6
+    assert keyed_read(out, keys=["x"])[0].count() == 3
+
+    out = str(tmp_path / "ks_int")
+    t = pa.table({"id": pa.array(range(12), pa.int64()),
+                  "k": pa.array([5, 7, 11] * 4, pa.int64())})
+    s = keyed_encode(ray.data.from_arrow(t), out, "k", "id",
+                     hot_threshold=3, salt_buckets=2)
+    assert s["hot_keys"] == ["11", "5", "7"]
+    for k in (5, "7", 11):
+        ds, io = keyed_read(out, keys=[k])
+        got = ds.to_pandas()
+        assert set(got["k"]) == {int(k)} and len(got) == 4
+        assert io["chunks_total"] == s["partitions"] > 3
+    assert keyed_read(out, keys=[5, 7])[0].count() == 8
 
 
 def test_flat_layout_records_consolidate_and_retire(ray_session, tmp_path):
@@ -2525,44 +2555,15 @@ def test_flat_layout_records_consolidate_and_retire(ray_session, tmp_path):
            {r.partition_id for r in recs[1:]}
 
 
-def test_keyed_manifest_dedups_index_and_leftover_json(ray_session,
-                                                       tmp_path):
-    """A JSON record surviving _consolidate_dir's cleanup must not
-    duplicate its index entry (keyed_read would decode the chunk twice)."""
-    import json
-
-    import ray
-
-    from json_to_parquet_ray.pipelines.keyed_store import (
-        _manifest_dir,
-        keyed_encode,
-        keyed_manifest,
-        keyed_read,
-    )
-
-    out = str(tmp_path / "ks_dup")
-    t = pa.table({"id": pa.array(range(40), pa.int64()),
-                  "k": pa.array(["a", "b"] * 20)})
-    keyed_encode(ray.data.from_arrow(t), out, "k", "id")
-    recs = keyed_manifest(out)
-    assert len(recs) == 2
-    # simulate the failed-removal survivor: re-write one record's JSON
-    victim = recs[0]
-    with open(os.path.join(_manifest_dir(out),
-                           f"{victim['partition_id']}.json"), "w") as f:
-        json.dump(victim, f)
-    assert len(keyed_manifest(out)) == 2   # deduped, not 3
-    ds, _ = keyed_read(out)
-    assert len(ds.to_pandas()) == 40       # no chunk decoded twice
-
-
 def test_store_stats_keyed_store(ray_session, tmp_path):
-    """store_stats on a keyed store: per-key chunk/row/byte totals,
-    salted hot keys counted across their sub-chunks."""
+    """A keyed generation is a standard encoded store: verify passes,
+    store_stats shows per-column codecs, and the salted hot key spans
+    salt_buckets records."""
     import ray
 
     from json_to_parquet_ray.pipelines.encode_job import store_stats
-    from json_to_parquet_ray.pipelines.keyed_store import keyed_encode
+    from json_to_parquet_ray.pipelines.keyed_store import (
+        keyed_encode, live_generation)
 
     out = str(tmp_path / "ks_ss")
     n = 600
@@ -2570,13 +2571,17 @@ def test_store_stats_keyed_store(ray_session, tmp_path):
                   "k": pa.array(["hot"] * 500 + ["cold"] * 100)})
     keyed_encode(ray.data.from_arrow(t), out, "k", "id",
                  hot_threshold=200, salt_buckets=4)
-    s = store_stats(out)
-    assert s["rows"] == n
-    assert s["keys"]["hot"]["chunks"] == 4       # salted sub-chunks
-    assert s["keys"]["hot"]["rows"] == 500
-    assert s["keys"]["cold"] == {"chunks": 1, "rows": 100,
-                                 "chunk_bytes": s["keys"]["cold"]["chunk_bytes"]}
-    assert s["chunks"] == 5
+    gen = live_generation(out)
+    assert verify_job(gen) == {"partitions": 5, "ok": 5, "failed": []}
+    s = store_stats(gen)
+    assert s["rows"] == n and s["chunks"] == 5
+    assert set(s["columns"]) == {"id", "k"}
+    assert all(sum(c["codecs"].values()) == 5 for c in s["columns"].values())
+    recs = effective_records(gen)
+    hot = [r for r in recs if r.fragment["key"] == "hot"]
+    assert len(hot) == 4 and sum(r.num_rows for r in hot) == 500
+    assert all(c["codec"] and "min" in c for r in recs for c in r.columns
+               if c["name"] == "id")
 
 
 def test_corrupt_index_row_raises(ray_session, cc_parquet, tmp_path):
@@ -2626,23 +2631,22 @@ def test_encode_consolidate_empty_input_and_noop_reconsolidate(
     assert os.path.getmtime(index_path(out)) == mtime
 
 
-def test_store_stats_mixed_main_and_keyed(ray_session, cc_parquet,
-                                          tmp_path):
-    """A dir holding BOTH manifests reports the keyed side under
-    'keyed' instead of silently omitting it."""
+def test_keyed_encode_refuses_main_store(ray_session, cc_parquet,
+                                         tmp_path):
+    """A directory is one kind of store: keyed_encode refuses one that
+    holds a main store's _manifest, and leaves it untouched."""
     import ray
 
-    from json_to_parquet_ray.pipelines.encode_job import store_stats
     from json_to_parquet_ray.pipelines.keyed_store import keyed_encode
 
     out = str(tmp_path / "mixed")
     encode_job(cc_parquet, out, shared_dict_columns=None)
     t = pa.table({"id": pa.array(range(30), pa.int64()),
                   "k": pa.array(["a", "b", "c"] * 10)})
-    keyed_encode(ray.data.from_arrow(t), out, "k", "id")
-    s = store_stats(out)
-    assert s["chunks"] == 4 and s["rows"] == 2000        # main side
-    assert s["keyed"]["chunks"] == 3 and s["keyed"]["rows"] == 30
+    with pytest.raises(ValueError, match="_manifest"):
+        keyed_encode(ray.data.from_arrow(t), out, "k", "id")
+    assert not any(n.startswith(("gen-", "_keyed")) for n in os.listdir(out))
+    assert verify_job(out)["failed"] == []
 
 
 def test_verify_decode_refuse_non_store(ray_session, tmp_path):
@@ -3045,6 +3049,33 @@ def test_dispatch_blocks_caps_tasks_not_partitions(ray_session):
     assert _dispatch_blocks(1000, (cpus + 2) * TASK_BYTES) == cpus + 2
 
 
+def test_run_bounds_balance_bytes_not_items(monkeypatch):
+    """Runs are cut at prefix sums of the items' bytes: 8 adjacent 40 MiB
+    items followed by 56 of 4 MiB give no run above max(largest item,
+    2 x mean run) (item-count cuts put 4 heavy items, 160 MiB, in one
+    run). Every run is contiguous and non-empty, and the run count is
+    the dispatch rule's."""
+    from json_to_parquet_ray.pipelines import encode_job as ej
+
+    mib = 1 << 20
+    sizes = [40 * mib] * 8 + [4 * mib] * 56
+    for cpus in (4, 16):
+        monkeypatch.setattr(ej, "_dispatch_blocks", ej._BlockRule(cpus))
+        bounds = ej._run_bounds(sizes)
+        k = ej._dispatch_blocks(len(sizes), sum(sizes))
+        assert len(bounds) == k + 1
+        assert bounds[0] == 0 and bounds[-1] == len(sizes)
+        assert all(a < b for a, b in zip(bounds, bounds[1:]))
+        runs = [sum(sizes[a:b]) for a, b in zip(bounds, bounds[1:])]
+        assert max(runs) <= max(max(sizes), 2 * sum(sizes) / k), cpus
+        assert max(runs) == 40 * mib
+    # below ITEM_BYTES every item weighs the same: equal-item runs
+    monkeypatch.setattr(ej, "_dispatch_blocks", lambda n, w: 3)
+    assert ej._run_bounds([0] * 10) == [0, 4, 7, 10]
+    assert ej._run_bounds([0] * 2) == [0, 1, 2]   # never an empty run
+    assert ej._run_bounds([]) == [0]
+
+
 def test_packed_work_items_keep_per_partition_results(ray_session,
                                                       tmp_path):
     """Several partitions share one task on a 10-partition store: decode
@@ -3157,7 +3188,8 @@ def test_multi_run_encode_sums_and_bytes_match_one_run(ray_session, tmp_path,
 
     items = [{"i": i} for i in range(10)]
     monkeypatch.setattr(ej, "_dispatch_blocks", lambda n, w: 3)
-    runs = ej._map_runs(lambda t: t.column("i").to_pylist(), items, 0)
+    runs = ej._map_runs(lambda t: t.column("i").to_pylist(), items,
+                        [0] * len(items))
     assert runs == [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]]
     blocks = ray.data.from_items(items, override_num_blocks=3)
     assert [b["i"].tolist() for b in blocks.iter_batches(

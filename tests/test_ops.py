@@ -111,6 +111,29 @@ def test_exact_dedup_ray(ray_session):
     assert len(kept) == 6
 
 
+def test_exact_dedup_combines_each_batch_before_the_shuffle(ray_session):
+    """A text planted in every input block enters the exact_dedup shuffle
+    at most once per batch, not once per copy; the answer is still the
+    min-doc_id row per distinct text."""
+    import ray
+
+    n_blocks, per = 5, 40
+    ids = list(range(n_blocks * per))[::-1]
+    texts = ["planted" if i % 4 == 0 else f"t{i % 13}" for i in ids]
+    t = pa.table({"doc_id": pa.array(ids, pa.int64()), "text": texts})
+    ds = ray.data.from_arrow([t.slice(b * per, per) for b in range(n_blocks)])
+    assert ds.num_blocks() == n_blocks
+    parts = dedup._exact_partials(ds, "text", "doc_id").to_pandas()
+    planted = int((parts["text"] == "planted").sum())
+    assert 1 <= planted <= n_blocks < texts.count("planted")
+    assert len(parts) <= n_blocks * 14      # one row per text per batch
+
+    kept = dedup.exact_dedup(ds).to_pandas()
+    want = t.to_pandas().groupby("text")["doc_id"].min().to_dict()
+    assert dict(zip(kept["text"], kept["doc_id"])) == want
+    assert len(kept) == len(want)
+
+
 def test_extract_text_batch():
     """HTML→text extraction kernel: scripts/styles/comments stripped
     (including tag-looking content inside them), entities decoded,
@@ -1076,8 +1099,12 @@ def test_keyed_store_pkey_injective_fuzz(ray_session, tmp_path):
     import pandas as pd
     import ray
 
+    import os
+
+    from json_to_parquet_ray.encode import read_chunk_file
+    from json_to_parquet_ray.manifest import effective_records
     from json_to_parquet_ray.pipelines.keyed_store import (
-        keyed_encode, keyed_read,
+        keyed_encode, keyed_read, live_generation,
     )
 
     keys = ["en", "en#s0", "en#s1", "2:en", "3:en#s0", "é#s2", ":", "a:b",
@@ -1092,6 +1119,10 @@ def test_keyed_store_pkey_injective_fuzz(ray_session, tmp_path):
     out = str(tmp_path / "fz")
     keyed_encode(ray.data.from_pandas(df), out, key_col="k",
                  salt_col="doc_id", hot_threshold=120, salt_buckets=3)
+    gen = live_generation(out)
+    for rec in effective_records(gen):
+        body = read_chunk_file(os.path.join(gen, rec.chunk_file))
+        assert set(body.column("k").to_pylist()) == {rec.fragment["key"]}
     for k in keys:
         ds, _ = keyed_read(out, keys=[k])
         got = ds.to_pandas()

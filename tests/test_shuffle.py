@@ -583,11 +583,14 @@ def test_keyed_encode_empty_and_rerun_atomicity(ray_session, tmp_path):
     """Round-4 review: empty input returns a zero summary (no KeyError,
     and the previous generation is REPLACED only at commit time);
     keyed_read on a missing key returns a TYPED empty dataset."""
+    import os
+
     import ray
 
     from json_to_parquet_ray.pipelines.keyed_store import (
         keyed_encode,
         keyed_read,
+        live_generation,
     )
 
     out = str(tmp_path / "ks")
@@ -607,10 +610,14 @@ def test_keyed_encode_empty_and_rerun_atomicity(ray_session, tmp_path):
     s2 = keyed_encode(empty, out, "k", "id")
     assert s2 == {"partitions": 0, "hot_keys": [], "rows": 0,
                   "chunk_bytes": 0}
+    assert live_generation(out) == os.path.join(out, "gen-1")
+    ds2, io2 = keyed_read(out)
+    assert ds2.count() == 0
+    assert io2 == {"chunks_read": 0, "chunks_total": 0}
 
 
 def test_keyed_manifest_is_consolidated(ray_session, tmp_path):
-    """keyed_encode commits its generation as ONE index file (no
+    """keyed_encode commits its generation with ONE sealed index file (no
     per-partition JSONs), and an unreadable index raises instead of
     reading as an empty store."""
     import glob as _glob
@@ -619,25 +626,34 @@ def test_keyed_manifest_is_consolidated(ray_session, tmp_path):
     import pytest
     import ray
 
+    from json_to_parquet_ray.manifest import (
+        _record_sources,
+        effective_records,
+        index_path,
+    )
     from json_to_parquet_ray.pipelines.keyed_store import (
-        _manifest_dir,
         keyed_encode,
-        keyed_manifest,
+        keyed_read,
+        live_generation,
     )
 
     out = str(tmp_path / "ks_idx")
     t = pa.table({"id": pa.array(range(60), pa.int64()),
                   "k": pa.array(["a", "b", "c"] * 20)})
     keyed_encode(ray.data.from_arrow(t), out, "k", "id")
-    mdir = _manifest_dir(out)
-    assert os.path.exists(os.path.join(mdir, "index.parquet"))
-    assert not _glob.glob(os.path.join(mdir, "*.json"))
-    assert {r["key"] for r in keyed_manifest(out)} == {"a", "b", "c"}
+    gen = live_generation(out)
+    assert os.path.exists(index_path(gen))
+    assert not _glob.glob(os.path.join(gen, "_manifest", "**", "*.json"),
+                          recursive=True)
+    _, sealed, shortcut, _ = _record_sources(gen)
+    assert sealed and shortcut
+    assert [r.fragment["key"] for r in effective_records(gen)] == \
+        ["a", "b", "c"]
 
-    with open(os.path.join(mdir, "index.parquet"), "wb") as f:
+    with open(index_path(gen), "wb") as f:
         f.write(b"garbage")
     with pytest.raises(ValueError, match="cannot be read"):
-        keyed_manifest(out)
+        keyed_read(out)
 
 
 def test_key_buckets_integer_floats_distribute_and_cobucket(ray_session):

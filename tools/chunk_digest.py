@@ -28,6 +28,14 @@ Options: ``--max-rows N`` (max_rows_per_partition), ``--bloom COLS``,
 (comma-separated column lists), ``--compact MIN_ROWS`` (runs
 ``compact_job`` after the encode),
 ``--optimize {balanced,size}``, ``--work DIR``. Ray runs at 1 CPU.
+
+``--keyed KEY_COL SALT_COL`` builds a keyed store instead
+(``keyed_store.keyed_encode`` over the input read as one Dataset, with
+the ``keyed_store_en`` query's ``hot_threshold=100, salt_buckets=4``)
+and digests every ``.rde`` file under it. It calls only
+``keyed_encode``, whose signature every version shares, so this script
+digests another checkout's package when run with ``PYTHONPATH`` set to
+that checkout (its own checkout is only the fallback on ``sys.path``).
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ import shutil
 import sys
 import tempfile
 
-sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+sys.path.append(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def _cols(s: str | None) -> list[str] | None:
@@ -122,6 +130,7 @@ def main() -> int:
     ap.add_argument("--shared-fsst")
     ap.add_argument("--compact", type=int, metavar="MIN_ROWS")
     ap.add_argument("--optimize", choices=("balanced", "size"))
+    ap.add_argument("--keyed", nargs=2, metavar=("KEY_COL", "SALT_COL"))
     ap.add_argument("--work", default=os.path.join(tempfile.gettempdir(),
                                                    "chunk_digest"))
     args = ap.parse_args()
@@ -139,15 +148,21 @@ def main() -> int:
     try:
         inp = (cc_input(work, *args.cc) if args.cc
                else os.path.abspath(args.path))
-        encode_job(inp, store, bloom_columns=_cols(args.bloom),
-                   shared_dict_columns=(
-                       "auto" if args.shared_dicts == "auto"
-                       else _cols(args.shared_dicts)),
-                   shared_fsst_columns=_cols(args.shared_fsst),
-                   max_rows_per_partition=args.max_rows,
-                   optimize=args.optimize)
-        if args.compact:
-            compact_job(store, min_rows=args.compact)
+        if args.keyed:
+            from json_to_parquet_ray.pipelines.keyed_store import keyed_encode
+
+            keyed_encode(ray.data.read_parquet(inp), store, *args.keyed,
+                         hot_threshold=100, salt_buckets=4)
+        else:
+            encode_job(inp, store, bloom_columns=_cols(args.bloom),
+                       shared_dict_columns=(
+                           "auto" if args.shared_dicts == "auto"
+                           else _cols(args.shared_dicts)),
+                       shared_fsst_columns=_cols(args.shared_fsst),
+                       max_rows_per_partition=args.max_rows,
+                       optimize=args.optimize)
+            if args.compact:
+                compact_job(store, min_rows=args.compact)
     finally:
         ray.shutdown()
     print(json.dumps({**digest(store), "shared": shared_digest(broadcasts)},
