@@ -303,11 +303,27 @@ def _run_items(fn, items: pa.Table) -> pa.Table:
     return block.build()
 
 
+def _items_block(fn, items: pa.Table):
+    """(block metadata, block) of ``_run_items(fn, items)``: the two
+    returns of a task whose block becomes a Dataset by ``_one_block``."""
+    from ray.data._internal.util import get_table_block_metadata_schema
+
+    out = _run_items(fn, items)
+    return get_table_block_metadata_schema(out), out
+
+
 def _one_block(ref, meta):
     """The materialized one-block Dataset over the table at ``ref`` whose
     block metadata (``get_table_block_metadata_schema``, computed where
     the table is) is ``meta``, built as ``ray.data.from_arrow_refs``
-    builds it but with no task to compute the metadata."""
+    builds it but with no task to compute the metadata, and with its
+    plan's output already set, as ``ExecutionPlan.execute`` sets it for a
+    source operator. So consuming it (``iter_batches``, ``take_all``,
+    ``to_pandas``, ``to_arrow_refs``) hands out the block as it is and
+    starts no streaming executor; operators chained onto it run as on
+    any materialized Dataset. ``execute`` itself is not called: even with
+    nothing to run it makes two cluster queries (free CPUs, spill
+    stats)."""
     from ray.data import DataContext
     from ray.data._internal.logical.interfaces import LogicalPlan
     from ray.data._internal.logical.operators.from_operators import FromArrow
@@ -318,8 +334,13 @@ def _one_block(ref, meta):
     plan = ExecutionPlan(
         DatasetStats(metadata={"FromArrow": [meta]}, parent=None),
         DataContext.get_current().copy())
-    return MaterializedDataset(
-        plan, LogicalPlan(FromArrow([ref], [meta]), plan._context))
+    source = FromArrow([ref], [meta])
+    ds = MaterializedDataset(plan, LogicalPlan(source, plan._context))
+    # _in_stats now carries the dataset_uuid the Dataset was given
+    plan._snapshot_bundle = source.output_data()[0]
+    plan._snapshot_operator = source
+    plan._snapshot_stats = plan._in_stats
+    return ds
 
 
 def _run_fn(fn, run: list[dict]):
@@ -1153,8 +1174,6 @@ def _scan_one(out_dir: str, sources: list[dict], shortcut: bool,
     message of the record phase, work bytes, the output block's metadata
     or None), body the output block when the head has its metadata, else
     the items."""
-    from ray.data._internal.util import get_table_block_metadata_schema
-
     try:
         recs = {r.partition_id: r for r in _records(out_dir, sources)}
         recs = (sorted(recs.values(), key=lambda r: r.sort_key) if shortcut
@@ -1168,8 +1187,8 @@ def _scan_one(out_dir: str, sources: list[dict], shortcut: bool,
     items = pa.Table.from_pylist([_work_item(out_dir, r) for r in recs],
                                  schema=_ITEM_SCHEMA).select(columns)
     if not recs or blocks(len(recs), work) == 1:
-        out = _run_items(fn, items)
-        return (None, work, get_table_block_metadata_schema(out)), out
+        meta, out = _items_block(fn, items)
+        return (None, work, meta), out
     return (None, work, None), items
 
 
@@ -1481,10 +1500,12 @@ def decode_dataset(out_dir: str, columns: list[str] | None = None,
     the surviving chunks fit one block (``_dispatch_blocks``) or none
     survives, the one task that read the records decodes them all before
     this returns, into one block in item order, and computes the block's
-    metadata too. The result is a materialized one-block Dataset over
-    that block (``_one_block``), made with no further Ray task. Its
-    errors, such as a typo'd projected column, raise from this call.
-    Larger reads stay lazy and raise when consumed."""
+    metadata too. The result is a finished one-block Dataset over that
+    block (``_one_block``), made with no further Ray task: consuming it
+    (``iter_batches``, ``take_all``, ``to_pandas``, ``to_arrow_refs``,
+    ``count``) starts no streaming executor. Its errors, such as a
+    typo'd projected column, raise from this call. Larger reads stay
+    lazy and raise when consumed."""
     from ..encode import read_chunk_file
 
     # equality (lo == hi) and IN-list predicates additionally consult

@@ -28,7 +28,6 @@ import os
 import time
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from ..encode import read_chunk_file
@@ -192,8 +191,25 @@ def keyed_encode(ds, out_dir: str, key_col: str, salt_col: str,
 def keyed_read(out_dir: str, keys: list | None = None):
     """Ray Dataset over the live generation; with ``keys`` given, only
     those keys' chunks are OPENED (manifest-level pruning). Returns
-    (dataset, io)."""
+    (dataset, io).
+
+    Chunks that fit one block (``_dispatch_blocks``) are decoded at call
+    time by one task, in key order, into a finished one-block Dataset
+    (``encode_job._one_block``), so consuming it starts no streaming
+    executor and a bad chunk raises from this call; a read of no chunk
+    is such a Dataset too, made with no task. A larger read stays lazy
+    and raises when consumed."""
     import ray
+    from ray.data._internal.remote_fn import cached_remote_fn
+    from ray.data._internal.util import get_table_block_metadata_schema
+
+    from .encode_job import (
+        _dispatch_blocks,
+        _item_dataset,
+        _items_block,
+        _one_block,
+        _preserve_order,
+    )
 
     gen_dir = live_generation(out_dir)
     all_recs = effective_records(gen_dir)  # in pkey order
@@ -201,15 +217,15 @@ def keyed_read(out_dir: str, keys: list | None = None):
     if keys is not None:
         want = {str(k) for k in keys}
         recs = [r for r in recs if r.fragment["key"] in want]
-    items = [{"path": os.path.join(gen_dir, r.chunk_file)} for r in recs]
-    io = {"chunks_read": len(items), "chunks_total": len(all_recs)}
+    io = {"chunks_read": len(recs), "chunks_total": len(all_recs)}
 
     def decode_item(batch: pa.Table) -> pa.Table:
         return pa.concat_tables(
             [read_chunk_file(p, verify_crc=True)
              for p in batch.column("path").to_pylist()])
 
-    if not items:
+    if not recs:
+        table = pa.table({})
         if all_recs:
             # no key matched, but the store has a schema: return a TYPED
             # empty dataset (from any chunk's header — a few bytes) so
@@ -219,9 +235,16 @@ def keyed_read(out_dir: str, keys: list | None = None):
             with open(os.path.join(gen_dir, all_recs[0].chunk_file),
                       "rb") as f:
                 hdr, _ = _read_header(f)
-            sch = schema_from_b64(hdr["schema"])
-            return ray.data.from_arrow(sch.empty_table()), io
-        return ray.data.from_pandas(pd.DataFrame()), io
-    ds = ray.data.from_items(items).map_batches(
-        decode_item, batch_size=1, batch_format="pyarrow")
-    return ds, io
+            table = schema_from_b64(hdr["schema"]).empty_table()
+        return _one_block(ray.put(table),
+                          get_table_block_metadata_schema(table)), io
+    items = pa.table({"path": [os.path.join(gen_dir, r.chunk_file)
+                               for r in recs]})
+    work = sum(r.chunk_size for r in recs)
+    if _dispatch_blocks(len(recs), work) == 1:
+        meta, block = cached_remote_fn(_items_block, num_returns=2).remote(
+            decode_item, items)
+        return _one_block(block, ray.get(meta)), io
+    with _preserve_order():
+        return _item_dataset(items.to_pylist(), work).map_batches(
+            decode_item, batch_size=1, batch_format="pyarrow"), io

@@ -3450,6 +3450,160 @@ def test_one_block_reads_launch_no_metadata_task(ray_session, tmp_path,
     assert both_sides(empty) == [(0, [])] * 2
 
 
+def _consume(ds) -> dict:
+    """Every way a caller reads a Dataset's rows, as comparable values."""
+    import ray
+
+    return {
+        "iter_batches": [r for b in ds.iter_batches(batch_format="pyarrow")
+                         for r in b.to_pylist()],
+        "take_all": ds.take_all(),
+        "to_pandas": ds.to_pandas(),
+        "to_arrow_refs": [r for ref in ds.to_arrow_refs()
+                          for r in ray.get(ref).to_pylist()],
+        "count": ds.count(),
+    }
+
+
+def _same_consumption(got: dict, want: dict) -> bool:
+    return (got.keys() == want.keys()
+            and got["to_pandas"].equals(want["to_pandas"])
+            and all(got[k] == want[k] for k in got if k != "to_pandas"))
+
+
+def _no_executor(*a, **k):
+    raise AssertionError("a streaming executor was started")
+
+
+def test_consuming_one_block_reads_starts_no_executor(ray_session, tmp_path,
+                                                      monkeypatch,
+                                                      both_sides):
+    """Sized as one block, the full, projected, url point, warc_ts range
+    and empty decodes of a 2-chunk Bloom store are finished Datasets:
+    consumed by ``iter_batches``, ``take_all``, ``to_pandas``,
+    ``to_arrow_refs`` and ``count`` with
+    ``ExecutionPlan.create_executor`` patched to raise, each gives the
+    rows it gives unpatched, and its ``schema()`` and ``stats()`` work.
+    Unpatched, the distributed scan gives the same rows, and
+    ``map_batches``, ``union`` and ``write_parquet`` chained onto a
+    one-task read give its rows."""
+    from ray.data._internal.plan import ExecutionPlan
+
+    from json_to_parquet_ray.pipelines import encode_job as ej
+
+    src, out = _two_chunk_bloom_store(tmp_path)
+    t = pq.read_table(src)
+    ts, url = t.column("warc_ts"), t.column("url")
+    lo, hi = sorted([ts[100].as_py(), ts[400].as_py()])
+    late = max(ts.to_pylist()) + (max(ts.to_pylist()) - min(ts.to_pylist()))
+    reads = {
+        "full": lambda: decode_dataset(out),
+        "projected": lambda: decode_dataset(out, columns=["url", "lang"]),
+        "point": lambda: decode_dataset(
+            out, zone_filter={"url": [url[450].as_py()]}),
+        "range": lambda: decode_dataset(out, zone_filter={
+            "warc_ts": (lo.isoformat(), hi.isoformat())}),
+        "empty": lambda: decode_dataset(out, zone_filter={
+            "warc_ts": (late.isoformat(), None)}),
+    }
+    monkeypatch.setattr(ej, "_dispatch_blocks", ej._BlockRule(1))
+    want = {k: _consume(f()) for k, f in reads.items()}
+    assert want["full"]["take_all"] == t.to_pylist()
+    assert want["point"]["count"] and want["range"]["count"]
+    assert want["empty"]["count"] == 0
+
+    with monkeypatch.context() as m:
+        m.setattr(ExecutionPlan, "create_executor", _no_executor)
+        for k, f in reads.items():
+            ds = f()
+            assert _same_consumption(_consume(ds), want[k]), k
+            names = ds.schema().names
+            assert names == ([] if k == "empty" else
+                             list(want[k]["take_all"][0])), k
+            assert "FromArrow" in ds.stats(), k
+    for k, f in reads.items():
+        one, scan = both_sides(lambda: _consume(f()))
+        assert _same_consumption(one, want[k]), k
+        assert scan["take_all"] == want[k]["take_all"], k
+
+    ds = reads["projected"]()
+    rows = want["projected"]["take_all"]
+    assert ds.map_batches(lambda b: b, batch_format="pyarrow").take_all() \
+        == rows
+    assert ds.union(reads["projected"]()).take_all() == rows * 2
+    ds.write_parquet(str(tmp_path / "pq"))
+    assert pq.read_table(str(tmp_path / "pq")).to_pylist() == rows
+
+
+def test_keyed_read_one_task_shapes(ray_session, tmp_path, monkeypatch):
+    """keyed_read sized as one block: a salted hot key (4 chunks), a key
+    no chunk holds (a typed empty Dataset) and a generation with no
+    records are finished Datasets, consumed with
+    ``ExecutionPlan.create_executor`` patched to raise; the hot key's
+    rows, in key order, and schema are the lazy path's (forced by a
+    2-block rule), each ``io`` counts the chunks opened, and a chunk
+    that fails its CRC raises from the ``keyed_read`` call."""
+    import ray
+    from ray.data._internal.plan import ExecutionPlan
+
+    from json_to_parquet_ray.pipelines import encode_job as ej
+    from json_to_parquet_ray.pipelines.keyed_store import (
+        keyed_encode,
+        keyed_read,
+        live_generation,
+    )
+
+    t = pa.table({"lang": ["en"] * 300 + ["de"] * 40 + [None] * 10,
+                  "doc_id": pa.array(range(350), pa.int64()),
+                  "text": [f"t{i}" for i in range(350)]})
+    out, bare = str(tmp_path / "ks"), str(tmp_path / "bare")
+    keyed_encode(ray.data.from_arrow(t), out, key_col="lang",
+                 salt_col="doc_id", hot_threshold=100, salt_buckets=4)
+    keyed_encode(ray.data.from_arrow(t.slice(0, 0)), bare, key_col="lang",
+                 salt_col="doc_id")
+
+    monkeypatch.setattr(ej, "_dispatch_blocks", lambda n, work: 2)
+    lazy, lazy_io = keyed_read(out, keys=["en"])
+    assert lazy_io == {"chunks_read": 4, "chunks_total": 6}
+    want = _consume(lazy)
+    assert sorted(r["doc_id"] for r in want["take_all"]) == list(range(300))
+    assert {r["lang"] for r in want["take_all"]} == {"en"}
+
+    monkeypatch.setattr(ej, "_dispatch_blocks", ej._BlockRule(1))
+    with monkeypatch.context() as m:
+        m.setattr(ExecutionPlan, "create_executor", _no_executor)
+        ds, io = keyed_read(out, keys=["en"])
+        assert io == lazy_io
+        assert _same_consumption(_consume(ds), want)
+        assert ds.schema() == lazy.schema()
+
+        ds, io = keyed_read(out, keys=["zz"])
+        assert io == {"chunks_read": 0, "chunks_total": 6}
+        got = _consume(ds)
+        assert got["count"] == 0 and got["take_all"] == []
+        assert got["iter_batches"] == got["to_arrow_refs"] == []
+        assert dict(zip(ds.schema().names, ds.schema().types)) == {
+            "lang": pa.string(), "doc_id": pa.int64(), "text": pa.string()}
+
+        ds, io = keyed_read(bare)
+        assert io == {"chunks_read": 0, "chunks_total": 0}
+        got = _consume(ds)
+        assert got["count"] == 0 and got["take_all"] == []
+        assert got["to_pandas"].shape == (0, 0)
+
+    # decoded at call time: a bad chunk raises from keyed_read itself
+    gen = live_generation(out)
+    path = next(os.path.join(gen, r.chunk_file) for r in effective_records(gen)
+                if r.fragment["key"] == "en")
+    with open(path, "r+b") as f:
+        f.seek(-1, os.SEEK_END)
+        last = f.read(1)[0]
+        f.seek(-1, os.SEEK_END)
+        f.write(bytes([last ^ 0xFF]))
+    with pytest.raises(OSError, match="CRC mismatch"):
+        keyed_read(out, keys=["en"])
+
+
 def test_scan_task_sizes_without_a_cluster_query(ray_session, tmp_path,
                                                  monkeypatch):
     """The block rule the record scan's task gets carries the driver's

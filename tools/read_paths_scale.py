@@ -12,8 +12,10 @@ one manifest record. Three stores come from that encode:
 * ``unsealed`` — the never-consolidated sharded-JSON manifest.
 
 For each shape it prints the median wall time of a full decode
-(``decode_dataset(...).count()``), a url point decode (IN-list zone
-filter on one url), ``verify_job``, and the driver-side whole-manifest
+(``decode_dataset(...).count()``, which reads block metadata only), a
+projected ``url``/``lang`` decode consumed by ``iter_batches`` (the
+cost of reading rows), a url point decode (IN-list zone filter on one
+url), ``verify_job``, and the driver-side whole-manifest
 reads ``load_manifest`` and ``effective_records``, plus the driver's
 peak RSS.
 Each shape is measured in a child process of its own, with its own Ray
@@ -128,7 +130,9 @@ def build(work: str, records: int, deltas: int, seed: int) -> dict:
     return built
 
 
-OPS = ("decode_s", "point_s", "verify_s", "manifest_s", "effective_s")
+OPS = ("decode_s", "projected_s", "point_s", "verify_s", "manifest_s",
+       "effective_s")
+PROJECTION = ["url", "lang"]
 
 
 def measure(store: str, url: str, rows: int, reps: int) -> dict:
@@ -140,6 +144,12 @@ def measure(store: str, url: str, rows: int, reps: int) -> dict:
         n = decode_dataset(store).count()
         assert n == rows, (store, n, rows)
 
+    def projected():
+        ds = decode_dataset(store, columns=PROJECTION)
+        n = sum(b.num_rows for b in ds.iter_batches(batch_size=None,
+                                                    batch_format="pyarrow"))
+        assert n == rows, (store, n, rows)
+
     def point():
         assert decode_dataset(store, zone_filter={"url": [url]}).count() >= 1
 
@@ -148,7 +158,7 @@ def measure(store: str, url: str, rows: int, reps: int) -> dict:
         assert v["failed"] == [], v["failed"][:3]
 
     out = {}
-    for name, op in zip(OPS, (decode, point, verify,
+    for name, op in zip(OPS, (decode, projected, point, verify,
                               lambda: load_manifest(store),
                               lambda: effective_records(store))):
         walls = []
